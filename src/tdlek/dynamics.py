@@ -1,19 +1,21 @@
 """Mental operations as model transformers, and prefix elimination.
 
-apply() rebuilds the neighbourhood function world by world; every
-extension is computed against the input model, so the update is
-simultaneous across worlds.  check_dynamic() evaluates a prefixed formula
-by updating first.  reduce_formula() rewrites dynamic prefixes away,
-innermost first: prefixes distribute over the connectives and K, and a
-prefix on B unfolds into either the belief of the pushed body or knowledge
-of its equivalence with what the operation added.  Shapes with no sound
-rewrite (a prefix on box, or a revision prefix on B) are reported, not
-guessed.
+apply() labels each guard once over all worlds of the input model and
+rebuilds the neighbourhood function from those truth sets, so the update
+is simultaneous across worlds; its outcome is memoised on the input model.
+This module also supplies the model checker's clause for prefixed
+formulas: update first, then label the body.  reduce_formula() rewrites
+dynamic prefixes away, innermost first: prefixes distribute over the
+connectives and K, and a prefix on B unfolds into either the belief of the
+pushed body or knowledge of its equivalence with what the operation added.
+Shapes with no sound rewrite (a prefix on box, or a revision prefix on B)
+are reported, not guessed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .intervals import TimeExpr, difference, intersect, subset
 from .formulas import (
@@ -36,14 +38,12 @@ from .formulas import (
     Or,
     Revise,
     Top,
-    fits,
     is_ground,
     op_time,
     print_formula,
     print_mental_op,
-    time_of,
 )
-from .models import TLekModel, check, extension, world_interval
+from .models import CLAUSES, TLekModel, check, label
 
 
 class MalformedOp(ValueError):
@@ -126,66 +126,70 @@ def apply(m: TLekModel, op: MentalOp) -> OpOutcome:
     belief/knowledge guard holds.  Revise removes the extension of the
     target restricted to the trigger's span and adds extensions for the
     residual sub-interval beliefs.  Worlds where the guard fails keep
-    their neighbourhood unchanged.
+    their neighbourhood unchanged.  Each guard is labelled once for all
+    worlds, and the outcome is memoised on the input model, so every
+    (model, op) pair is updated once.
     """
-    _validate_op(op)
+    memo = m._updates.get(op)
+    if memo is None:
+        _validate_op(op)
+        memo = m._updates[op] = _update(m, op)
+    updated, applied, delta = memo
+    return OpOutcome(m if updated is None else updated, applied, delta)
+
+
+def _truth(m: TLekModel, f: Formula) -> int:
+    return label(m, f)[1]
+
+
+def _update(m: TLekModel, op: MentalOp) -> tuple[Optional[TLekModel], bool, dict]:
+    """(updated model, applied, delta); None stands for m itself, which the
+    memo on m may not hold without a reference cycle."""
+    fr = m.frame
+    fired = fr.fit(op_time(op))
+    adds: list[Formula] = []
+    removes: list[Formula] = []
+    if isinstance(op, Learn):
+        adds.append(op.literal)
+    elif isinstance(op, Conj):
+        fired &= _truth(m, Belief(op.left)) & _truth(m, Belief(op.right))
+        adds.append(And(op.left, op.right))
+    elif isinstance(op, Infer):
+        fired &= _truth(m, Belief(op.premise)) & _truth(
+            m, Knowledge(Implies(op.premise, op.conclusion))
+        )
+        adds.append(op.conclusion)
+    elif isinstance(op, Revise):
+        overlap = intersect(op.trigger.interval(), op.target.interval())
+        if overlap.is_empty():
+            fired = 0
+        else:
+            fired &= (
+                _truth(m, Belief(op.trigger))
+                & _truth(m, Belief(op.target))
+                & _truth(m, Knowledge(Implies(op.trigger, Not(op.target))))
+            )
+            for i, wid in enumerate(fr.ids):
+                if fired >> i & 1 and wider_belief_exists(m, wid, op):
+                    fired &= ~(1 << i)
+            cut = overlap.parts[0]
+            removes.append(
+                Atom(op.target.pred, TimeExpr.lit(cut.lo), TimeExpr.lit(cut.hi), op.target.args)
+            )
+            adds.extend(_residual_atoms(op))
+    if not fired:
+        return None, False, {}
+    add_masks = [_truth(m, f) for f in adds]
+    remove_masks = [_truth(m, f) for f in removes]
     new_nbhd: dict[str, frozenset[frozenset[str]]] = {}
     delta: dict = {}
-    applied = False
-    for wid in sorted(m.worlds):
-        iv = world_interval(m.worlds[wid])
-        adds: list[frozenset[str]] = []
-        removes: list[frozenset[str]] = []
-        fired = False
-        if isinstance(op, Learn):
-            if fits(time_of(op.literal), iv):
-                fired = True
-                adds.append(extension(m, wid, op.literal))
-        elif isinstance(op, Conj):
-            if (
-                check(m, wid, Belief(op.left))
-                and check(m, wid, Belief(op.right))
-                and fits(op_time(op), iv)
-            ):
-                fired = True
-                adds.append(extension(m, wid, And(op.left, op.right)))
-        elif isinstance(op, Infer):
-            if (
-                check(m, wid, Belief(op.premise))
-                and check(m, wid, Knowledge(Implies(op.premise, op.conclusion)))
-                and fits(op_time(op), iv)
-            ):
-                fired = True
-                adds.append(extension(m, wid, op.conclusion))
-        elif isinstance(op, Revise):
-            overlap = intersect(op.trigger.interval(), op.target.interval())
-            guard = (
-                not overlap.is_empty()
-                and check(m, wid, Belief(op.trigger))
-                and check(m, wid, Belief(op.target))
-                and check(m, wid, Knowledge(Implies(op.trigger, Not(op.target))))
-                and fits(op_time(op), iv)
-                and not wider_belief_exists(m, wid, op)
+    for i, wid in enumerate(fr.ids):
+        before = after = m.n_of(wid)
+        if fired >> i & 1:
+            cls = fr.cls[i]
+            after = before.difference(fr.worlds_of(x & cls) for x in remove_masks).union(
+                fr.worlds_of(x & cls) for x in add_masks
             )
-            if guard:
-                fired = True
-                q_cut = Atom(
-                    op.target.pred,
-                    TimeExpr.lit(overlap.parts[0].lo),
-                    TimeExpr.lit(overlap.parts[0].hi),
-                    op.target.args,
-                )
-                removes.append(extension(m, wid, q_cut))
-                for residual in _residual_atoms(op):
-                    adds.append(extension(m, wid, residual))
-        applied = applied or fired
-        family = set(m.n_of(wid))
-        before = frozenset(family)
-        for x in removes:
-            family.discard(x)
-        for x in adds:
-            family.add(x)
-        after = frozenset(family)
         new_nbhd[wid] = after
         if before != after:
             delta[wid] = {
@@ -193,8 +197,8 @@ def apply(m: TLekModel, op: MentalOp) -> OpOutcome:
                 "removed": [sorted(x) for x in sorted(before - after, key=sorted)],
             }
     if not delta:
-        return OpOutcome(m, applied, {})
-    return OpOutcome(m.with_nbhd(new_nbhd), applied, delta)
+        return None, True, {}
+    return m.with_nbhd(new_nbhd), True, delta
 
 
 def check_dynamic(m: TLekModel, wid: str, f: Formula) -> bool:
@@ -202,11 +206,15 @@ def check_dynamic(m: TLekModel, wid: str, f: Formula) -> bool:
     body's time required to fit the world interval."""
     if not isinstance(f, Dynamic):
         raise TypeError(f"check_dynamic needs a dynamic formula, got {print_formula(f)}")
-    if not is_ground(f):
-        raise NonGround(f"check_dynamic needs a ground formula: {print_formula(f)}")
-    outcome = apply(m, f.op)
-    iv = world_interval(m.worlds[wid])
-    return check(outcome.model, wid, f.body) and fits(time_of(f.body), iv)
+    return check(m, wid, f)
+
+
+def _label_dynamic(m: TLekModel, f: Dynamic):
+    t, body = label(apply(m, f.op).model, f.body)
+    return op_time(f.op), body & m.frame.fit(t)
+
+
+CLAUSES[Dynamic] = _label_dynamic
 
 
 # ---------------------------------------------------------------------------

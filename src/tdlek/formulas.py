@@ -53,6 +53,16 @@ def is_var(name: str) -> bool:
     return bool(_VAR_RE.match(name))
 
 
+def _check_bounds(head: str, start: TimeExpr, end: TimeExpr, brackets: str = "()") -> None:
+    """Ground bounds must form an interval: a finite start no later than the end."""
+    if start.is_ground() and start.offset == INF:
+        raise BadInterval(f"{head}: start bound may not be inf")
+    if start.is_ground() and end.is_ground() and start.offset > end.offset:
+        raise BadInterval(
+            f"{head}{brackets[0]}{start},{end}{brackets[1]}: start exceeds end"
+        )
+
+
 class Formula:
     __slots__ = ()
 
@@ -82,13 +92,7 @@ class Atom(Formula):
         for a in self.args:
             if not (_NAME_RE.match(a) or _VAR_RE.match(a)):
                 raise ValueError(f"bad atom argument {a!r}")
-        if self.start.is_ground() and self.start.offset == INF:
-            raise BadInterval(f"{self.pred}: start bound may not be inf")
-        if self.start.is_ground() and self.end.is_ground():
-            if self.start.offset > self.end.offset:
-                raise BadInterval(
-                    f"{self.pred}({self.start},{self.end}): start exceeds end"
-                )
+        _check_bounds(self.pred, self.start, self.end)
 
     def is_ground(self) -> bool:
         return (
@@ -149,6 +153,9 @@ class Always(Formula):
     start: TimeExpr
     end: TimeExpr
     body: Formula
+
+    def __post_init__(self):
+        _check_bounds("box", self.start, self.end, "[]")
 
     def is_default_interval(self) -> bool:
         return (
@@ -364,7 +371,11 @@ class _Parser:
                 lo, hi = self.interval_bounds()
             else:
                 lo, hi = TimeExpr.lit(0), TimeExpr.lit(INF)
-            return Always(lo, hi, self.unary())
+            body = self.unary()
+            try:
+                return Always(lo, hi, body)
+            except BadInterval as exc:
+                raise FormulaSyntaxError(str(exc), tok.line, tok.col) from exc
         if tok.kind == "[":
             self.take()
             op = self.mental_op()
@@ -718,13 +729,13 @@ def merge_times(a: Optional[Interval], b: Optional[Interval]) -> Optional[Interv
 
 
 def op_time(op: MentalOp) -> Optional[Interval]:
-    """Interval a mental operation speaks about."""
+    """Interval a ground mental operation speaks about."""
     if isinstance(op, Learn):
-        return time_of(op.literal)
+        return _time(op.literal)
     if isinstance(op, Conj):
-        return merge_times(time_of(op.left), time_of(op.right))
+        return merge_times(_time(op.left), _time(op.right))
     if isinstance(op, Infer):
-        return time_of(op.conclusion)
+        return _time(op.conclusion)
     if isinstance(op, Revise):
         restored = difference(op.target.interval(), op.trigger.interval())
         h = restored.hull()

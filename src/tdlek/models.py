@@ -5,6 +5,12 @@ atoms), an equivalence relation R stored as a partition, and a
 neighbourhood function N mapping each world to a family of world-id sets.
 Truth of B is membership of a formula's extension in N; K quantifies over
 the R-class; every clause is gated by the world's derived interval.
+
+The checker labels bottom-up: each subformula gets its time and its truth
+set, a bitmask over the sorted world ids, from its children's in one pass.
+World intervals and class masks are computed once per model, and a
+formula's truth set is memoised on the model, so checking it at every
+world costs one pass.
 """
 
 from __future__ import annotations
@@ -12,7 +18,8 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Optional
 
 from .intervals import INF, Interval, TimeExpr, TimePoint
 from .formulas import (
@@ -21,7 +28,6 @@ from .formulas import (
     Atom,
     Belief,
     Bot,
-    Dynamic,
     Formula,
     Iff,
     Implies,
@@ -32,9 +38,9 @@ from .formulas import (
     Top,
     fits,
     is_ground,
+    merge_times,
     parse_atom,
     print_formula,
-    time_of,
 )
 
 
@@ -71,7 +77,11 @@ def world_interval(w: World) -> Interval:
 
 
 class TLekModel:
-    """Immutable snapshot of a model: worlds, R-partition, neighbourhoods."""
+    """Immutable snapshot of a model: worlds, R-partition, neighbourhoods.
+
+    The bitmask view (frame, nbhd_masks) is derived on first use, and the
+    truth sets and update outcomes computed on the model are memoised on it.
+    """
 
     def __init__(
         self,
@@ -113,6 +123,18 @@ class TLekModel:
                     if member not in self.worlds:
                         raise ValueError(f"neighbourhood of {wid} mentions unknown world {member}")
             self.nbhd[wid] = fam
+        self._truths: dict[Formula, int] = {}  # filled by truth_set
+        self._updates: dict = {}  # mental op -> outcome, filled by dynamics.apply
+
+    @cached_property
+    def frame(self) -> "Frame":
+        return Frame(self)
+
+    @cached_property
+    def nbhd_masks(self) -> tuple[frozenset[int], ...]:
+        """N(w) as masks over frame.ids, indexed like frame.ids."""
+        fr = self.frame
+        return tuple(frozenset(fr.mask(x) for x in self.nbhd[wid]) for wid in fr.ids)
 
     def r_of(self, wid: str) -> frozenset[str]:
         return self.class_of[wid]
@@ -121,7 +143,9 @@ class TLekModel:
         return self.nbhd[wid]
 
     def with_nbhd(self, nbhd: dict[str, frozenset[frozenset[str]]]) -> "TLekModel":
-        return TLekModel(self.worlds.values(), self.classes, nbhd)
+        out = TLekModel(self.worlds.values(), self.classes, nbhd)
+        out.frame = self.frame  # same worlds and classes
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TLekModel):
@@ -134,6 +158,43 @@ class TLekModel:
 
     def __repr__(self) -> str:
         return f"<TLekModel {len(self.worlds)} worlds, {len(self.classes)} classes>"
+
+
+class Frame:
+    """The worlds and the partition of a model as bitmasks, computed once.
+
+    World frame.ids[i] is bit 1 << i of every truth set.  Each world's
+    interval comes from one world_interval call.
+    """
+
+    def __init__(self, m: TLekModel):
+        self.ids: tuple[str, ...] = tuple(sorted(m.worlds))
+        self.index: dict[str, int] = {wid: i for i, wid in enumerate(self.ids)}
+        self.all = (1 << len(self.ids)) - 1
+        self.valuations = tuple(m.worlds[wid].atoms for wid in self.ids)
+        self.intervals = tuple(world_interval(m.worlds[wid]) for wid in self.ids)
+        self.classes: tuple[int, ...] = tuple(self.mask(c) for c in m.classes)
+        # cls[i]: the mask of world i's R-class
+        self.cls: tuple[int, ...] = tuple(self.mask(m.class_of[wid]) for wid in self.ids)
+
+    def mask(self, wids: Iterable[str]) -> int:
+        out = 0
+        for wid in wids:
+            out |= 1 << self.index[wid]
+        return out
+
+    def worlds_of(self, mask: int) -> frozenset[str]:
+        return frozenset(wid for i, wid in enumerate(self.ids) if mask >> i & 1)
+
+    def fit(self, t: Optional[Interval]) -> int:
+        """Worlds whose interval contains t; all of them for timeless t."""
+        if t is None:
+            return self.all
+        mask = 0
+        for i, iv in enumerate(self.intervals):
+            if iv.lo <= t.lo and t.hi <= iv.hi:
+                mask |= 1 << i
+        return mask
 
 
 def validate_model(m: TLekModel) -> list[str]:
@@ -160,77 +221,120 @@ def validate_model(m: TLekModel) -> list[str]:
     return violations
 
 
+def label(m: TLekModel, f: Formula) -> tuple[Optional[Interval], int]:
+    """Time and truth set of a ground formula, labelled bottom-up.
+
+    Each clause builds its node's interval from its children's and ANDs
+    its truth set with the worlds whose interval fits that time.  The
+    formula must be ground; this is not checked here.
+    """
+    clause = CLAUSES.get(type(f))
+    if clause is None:
+        raise TypeError(f"unknown formula node {f!r}")
+    return clause(m, f)
+
+
+def truth_set(m: TLekModel, f: Formula) -> int:
+    """Worlds where a ground formula holds, as a mask over m.frame.ids.
+
+    Memoised on the model, so checking one formula at every world labels
+    it once.
+    """
+    mask = m._truths.get(f)
+    if mask is None:
+        if not is_ground(f):
+            raise NonGround(f"check needs a ground formula: {print_formula(f)}")
+        mask = m._truths[f] = label(m, f)[1]
+    return mask
+
+
 def extension(m: TLekModel, wid: str, f: Formula) -> frozenset[str]:
     """Worlds in R(w) where f holds."""
-    return frozenset(v for v in m.r_of(wid) if check(m, v, f))
+    fr = m.frame
+    return fr.worlds_of(truth_set(m, f) & fr.cls[fr.index[wid]])
 
 
 def check(m: TLekModel, wid: str, f: Formula) -> bool:
     """Truth at a world; every clause carries its timing side condition."""
-    if not is_ground(f):
-        raise NonGround(f"check needs a ground formula: {print_formula(f)}")
-    return _check(m, wid, f)
+    return bool(truth_set(m, f) >> m.frame.index[wid] & 1)
 
 
-def _check(m: TLekModel, wid: str, f: Formula) -> bool:
-    world = m.worlds[wid]
-    iv = world_interval(world)
-    if isinstance(f, Atom):
-        return f in world.atoms and fits(time_of(f), iv)
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bot):
-        return False
-    if isinstance(f, Not):
-        return not _check(m, wid, f.body) and fits(time_of(f.body), iv)
-    if isinstance(f, And):
-        return (
-            _check(m, wid, f.left)
-            and _check(m, wid, f.right)
-            and fits(time_of(f.left), iv)
-            and fits(time_of(f.right), iv)
-        )
-    if isinstance(f, Or):
-        return (
-            (_check(m, wid, f.left) or _check(m, wid, f.right))
-            and fits(time_of(f.left), iv)
-            and fits(time_of(f.right), iv)
-        )
-    if isinstance(f, Implies):
-        return (
-            (not _check(m, wid, f.left) or _check(m, wid, f.right))
-            and fits(time_of(f.left), iv)
-            and fits(time_of(f.right), iv)
-        )
-    if isinstance(f, Iff):
-        return (
-            (_check(m, wid, f.left) == _check(m, wid, f.right))
-            and fits(time_of(f.left), iv)
-            and fits(time_of(f.right), iv)
-        )
-    if isinstance(f, Belief):
-        return extension(m, wid, f.body) in m.n_of(wid) and fits(time_of(f.body), iv)
-    if isinstance(f, Knowledge):
-        return all(_check(m, v, f.body) for v in m.r_of(wid)) and fits(
-            time_of(f.body), iv
-        )
-    if isinstance(f, Always):
-        label = Interval(int(f.start.offset), f.end.offset)
-        return (
-            fits(time_of(f.body), label)
-            and fits(label, iv)
-            and all(_check(m, v, f.body) for v in m.r_of(wid))
-        )
-    if isinstance(f, Dynamic):
-        from .dynamics import check_dynamic
+def _atom(m: TLekModel, f: Atom):
+    # an atom of a valuation always fits its world's interval
+    mask = 0
+    for i, atoms in enumerate(m.frame.valuations):
+        if f in atoms:
+            mask |= 1 << i
+    return Interval(f.start.offset, f.end.offset), mask
 
-        return check_dynamic(m, wid, f)
-    raise TypeError(f"unknown formula node {f!r}")
+
+def _not(m: TLekModel, f: Not):
+    t, body = label(m, f.body)
+    return t, ~body & m.frame.fit(t)
+
+
+def _connective(combine):
+    def clause(m: TLekModel, f):
+        tl, left = label(m, f.left)
+        tr, right = label(m, f.right)
+        t = merge_times(tl, tr)
+        return t, combine(left, right) & m.frame.fit(t)
+
+    return clause
+
+
+def _belief(m: TLekModel, f: Belief):
+    t, body = label(m, f.body)
+    fr = m.frame
+    mask = 0
+    for i, (cls, family) in enumerate(zip(fr.cls, m.nbhd_masks)):
+        if body & cls in family:
+            mask |= 1 << i
+    return t, mask & fr.fit(t)
+
+
+def _everywhere(fr: "Frame", body: int) -> int:
+    """Worlds whose whole R-class lies inside body."""
+    mask = 0
+    for cls in fr.classes:
+        if body & cls == cls:
+            mask |= cls
+    return mask
+
+
+def _knowledge(m: TLekModel, f: Knowledge):
+    t, body = label(m, f.body)
+    return t, _everywhere(m.frame, body) & m.frame.fit(t)
+
+
+def _always(m: TLekModel, f: Always):
+    span = Interval(int(f.start.offset), f.end.offset)
+    t, body = label(m, f.body)
+    if not fits(t, span):
+        return span, 0
+    return span, _everywhere(m.frame, body) & m.frame.fit(span)
+
+
+# One clause per node type; dynamics adds the Dynamic clause, which has to
+# update the model before it can label the body.
+CLAUSES = {
+    Atom: _atom,
+    Top: lambda m, f: (None, m.frame.all),
+    Bot: lambda m, f: (None, 0),
+    Not: _not,
+    And: _connective(lambda l, r: l & r),
+    Or: _connective(lambda l, r: l | r),
+    Implies: _connective(lambda l, r: ~l | r),
+    Iff: _connective(lambda l, r: ~(l ^ r)),
+    Belief: _belief,
+    Knowledge: _knowledge,
+    Always: _always,
+}
 
 
 def valid_in_model(m: TLekModel, f: Formula) -> bool:
     """True in every world of this model."""
-    return all(check(m, wid, f) for wid in m.worlds)
+    return truth_set(m, f) == m.frame.all
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +463,7 @@ def load_model(text: str) -> TLekModel:
             for chunk in rest.split():
                 try:
                     atoms.append(parse_atom(chunk))
-                except Exception as exc:
+                except ValueError as exc:
                     raise ModelFormatError(f"line {lineno}: bad atom {chunk!r}: {exc}") from exc
             try:
                 worlds.append(World(wid, frozenset(atoms)))
@@ -390,7 +494,3 @@ def load_model_file(path) -> TLekModel:
     with open(path, "r", encoding="utf-8") as fh:
         return load_model(fh.read())
 
-
-def save_model_file(m: TLekModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(save_model(m))

@@ -1,0 +1,205 @@
+"""Clause-by-clause reference model checker and update, for differential tests.
+
+A direct transcription of the truth clauses: one recursive walk per world,
+the world interval recomputed at every node, the time of every subformula
+taken from ``time_of``, and ``apply`` evaluating its guards world by world.
+It is slow on purpose and shares no code with the labelling checker in
+``tdlek.models`` beyond the formula and model data types.
+"""
+
+from __future__ import annotations
+
+from tdlek.formulas import (
+    Always,
+    And,
+    Atom,
+    Belief,
+    Bot,
+    Conj,
+    Dynamic,
+    Formula,
+    Iff,
+    Implies,
+    Infer,
+    Knowledge,
+    Learn,
+    MentalOp,
+    NonGround,
+    Not,
+    Or,
+    Revise,
+    Top,
+    fits,
+    is_ground,
+    op_time,
+    print_formula,
+    time_of,
+)
+from tdlek.intervals import Interval, TimeExpr, difference, intersect, subset
+from tdlek.models import TLekModel, world_interval
+
+
+def extension(m: TLekModel, wid: str, f: Formula) -> frozenset[str]:
+    """Worlds in R(w) where f holds."""
+    return frozenset(v for v in m.r_of(wid) if check(m, v, f))
+
+
+def check(m: TLekModel, wid: str, f: Formula) -> bool:
+    """Truth at a world; every clause carries its timing side condition."""
+    if not is_ground(f):
+        raise NonGround(f"check needs a ground formula: {print_formula(f)}")
+    return _check(m, wid, f)
+
+
+def _check(m: TLekModel, wid: str, f: Formula) -> bool:
+    world = m.worlds[wid]
+    iv = world_interval(world)
+    if isinstance(f, Atom):
+        return f in world.atoms and fits(time_of(f), iv)
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, Bot):
+        return False
+    if isinstance(f, Not):
+        return not _check(m, wid, f.body) and fits(time_of(f.body), iv)
+    if isinstance(f, And):
+        return (
+            _check(m, wid, f.left)
+            and _check(m, wid, f.right)
+            and fits(time_of(f.left), iv)
+            and fits(time_of(f.right), iv)
+        )
+    if isinstance(f, Or):
+        return (
+            (_check(m, wid, f.left) or _check(m, wid, f.right))
+            and fits(time_of(f.left), iv)
+            and fits(time_of(f.right), iv)
+        )
+    if isinstance(f, Implies):
+        return (
+            (not _check(m, wid, f.left) or _check(m, wid, f.right))
+            and fits(time_of(f.left), iv)
+            and fits(time_of(f.right), iv)
+        )
+    if isinstance(f, Iff):
+        return (
+            (_check(m, wid, f.left) == _check(m, wid, f.right))
+            and fits(time_of(f.left), iv)
+            and fits(time_of(f.right), iv)
+        )
+    if isinstance(f, Belief):
+        return extension(m, wid, f.body) in m.n_of(wid) and fits(time_of(f.body), iv)
+    if isinstance(f, Knowledge):
+        return all(_check(m, v, f.body) for v in m.r_of(wid)) and fits(
+            time_of(f.body), iv
+        )
+    if isinstance(f, Always):
+        label = Interval(int(f.start.offset), f.end.offset)
+        return (
+            fits(time_of(f.body), label)
+            and fits(label, iv)
+            and all(_check(m, v, f.body) for v in m.r_of(wid))
+        )
+    if isinstance(f, Dynamic):
+        return check_dynamic(m, wid, f)
+    raise TypeError(f"unknown formula node {f!r}")
+
+
+def check_dynamic(m: TLekModel, wid: str, f: Dynamic) -> bool:
+    """Update first, then check the body, whose time must fit I(w)."""
+    outcome_model, _, _ = apply(m, f.op)
+    iv = world_interval(m.worlds[wid])
+    return check(outcome_model, wid, f.body) and fits(time_of(f.body), iv)
+
+
+def wider_belief_exists(m: TLekModel, wid: str, op: Revise) -> bool:
+    trigger_iv = op.trigger.interval()
+    candidates = {
+        a
+        for v in m.r_of(wid)
+        for a in m.worlds[v].atoms
+        if a.pred == op.target.pred and a.args == op.target.args and a != op.target
+    }
+    for cand in sorted(candidates, key=lambda a: (a.start.offset, a.end.offset)):
+        j = cand.interval()
+        if subset(trigger_iv, j) and j != trigger_iv and check(m, wid, Belief(cand)):
+            return True
+    return False
+
+
+def _residual_atoms(op: Revise) -> list[Atom]:
+    parts = difference(op.target.interval(), op.trigger.interval())
+    return [
+        Atom(op.target.pred, TimeExpr.lit(p.lo), TimeExpr.lit(p.hi), op.target.args)
+        for p in parts
+    ]
+
+
+def apply(m: TLekModel, op: MentalOp) -> tuple[TLekModel, bool, dict]:
+    """(updated model, applied, delta), guards evaluated world by world."""
+    new_nbhd: dict[str, frozenset[frozenset[str]]] = {}
+    delta: dict = {}
+    applied = False
+    for wid in sorted(m.worlds):
+        iv = world_interval(m.worlds[wid])
+        adds: list[frozenset[str]] = []
+        removes: list[frozenset[str]] = []
+        fired = False
+        if isinstance(op, Learn):
+            if fits(time_of(op.literal), iv):
+                fired = True
+                adds.append(extension(m, wid, op.literal))
+        elif isinstance(op, Conj):
+            if (
+                check(m, wid, Belief(op.left))
+                and check(m, wid, Belief(op.right))
+                and fits(op_time(op), iv)
+            ):
+                fired = True
+                adds.append(extension(m, wid, And(op.left, op.right)))
+        elif isinstance(op, Infer):
+            if (
+                check(m, wid, Belief(op.premise))
+                and check(m, wid, Knowledge(Implies(op.premise, op.conclusion)))
+                and fits(op_time(op), iv)
+            ):
+                fired = True
+                adds.append(extension(m, wid, op.conclusion))
+        elif isinstance(op, Revise):
+            overlap = intersect(op.trigger.interval(), op.target.interval())
+            guard = (
+                not overlap.is_empty()
+                and check(m, wid, Belief(op.trigger))
+                and check(m, wid, Belief(op.target))
+                and check(m, wid, Knowledge(Implies(op.trigger, Not(op.target))))
+                and fits(op_time(op), iv)
+                and not wider_belief_exists(m, wid, op)
+            )
+            if guard:
+                fired = True
+                q_cut = Atom(
+                    op.target.pred,
+                    TimeExpr.lit(overlap.parts[0].lo),
+                    TimeExpr.lit(overlap.parts[0].hi),
+                    op.target.args,
+                )
+                removes.append(extension(m, wid, q_cut))
+                for residual in _residual_atoms(op):
+                    adds.append(extension(m, wid, residual))
+        applied = applied or fired
+        family = set(m.n_of(wid))
+        before = frozenset(family)
+        for x in removes:
+            family.discard(x)
+        for x in adds:
+            family.add(x)
+        after = frozenset(family)
+        new_nbhd[wid] = after
+        if before != after:
+            delta[wid] = {
+                "added": [sorted(x) for x in sorted(after - before, key=sorted)],
+                "removed": [sorted(x) for x in sorted(before - after, key=sorted)],
+            }
+    if not delta:
+        return m, applied, {}
+    return m.with_nbhd(new_nbhd), applied, delta

@@ -1,0 +1,100 @@
+"""Differential tests: the labelling checker against the clause-by-clause reference.
+
+Every check, extension and update is compared at every world of its
+model: first on everything the four property suites generate over many
+seeds, then on random static and dynamic formulas over random models with
+and without full-span world intervals.
+"""
+
+import random
+
+import pytest
+
+import reference_checker as ref
+from tdlek import dynamics, models, suites
+from tdlek.randgen import gen_dynamic_formula, gen_mental_op, gen_static, model_vocab
+
+SEEDS = range(50)
+
+
+def assert_agree(m, f):
+    for wid in sorted(m.worlds):
+        assert models.check(m, wid, f) == ref.check(m, wid, f), (wid, str(f))
+        assert models.extension(m, wid, f) == ref.extension(m, wid, f), (wid, str(f))
+
+
+def assert_same_update(m, op):
+    outcome = dynamics.apply(m, op)
+    want_model, want_applied, want_delta = ref.apply(m, op)
+    assert outcome.applied == want_applied, str(op)
+    assert outcome.delta == want_delta, str(op)
+    assert outcome.model == want_model, str(op)
+    assert (outcome.model is m) == (want_model is m), str(op)
+
+
+class Recorder:
+    """Stands in for the checker functions the suites call, comparing each
+    call with the reference before answering it."""
+
+    def __init__(self):
+        self.seen = set()
+        self.keep = []  # holds the models so that their ids stay unique
+        self.calls = 0
+
+    def compare(self, m, f):
+        self.calls += 1
+        key = (id(m), f)
+        if key not in self.seen:
+            self.seen.add(key)
+            self.keep.append(m)
+            assert_agree(m, f)
+
+    def check(self, m, wid, f):
+        self.compare(m, f)
+        return models.check(m, wid, f)
+
+    def check_dynamic(self, m, wid, f):
+        self.compare(m, f)
+        return dynamics.check_dynamic(m, wid, f)
+
+    def extension(self, m, wid, f):
+        self.compare(m, f)
+        return models.extension(m, wid, f)
+
+    def apply(self, m, op):
+        assert_same_update(m, op)
+        return dynamics.apply(m, op)
+
+    def wider_belief_exists(self, m, wid, op):
+        got = dynamics.wider_belief_exists(m, wid, op)
+        assert got == ref.wider_belief_exists(m, wid, op), str(op)
+        return got
+
+
+@pytest.fixture
+def recorder(monkeypatch):
+    rec = Recorder()
+    for name in ("check", "check_dynamic", "extension", "apply", "wider_belief_exists"):
+        monkeypatch.setattr(suites, name, getattr(rec, name))
+    return rec
+
+
+def test_suites_agree_with_reference(recorder):
+    for seed in SEEDS:
+        assert suites.frame_suite(4, seed).ok
+        assert suites.lek_axioms_suite(4, seed).ok
+        assert suites.property1_suite(suites.property1_models(2, seed), seed, per_model=3).ok
+        assert suites.reduction_oracle_suite(4, seed).ok
+    assert recorder.calls > 1000
+
+
+@pytest.mark.parametrize("full_span", [False, True])
+def test_random_formulas_agree_with_reference(full_span):
+    for seed in SEEDS:
+        m = models.gen_random_model(seed, full_span=full_span)
+        vocab = model_vocab(m)
+        rng = random.Random(seed)
+        for _ in range(6):
+            assert_agree(m, gen_static(rng, vocab, 10, 3))
+            assert_agree(m, gen_dynamic_formula(rng, vocab, 10))
+            assert_same_update(m, gen_mental_op(rng, vocab, 10))

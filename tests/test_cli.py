@@ -74,6 +74,16 @@ def test_check_dynamic_formula(capsys, model_file):
     assert (code, out) == (0, "true\n")
 
 
+@pytest.mark.parametrize(
+    "formula", ["box[5,2] p(1,1)", "box[inf,inf] p(1,1)", "false & box[5,2] p(1,1)"]
+)
+def test_bad_box_bounds_exit_2(capsys, model_file, formula):
+    for argv in (["parse", formula], ["check", "-m", model_file, "-w", "w0", formula]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: ") and "Traceback" not in err
+
+
 def test_check_bad_world_exits_2(capsys, model_file):
     code, _, err = run(capsys, "check", "-m", model_file, "-w", "nope", "p(1,1)")
     assert code == 2

@@ -72,6 +72,19 @@ def test_parse_rejects_misordered_ground_bounds():
         parse("p(inf,3)")
 
 
+def test_box_bounds_validated_at_construction():
+    with pytest.raises(BadInterval):
+        Always(TimeExpr.lit(5), TimeExpr.lit(2), atom("p", 1, 1))
+    with pytest.raises(BadInterval):
+        Always(TimeExpr.lit(INF), TimeExpr.lit(INF), atom("p", 1, 1))
+    Always(TimeExpr.at("T", 5), TimeExpr.lit(2), atom("p", 1, 1))  # not ground: unchecked
+    with pytest.raises(BadInterval):
+        substitute(parse("box[T,2] p(1,1)"), {"T": 5})
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse("false & box[5,2] p(1,1)")
+    assert (err.value.line, err.value.col) == (1, 9)
+
+
 def test_parse_error_carries_position_and_expectations():
     with pytest.raises(FormulaSyntaxError) as err:
         parse("p(1,2) &")

@@ -1,0 +1,79 @@
+"""Golden CLI outputs: exact stdout and exit code for fixed argv.
+
+The expected values were recorded from the clause-by-clause checker, so
+they pin byte-identical output and the suites' random streams across
+rewrites of the model checker and the dynamics.
+"""
+
+import pytest
+
+from tdlek.cli import main
+
+SUITE_OUTPUT = {
+    "frame": "frame: 100/100 ok, applied=51\n",
+    "axioms-lek": "axioms-lek: 500/500 ok\n",
+    "property1": (
+        "property1: 2987/2987 ok, applied_conj=325, applied_infer=309, "
+        "applied_learn=1082, applied_revise=179\n"
+    ),
+    "reduction-oracle": "reduction-oracle: 100/100 ok, unreduced=5, unreduced_fraction=0.05\n",
+}
+
+MODEL = (
+    "worlds:\n"
+    "  w0: raining(2,2) s(0,9)\n"
+    "  w1: s(0,9)\n"
+    "classes:\n"
+    "  w0 w1\n"
+    "nbhd:\n"
+    "  w0: {w0}\n"
+    "  w1: {w0}\n"
+)
+
+# formula -> (stdout at w0, stdout at w1); every answer exits 0
+CHECK_OUTPUT = {
+    "true": ("true", "true"),
+    "false": ("false", "false"),
+    "raining(2,2)": ("true", "false"),
+    "~raining(2,2)": ("false", "true"),
+    "~raining(20,20)": ("false", "false"),
+    "raining(2,2) & s(0,9)": ("true", "false"),
+    "raining(2,2) | s(1,1)": ("true", "false"),
+    "raining(2,2) -> s(0,9)": ("true", "true"),
+    "raining(2,2) <-> s(0,9)": ("true", "false"),
+    "B(raining(2,2))": ("true", "true"),
+    "B(s(0,9))": ("false", "false"),
+    "K(s(0,9))": ("true", "true"),
+    "K(raining(2,2))": ("false", "false"),
+    "box[0,9] s(0,9)": ("true", "true"),
+    "box s(0,9)": ("false", "false"),
+    "box[2,2] raining(2,2)": ("false", "false"),
+    "B(raining(2,2)) & K(s(0,9) | ~s(0,9))": ("true", "true"),
+    "[+raining(2,2)] B raining(2,2)": ("true", "true"),
+    "[+~raining(2,2)] B ~raining(2,2)": ("true", "true"),
+    "[and(raining(2,2),s(0,9))] B(raining(2,2) & s(0,9))": ("true", "true"),
+    "[inf(raining(2,2),s(0,9))] B s(0,9)": ("true", "true"),
+    "[rev(raining(2,2),s(0,9))] B s(3,9)": ("false", "false"),
+    "[+s(0,9)] [+raining(2,2)] K B raining(2,2)": ("true", "true"),
+}
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_OUTPUT))
+def test_rand_test_stdout_is_golden(capsys, suite):
+    assert run(capsys, "rand-test", suite, "--count", "100", "--seed", "0") == (
+        0,
+        SUITE_OUTPUT[suite],
+    )
+
+
+@pytest.mark.parametrize("formula", list(CHECK_OUTPUT))
+def test_check_stdout_is_golden(capsys, tmp_path, formula):
+    path = tmp_path / "model.tlek"
+    path.write_text(MODEL)
+    for world, want in zip(("w0", "w1"), CHECK_OUTPUT[formula]):
+        assert run(capsys, "check", "-m", str(path), "-w", world, formula) == (0, want + "\n")

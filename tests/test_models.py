@@ -1,6 +1,7 @@
 """Model structure, frame conditions, truth clauses, file round trips."""
 
 import random
+import re
 
 import pytest
 
@@ -283,6 +284,12 @@ def test_load_rejects_malformed_text():
         load_model("worlds:\n  w0:\nclasses:\n  w0\nnbhd:\n  w0: {w0} stray\n")
     with pytest.raises(ModelFormatError):
         load_model("worlds:\n  w0:\nclasses:\n  w0 w1\nnbhd:\n")
+
+
+def test_load_reports_bad_atom_with_line_number():
+    for bad in ("p(5,2)", "p(1,1", "box(1,1)"):
+        with pytest.raises(ModelFormatError, match=f"^line 3: bad atom {re.escape(repr(bad))}"):
+            load_model(f"worlds:\n  w0: q(0,9)\n  w1: {bad}\n")
 
 
 def test_load_accepts_comments_and_blank_lines():
