@@ -122,27 +122,28 @@ def _make_lit(pred: str, args: tuple[str, ...], positive: bool, iv: Interval) ->
     return BeliefLit(Atom(pred, TimeExpr.lit(iv.lo), TimeExpr.lit(iv.hi), args), positive)
 
 
+def _merged(group: Iterable[BeliefLit], lit: BeliefLit) -> set[BeliefLit]:
+    """The canonical beliefs of lit's group once lit is added to it."""
+    merged = IntervalSet.of([b.interval() for b in group] + [lit.interval()])
+    return {_make_lit(lit.atom.pred, lit.atom.args, lit.positive, part) for part in merged}
+
+
 def _insert(wm: frozenset[BeliefLit], lit: BeliefLit) -> frozenset[BeliefLit]:
     """Add a literal, merging with same-polarity beliefs it touches."""
-    group = [b for b in wm if _group_key(b) == _group_key(lit)]
-    merged = IntervalSet.of([b.interval() for b in group] + [lit.interval()])
-    rebuilt = {
-        _make_lit(lit.atom.pred, lit.atom.args, lit.positive, part) for part in merged
-    }
-    return (wm - frozenset(group)) | rebuilt
+    group = frozenset(b for b in wm if _group_key(b) == _group_key(lit))
+    return (wm - group) | _merged(group, lit)
 
 
-def _covered(wm: frozenset[BeliefLit], atom: Atom, positive: bool) -> bool:
-    """Some held belief of the same polarity spans the whole atom."""
-    for b in wm:
-        if (
-            b.positive == positive
-            and b.atom.pred == atom.pred
-            and b.atom.args == atom.args
-            and subset(atom.interval(), b.interval())
-        ):
-            return True
-    return False
+def _covered(beliefs: Iterable[BeliefLit], atom: Atom, positive: bool) -> bool:
+    """Some given belief of the same polarity spans the whole atom."""
+    span = atom.interval()
+    return any(
+        b.positive == positive
+        and b.atom.pred == atom.pred
+        and b.atom.args == atom.args
+        and subset(span, b.interval())
+        for b in beliefs
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -353,18 +354,25 @@ def init(rules: Iterable[Union[Rule, Formula, str]]) -> AgentState:
     return AgentState(rules=tuple(converted))
 
 
+def _restructured(target: BeliefLit, denied: Interval) -> Restructured:
+    """The event replacing target by its parts outside the denied span."""
+    return Restructured(
+        target,
+        tuple(
+            _make_lit(target.atom.pred, target.atom.args, target.positive, p)
+            for p in difference(target.interval(), denied)
+        ),
+    )
+
+
 def _restructure(
     wm: frozenset[BeliefLit],
     trace: tuple[TraceEvent, ...],
     target: BeliefLit,
     denied: Interval,
 ) -> tuple[frozenset[BeliefLit], tuple[TraceEvent, ...]]:
-    parts = tuple(
-        _make_lit(target.atom.pred, target.atom.args, target.positive, p)
-        for p in difference(target.interval(), denied)
-    )
-    wm = (wm - {target}) | frozenset(parts)
-    return wm, trace + (Restructured(target, parts),)
+    event = _restructured(target, denied)
+    return (wm - {target}) | frozenset(event.parts), trace + (event,)
 
 
 def perceive(st: AgentState, lit: Union[Formula, BeliefLit], at: TimePoint) -> AgentState:
@@ -377,13 +385,9 @@ def perceive(st: AgentState, lit: Union[Formula, BeliefLit], at: TimePoint) -> A
         raise ValueError(f"perception at {fmt_time(at)} is before the clock {fmt_time(st.clock)}")
     wm, trace = st.wm, st.trace
     span = belief.interval()
-    for other in sorted(wm, key=BeliefLit.key):
-        if (
-            other.positive != belief.positive
-            and other.atom.pred == belief.atom.pred
-            and other.atom.args == belief.atom.args
-            and not intersect(other.interval(), span).is_empty()
-        ):
+    opposite = (belief.atom.pred, belief.atom.args, not belief.positive)
+    for other in sorted((b for b in wm if _group_key(b) == opposite), key=BeliefLit.key):
+        if not intersect(other.interval(), span).is_empty():
             wm, trace = _restructure(wm, trace, other, span)
     wm = _insert(wm, belief)
     trace = trace + (Perceived(belief, at),)
@@ -398,15 +402,73 @@ def _binding_key(binding: dict):
     return (tuple(v for _, v in times), tuple(v for _, v in objs), times + objs)
 
 
-def _candidate_bindings(st: AgentState, rule: Rule) -> list[dict]:
+class _Memory:
+    """Working memory indexed for one infer_fixpoint call.
+
+    Beliefs are grouped by predicate, then by (args, polarity).  Per
+    predicate the positive beliefs are also kept sorted by BeliefLit.key;
+    that list is rebuilt lazily, and only for a predicate that changed.
+    """
+
+    def __init__(self, wm: frozenset[BeliefLit]):
+        self.preds: dict[str, dict[tuple, set[BeliefLit]]] = {}
+        self.sorted: dict[str, list[BeliefLit]] = {}
+        for b in wm:
+            self.preds.setdefault(b.atom.pred, {}).setdefault((b.atom.args, b.positive), set()).add(b)
+
+    def group(self, atom: Atom, positive: bool) -> set[BeliefLit]:
+        """The beliefs with atom's predicate and arguments and this polarity."""
+        return self.preds.get(atom.pred, {}).get((atom.args, positive), set())
+
+    def covered(self, atom: Atom) -> bool:
+        """Some positive belief spans the whole atom."""
+        return _covered(self.group(atom, True), atom, True)
+
+    def positives(self, pred: str) -> list[BeliefLit]:
+        """The positive beliefs of pred, sorted by BeliefLit.key."""
+        if pred not in self.sorted:
+            groups = self.preds.get(pred, {}).items()
+            self.sorted[pred] = sorted(
+                (b for (_, positive), group in groups if positive for b in group),
+                key=BeliefLit.key,
+            )
+        return self.sorted[pred]
+
+    def swap(self, lit: BeliefLit, removed: Iterable[BeliefLit], added: Iterable[BeliefLit]) -> None:
+        """Replace beliefs within lit's group."""
+        groups = self.preds.setdefault(lit.atom.pred, {})
+        group = groups.setdefault((lit.atom.args, lit.positive), set())
+        group.difference_update(removed)
+        group.update(added)
+        self.sorted.pop(lit.atom.pred, None)
+
+    def insert(self, lit: BeliefLit) -> None:
+        group = self.group(lit.atom, lit.positive)
+        self.swap(lit, set(group), _merged(group, lit))
+
+    def restructure(self, target: BeliefLit, denied: Interval) -> Restructured:
+        event = _restructured(target, denied)
+        self.swap(target, (target,), event.parts)
+        return event
+
+    def target(self, atom: Atom) -> Optional[BeliefLit]:
+        """The first positive belief, by key, spanning the whole atom."""
+        group = sorted(self.group(atom, True), key=BeliefLit.key)
+        return next((b for b in group if subset(atom.interval(), b.interval())), None)
+
+    def freeze(self) -> frozenset[BeliefLit]:
+        return frozenset(
+            b for groups in self.preds.values() for group in groups.values() for b in group
+        )
+
+
+def _candidate_bindings(memory: _Memory, rule: Rule) -> list[dict]:
     """All complete premise bindings, deterministically ordered.
 
-    Variables bind by syntactic match against belief atoms; a premise that
-    is already ground only needs a covering belief.  Box constraints are
-    checked once the binding is complete.
+    Variables bind by syntactic match against the beliefs of the premise's
+    predicate; a premise that is already ground only needs a covering
+    belief.  Box constraints are checked once the binding is complete.
     """
-    positive_beliefs = sorted((b for b in st.wm if b.positive), key=BeliefLit.key)
-
     results: list[dict] = []
 
     def walk(i: int, binding: dict):
@@ -417,7 +479,7 @@ def _candidate_bindings(st: AgentState, rule: Rule) -> list[dict]:
                         lo = p.box[0].eval(binding)
                         hi = p.box[1].eval(binding)
                         ground_atom = substitute(p.atom, binding)
-                        if not subset(ground_atom.interval(), Interval(int(lo), hi)):
+                        if not subset(ground_atom.interval(), Interval(lo, hi)):
                             return
                     except (BadInterval, UnboundVariable):
                         return
@@ -428,10 +490,10 @@ def _candidate_bindings(st: AgentState, rule: Rule) -> list[dict]:
         except BadInterval:
             return
         if pat.is_ground():
-            if _covered(st.wm, pat, True):
+            if memory.covered(pat):
                 walk(i + 1, binding)
             return
-        for b in positive_beliefs:
+        for b in memory.positives(pat.pred):
             m = match_atom(pat, b.atom)
             if m is not None:
                 walk(i + 1, {**binding, **m})
@@ -450,65 +512,64 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
     negative conclusion restructures the covering belief when the denied
     span lies inside it; otherwise the instance stays dormant.  Raises
     BudgetExhausted after the given number of firings.
+
+    A rule's scan reads only the beliefs of the predicates it mentions and
+    the fired set, which only grows.  So a rule whose scan fired nothing is
+    skipped on later restarts until a firing changes one of its predicates.
     """
-    state = st
+    memory = _Memory(st.wm)
+    fired = set(st.fired)
+    events: list[TraceEvent] = []
+    readers: dict[str, list[int]] = {}  # predicate -> rules that mention it
+    for ridx, rule in enumerate(st.rules):
+        for pred in {p.atom.pred for p in rule.premises} | {rule.conclusion.pred}:
+            readers.setdefault(pred, []).append(ridx)
+    clean: set[int] = set()  # rules whose last scan fired nothing
     firings = 0
-    while True:
-        progressed = False
-        for ridx, rule in enumerate(state.rules):
-            for binding in _candidate_bindings(state, rule):
+
+    def fire_first() -> Optional[str]:
+        """Fire the first instance that can fire and return the predicate
+        it changed, or None at the fixpoint."""
+        nonlocal firings
+        for ridx, rule in enumerate(st.rules):
+            if ridx in clean:
+                continue
+            for binding in _candidate_bindings(memory, rule):
                 key = (ridx, tuple(sorted(binding.items(), key=lambda kv: kv[0])))
-                if key in state.fired:
+                if key in fired:
                     continue
                 try:
                     concl = substitute(rule.conclusion, binding)
                 except BadInterval:
                     continue
                 lit = BeliefLit(concl, rule.positive)
+                target = None
                 if rule.positive:
-                    if _covered(state.wm, concl, True):
-                        state = replace(state, fired=state.fired | {key})
+                    if memory.covered(concl):
+                        fired.add(key)
                         continue
-                    firings += 1
-                    if firings > budget:
-                        raise BudgetExhausted(f"gave up after {budget} firings")
-                    wm = _insert(state.wm, lit)
-                    trace = state.trace + (
-                        Fired(ridx, rule.text, tuple(sorted(binding.items())), lit),
-                    )
-                    state = replace(
-                        state, wm=wm, trace=trace, fired=state.fired | {key}
-                    )
-                    progressed = True
-                    break
-                denied = concl.interval()
-                target = next(
-                    (
-                        b
-                        for b in state.wm_sorted()
-                        if b.positive
-                        and b.atom.pred == concl.pred
-                        and b.atom.args == concl.args
-                        and subset(denied, b.interval())
-                    ),
-                    None,
-                )
-                if target is None:
-                    continue
+                else:
+                    target = memory.target(concl)
+                    if target is None:
+                        continue
                 firings += 1
                 if firings > budget:
                     raise BudgetExhausted(f"gave up after {budget} firings")
-                trace = state.trace + (
-                    Fired(ridx, rule.text, tuple(sorted(binding.items())), lit),
-                )
-                wm, trace = _restructure(state.wm, trace, target, denied)
-                state = replace(state, wm=wm, trace=trace, fired=state.fired | {key})
-                progressed = True
-                break
-            if progressed:
-                break
-        if not progressed:
-            return state
+                events.append(Fired(ridx, rule.text, tuple(sorted(binding.items())), lit))
+                if target is None:
+                    memory.insert(lit)
+                else:
+                    events.append(memory.restructure(target, concl.interval()))
+                fired.add(key)
+                return concl.pred
+            clean.add(ridx)
+        return None
+
+    while (changed := fire_first()) is not None:
+        clean.difference_update(readers[changed])
+    return replace(
+        st, wm=memory.freeze(), trace=st.trace + tuple(events), fired=frozenset(fired)
+    )
 
 
 def revise(st: AgentState, p: Atom, q: Atom) -> AgentState:

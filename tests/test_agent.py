@@ -183,6 +183,14 @@ def test_boxed_premise_constrains_firing():
     assert "q(7,7)" not in wm_strings(infer_fixpoint(st))
 
 
+def test_box_bound_evaluating_to_inf_skips_the_binding():
+    # the box's lower bound binds to inf, which no interval can start at
+    st = perceive(init(["K(box[T,T] p(0,T) -> q(0,0))"]), parse("p(0,inf)"), 1)
+    assert wm_strings(infer_fixpoint(st)) == ["p(0,inf)"]
+    st = perceive(init(["K(box[T,T] p(0,T) -> q(0,0))"]), parse("p(0,0)"), 1)
+    assert wm_strings(infer_fixpoint(st)) == ["p(0,0)", "q(0,0)"]
+
+
 # ---------------------------------------------------------------------------
 # revise
 # ---------------------------------------------------------------------------

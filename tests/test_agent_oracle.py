@@ -1,0 +1,204 @@
+"""Differential tests: the indexed forward chainer against the reference.
+
+Every ``infer`` of a random script and of the two scenario scripts is run
+through both ``tdlek.agent.infer_fixpoint`` and the rescan-everything
+chainer in ``reference_agent``, from the same state, and the two must
+agree on the final working memory, the trace JSON lines, the fired set and
+the firing count at which ``BudgetExhausted`` is raised.
+
+The random scripts mix joins on shared time and object variables, ground
+premises, boxed premises (some with a bound that can evaluate to inf),
+negative conclusions and negative perceptions, and they reuse conclusion
+predicates as premises of other rules, so a firing changes what another
+rule can match or restructure after that rule was last scanned.
+"""
+
+import random
+from pathlib import Path
+
+import pytest
+
+import reference_agent as ref
+from tdlek.agent import (
+    BudgetExhausted,
+    Fired,
+    Restructured,
+    infer_fixpoint,
+    init,
+    perceive,
+    rule_from_formula,
+    trace_json_lines,
+)
+from tdlek.formulas import parse
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+PREDS = ("p", "q", "r", "s", "u")
+OBJECTS = ("a", "b")
+SEEDS = range(150)
+
+
+def _premise(rng, pred: str, tvars: list[str], ovars: list[str]) -> str:
+    """One premise text; new time and object variables are appended to
+    tvars and ovars so that later premises and the conclusion can join on
+    them."""
+
+    def time_var() -> str:
+        if tvars and rng.random() < 0.15:
+            return rng.choice(tvars)
+        name = f"T{len(tvars) + 1}"
+        tvars.append(name)
+        return name
+
+    def obj() -> str:
+        roll = rng.random()
+        if ovars and roll < 0.5:
+            return rng.choice(ovars)
+        if roll < 0.8 and len(ovars) < 2:
+            ovars.append("XY"[len(ovars)])
+            return ovars[-1]
+        return rng.choice(OBJECTS)
+
+    kind = rng.choice(("point", "span", "span", "span", "span", "open", "ground", "box", "box"))
+    if kind == "ground":
+        lo = rng.randint(0, 6)
+        return f"{pred}({lo},{lo + rng.randint(0, 2)},{rng.choice(OBJECTS)})"
+    if kind == "point":
+        t = time_var()
+        return f"{pred}({t},{t},{obj()})"
+    if kind == "open":
+        return f"{pred}({time_var()},inf,{obj()})"
+    lo, hi = time_var(), time_var()
+    body = f"{pred}({lo},{hi},{obj()})"
+    if kind == "span":
+        return body
+    box = rng.choice(
+        (f"[0,{rng.randint(6, 20)}]", f"[{lo},{lo}+{rng.randint(0, 4)}]", f"[{hi},{hi}]", f"[{lo},inf]")
+    )
+    return f"box{box} {body}"
+
+
+def _conclusion(rng, pred: str, tvars: list[str], ovars: list[str]) -> str:
+    o = rng.choice(ovars) if ovars and rng.random() < 0.8 else rng.choice(OBJECTS)
+    if not tvars:
+        lo = rng.randint(0, 6)
+        sign = "~" if rng.random() < 0.3 else ""
+        return f"{sign}{pred}({lo},{rng.choice((lo, lo + 2, 'inf'))},{o})"
+    t = rng.choice(tvars)
+    if rng.random() < 0.3:
+        shape = rng.choice((f"{t},inf", f"{t},{t}", f"{t}+1,{t}+2", f"{t}+1,inf"))
+        return f"~{pred}({shape},{o})"
+    d = rng.randint(0, 2)
+    end = rng.choice((f"{t}+{d}", f"{t}+{d + 1}", f"{t}+{d + 3}", "inf"))
+    return f"{pred}({t}+{d},{end},{o})"
+
+
+def random_rule(rng) -> str:
+    """A safe rule over PREDS: mostly towards later predicates, so chains
+    run forward, but sometimes back, so some scripts exhaust the budget."""
+    concl_idx = rng.randrange(1, len(PREDS))
+    tvars: list[str] = []
+    ovars: list[str] = []
+    premises = []
+    for _ in range(rng.choice((1, 1, 1, 2, 2, 3))):
+        top = concl_idx if rng.random() < 0.85 else len(PREDS)
+        premises.append(_premise(rng, PREDS[rng.randrange(top)], tvars, ovars))
+    return f"K({' & '.join(premises)} -> {_conclusion(rng, PREDS[concl_idx], tvars, ovars)})"
+
+
+def random_script(seed: int, events: int = 24) -> list[str]:
+    """Script lines: 3-6 safe rules, then time-ordered perceptions, each
+    followed by an infer with probability 0.4, and an infer at the end."""
+    rng = random.Random(seed)
+    lines: list[str] = []
+    n_rules = rng.randint(3, 6)
+    while len(lines) < n_rules:
+        text = random_rule(rng)
+        try:
+            rule_from_formula(parse(text))
+        except ValueError:
+            continue
+        lines.append(f"rule {text}")
+    clock = 0
+    for i in range(events):
+        clock += rng.choice((0, 1, 1, 2))
+        pred = rng.choice(PREDS[:3]) if rng.random() < 0.8 else rng.choice(PREDS)
+        end = rng.choice((clock, clock + rng.randint(1, 3), clock + rng.randint(1, 6), "inf"))
+        sign = "~" if rng.random() < 0.12 else ""
+        lines.append(f"perceive {sign}{pred}({clock},{end},{rng.choice(OBJECTS)}) @ {clock}")
+        if rng.random() < 0.4 or i == events - 1:
+            lines.append("infer")
+    return lines
+
+
+def firings(before, after) -> int:
+    return sum(1 for ev in after.trace[len(before.trace):] if isinstance(ev, Fired))
+
+
+def assert_same_infer(st, budget: int):
+    """Run both chainers from st; return the common result, or None when
+    both exhaust the budget.  A result is also re-run with a budget of
+    exactly the firings it needed, which must suffice, and of one less,
+    which must not."""
+    try:
+        want = ref.infer_fixpoint(st, budget=budget)
+    except BudgetExhausted:
+        with pytest.raises(BudgetExhausted):
+            infer_fixpoint(st, budget=budget)
+        return None
+    got = infer_fixpoint(st, budget=budget)
+    assert got.wm == want.wm
+    assert trace_json_lines(got.trace) == trace_json_lines(want.trace)
+    assert got.fired == want.fired
+    assert (got.rules, got.clock) == (want.rules, want.clock)
+    n = firings(st, want)
+    assert infer_fixpoint(st, budget=n).trace == got.trace
+    if n:
+        with pytest.raises(BudgetExhausted):
+            infer_fixpoint(st, budget=n - 1)
+    return got
+
+
+def run_both(lines: list[str], budget: int) -> dict:
+    """Drive a script's rule, perceive and infer lines through the agent,
+    comparing every infer; returns counts of what the run exercised."""
+    rules = [line[5:] for line in lines if line.startswith("rule ")]
+    st = init(rules)
+    seen = {"infers": 0, "firings": 0, "restructured": 0, "exhausted": 0}
+    for line in lines:
+        word, _, rest = line.partition(" ")
+        if word == "perceive":
+            lit, _, at = rest.partition("@")
+            st = perceive(st, parse(lit.strip()), int(at))
+        elif word == "infer":
+            after = assert_same_infer(st, budget)
+            seen["infers"] += 1
+            if after is None:
+                seen["exhausted"] += 1
+                break
+            seen["firings"] += firings(st, after)
+            seen["restructured"] += sum(
+                1 for ev in after.trace[len(st.trace):] if isinstance(ev, Restructured)
+            )
+            st = after
+    return seen
+
+
+def test_random_scripts_agree_with_reference():
+    totals = {"infers": 0, "firings": 0, "restructured": 0, "exhausted": 0}
+    for seed in SEEDS:
+        for k, v in run_both(random_script(seed), budget=40).items():
+            totals[k] += v
+    # the streams exercise firing, restructuring and budget exhaustion
+    assert totals["firings"] > 400
+    assert totals["restructured"] > 50
+    assert totals["exhausted"] > 0
+
+
+@pytest.mark.parametrize("name", ["umbrella.scn", "marriage.scn"])
+def test_scenario_scripts_agree_with_reference(name):
+    lines = [
+        line.split("#", 1)[0].strip()
+        for line in (SCENARIO_DIR / name).read_text().splitlines()
+    ]
+    assert run_both([line for line in lines if line], budget=10_000)["firings"] > 0

@@ -150,6 +150,21 @@ def test_run_scenario_error_exits_2(capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_run_box_bound_at_inf_skips_the_binding(capsys, tmp_path):
+    scn = tmp_path / "inf_box.scn"
+    scn.write_text(
+        "rule K(box[T,T] p(0,T) -> q(0,0))\n"
+        "perceive p(0,inf) @ 1\n"
+        "infer\n"
+        "query B(q(0,0))\n"
+        "expect false\n"
+    )
+    code, out, err = run(capsys, "run", str(scn))
+    assert code == 0
+    assert "Traceback" not in err
+    assert out == "query B(q(0,0)) = false\np(0,inf)\n"
+
+
 # ---------------------------------------------------------------------------
 # rand-test
 # ---------------------------------------------------------------------------

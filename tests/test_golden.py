@@ -1,13 +1,31 @@
 """Golden CLI outputs: exact stdout and exit code for fixed argv.
 
-The expected values were recorded from the clause-by-clause checker, so
-they pin byte-identical output and the suites' random streams across
-rewrites of the model checker and the dynamics.
+The expected values were recorded from the clause-by-clause checker and
+the rescan-everything forward chainer, so they pin byte-identical output,
+traces and the suites' random streams across rewrites of the model
+checker, the dynamics and the agent.
 """
+
+from pathlib import Path
 
 import pytest
 
 from tdlek.cli import main
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+# script -> its directory; tests/golden holds <name>.stdout and <name>.jsonl.
+# gen040 and gen110 are make_scenario(40, 40) and make_scenario(110, 110)
+# of perfbench/scenario_gen.py; mixed.scn has every rule shape the chainer
+# handles.
+RUN_SCRIPTS = {
+    "umbrella": SCENARIO_DIR,
+    "marriage": SCENARIO_DIR,
+    "mixed": GOLDEN_DIR,
+    "gen040": GOLDEN_DIR,
+    "gen110": GOLDEN_DIR,
+}
 
 SUITE_OUTPUT = {
     "frame": "frame: 100/100 ok, applied=51\n",
@@ -77,3 +95,12 @@ def test_check_stdout_is_golden(capsys, tmp_path, formula):
     path.write_text(MODEL)
     for world, want in zip(("w0", "w1"), CHECK_OUTPUT[formula]):
         assert run(capsys, "check", "-m", str(path), "-w", world, formula) == (0, want + "\n")
+
+
+@pytest.mark.parametrize("name", list(RUN_SCRIPTS))
+def test_run_stdout_and_trace_are_golden(capsys, tmp_path, name):
+    trace = tmp_path / "trace.jsonl"
+    script = RUN_SCRIPTS[name] / f"{name}.scn"
+    code, out = run(capsys, "run", str(script), "--trace", str(trace))
+    assert (code, out) == (0, (GOLDEN_DIR / f"{name}.stdout").read_text())
+    assert trace.read_text() == (GOLDEN_DIR / f"{name}.jsonl").read_text()
