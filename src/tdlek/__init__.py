@@ -14,7 +14,6 @@ from .intervals import (
     TimeExpr,
     UnboundVariable,
     difference,
-    eval_time_expr,
     hull,
     intersect,
     make_interval,

@@ -118,6 +118,14 @@ def cmd_rand_test(args) -> int:
     return OK
 
 
+def size(text: str) -> int:
+    """argparse type for counts and sizes: an int of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="tdlek",
@@ -153,10 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("rand-test", help="run a randomized property suite")
     st.add_argument("suite", choices=sorted(SUITES))
     st.add_argument("--seed", type=int, default=0)
-    st.add_argument("--count", type=int, default=100)
-    st.add_argument("--max-worlds", type=int, default=4)
-    st.add_argument("--max-predicates", type=int, default=3)
-    st.add_argument("--horizon", type=int, default=10)
+    st.add_argument("--count", type=size, default=100)
+    st.add_argument("--max-worlds", type=size, default=4)
+    st.add_argument("--max-predicates", type=size, default=3)
+    st.add_argument("--horizon", type=size, default=10)
     st.set_defaults(fn=cmd_rand_test)
 
     return p

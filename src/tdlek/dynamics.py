@@ -23,7 +23,6 @@ from .formulas import (
     And,
     Atom,
     Belief,
-    Bot,
     Conj,
     Dynamic,
     Formula,
@@ -33,15 +32,17 @@ from .formulas import (
     Knowledge,
     Learn,
     MentalOp,
+    Node,
     NonGround,
     Not,
     Or,
     Revise,
-    Top,
+    children,
     is_ground,
     op_time,
     print_formula,
     print_mental_op,
+    rebuild,
 )
 from .models import CLAUSES, TLekModel, check, label
 
@@ -235,57 +236,14 @@ def reduce_formula(f: Formula) -> Formula:
     return _reduce(f)
 
 
-def _reduce(f: Formula) -> Formula:
-    if isinstance(f, (Atom, Top, Bot)):
-        return f
-    if isinstance(f, Not):
-        return Not(_reduce(f.body))
-    if isinstance(f, And):
-        return And(_reduce(f.left), _reduce(f.right))
-    if isinstance(f, Or):
-        return Or(_reduce(f.left), _reduce(f.right))
-    if isinstance(f, Implies):
-        return Implies(_reduce(f.left), _reduce(f.right))
-    if isinstance(f, Iff):
-        return Iff(_reduce(f.left), _reduce(f.right))
-    if isinstance(f, Belief):
-        return Belief(_reduce(f.body))
-    if isinstance(f, Knowledge):
-        return Knowledge(_reduce(f.body))
-    if isinstance(f, Always):
-        return Always(f.start, f.end, _reduce(f.body))
+def _reduce(f: Node) -> Node:
     if isinstance(f, Dynamic):
-        op = _reduce_op(f.op)
-        return _push(op, _reduce(f.body))
-    raise TypeError(f"unknown formula node {f!r}")
-
-
-def _reduce_op(op: MentalOp) -> MentalOp:
-    if isinstance(op, Learn):
-        return op
-    if isinstance(op, Conj):
-        return Conj(_reduce(op.left), _reduce(op.right))
-    if isinstance(op, Infer):
-        return Infer(_reduce(op.premise), op.conclusion)
-    return op
+        return _push(_reduce(f.op), _reduce(f.body))
+    return rebuild(f, [_reduce(c) for c in children(f)])
 
 
 def _push(op: MentalOp, body: Formula) -> Formula:
     """Push one prefix through a static body."""
-    if isinstance(body, (Atom, Top, Bot)):
-        return body
-    if isinstance(body, Not):
-        return Not(_push(op, body.body))
-    if isinstance(body, And):
-        return And(_push(op, body.left), _push(op, body.right))
-    if isinstance(body, Or):
-        return Or(_push(op, body.left), _push(op, body.right))
-    if isinstance(body, Implies):
-        return Implies(_push(op, body.left), _push(op, body.right))
-    if isinstance(body, Iff):
-        return Iff(_push(op, body.left), _push(op, body.right))
-    if isinstance(body, Knowledge):
-        return Knowledge(_push(op, body.body))
     if isinstance(body, Belief):
         pushed = _push(op, body.body)
         if isinstance(op, Learn):
@@ -314,4 +272,4 @@ def _push(op: MentalOp, body: Formula) -> Formula:
         )
     if isinstance(body, Dynamic):
         raise AssertionError("inner prefixes are reduced before pushing")
-    raise TypeError(f"unknown formula node {body!r}")
+    return rebuild(body, [_push(op, c) for c in children(body)])

@@ -11,8 +11,8 @@ predicates and constants lowercase.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Union
+from dataclasses import dataclass, fields, replace
+from typing import Mapping, Optional, Sequence, Union
 
 from .intervals import (
     INF,
@@ -64,6 +64,13 @@ def _check_bounds(head: str, start: TimeExpr, end: TimeExpr, brackets: str = "()
 
 
 class Formula:
+    """Base of the formula nodes.
+
+    Each node class names, in its _parts tuple, the fields that hold
+    sub-formulas or mental operations; children() and rebuild() walk a
+    node through them, so a traversal spells out only its special cases.
+    """
+
     __slots__ = ()
 
     def __str__(self) -> str:
@@ -71,6 +78,8 @@ class Formula:
 
 
 class MentalOp:
+    """Base of the mental operations; _parts as for Formula."""
+
     __slots__ = ()
 
     def __str__(self) -> str:
@@ -80,6 +89,8 @@ class MentalOp:
 @dataclass(frozen=True)
 class Atom(Formula):
     """Timed atom p(start, end, extra args...)."""
+
+    _parts = ()
 
     pred: str
     start: TimeExpr
@@ -109,46 +120,62 @@ class Atom(Formula):
 
 @dataclass(frozen=True)
 class Not(Formula):
+    _parts = ("body",)
+
     body: Formula
 
 
 @dataclass(frozen=True)
 class And(Formula):
+    _parts = ("left", "right")
+
     left: Formula
     right: Formula
 
 
 @dataclass(frozen=True)
 class Or(Formula):
+    _parts = ("left", "right")
+
     left: Formula
     right: Formula
 
 
 @dataclass(frozen=True)
 class Implies(Formula):
+    _parts = ("left", "right")
+
     left: Formula
     right: Formula
 
 
 @dataclass(frozen=True)
 class Iff(Formula):
+    _parts = ("left", "right")
+
     left: Formula
     right: Formula
 
 
 @dataclass(frozen=True)
 class Belief(Formula):
+    _parts = ("body",)
+
     body: Formula
 
 
 @dataclass(frozen=True)
 class Knowledge(Formula):
+    _parts = ("body",)
+
     body: Formula
 
 
 @dataclass(frozen=True)
 class Always(Formula):
     """box[start,end] body; bounds may contain variables before grounding."""
+
+    _parts = ("body",)
 
     start: TimeExpr
     end: TimeExpr
@@ -168,17 +195,19 @@ class Always(Formula):
 
 @dataclass(frozen=True)
 class Top(Formula):
-    pass
+    _parts = ()
 
 
 @dataclass(frozen=True)
 class Bot(Formula):
-    pass
+    _parts = ()
 
 
 @dataclass(frozen=True)
 class Learn(MentalOp):
     """+lit: turn a perceived literal (atom or negated atom) into a belief."""
+
+    _parts = ("literal",)
 
     literal: Formula
 
@@ -186,6 +215,8 @@ class Learn(MentalOp):
 @dataclass(frozen=True)
 class Conj(MentalOp):
     """and(f,g): conjoin two formulas already believed."""
+
+    _parts = ("left", "right")
 
     left: Formula
     right: Formula
@@ -195,6 +226,8 @@ class Conj(MentalOp):
 class Infer(MentalOp):
     """inf(f,a): one inference step from belief f and rule K(f -> a)."""
 
+    _parts = ("premise", "conclusion")
+
     premise: Formula
     conclusion: Atom
 
@@ -203,26 +236,33 @@ class Infer(MentalOp):
 class Revise(MentalOp):
     """rev(p,q): restructure belief q around the contradicting perception p."""
 
+    _parts = ("trigger", "target")
+
     trigger: Atom
     target: Atom
 
 
 @dataclass(frozen=True)
 class Dynamic(Formula):
+    _parts = ("op", "body")
+
     op: MentalOp
     body: Formula
 
 
-def mental_op_payloads(op: MentalOp) -> tuple[Formula, ...]:
-    if isinstance(op, Learn):
-        return (op.literal,)
-    if isinstance(op, Conj):
-        return (op.left, op.right)
-    if isinstance(op, Infer):
-        return (op.premise, op.conclusion)
-    if isinstance(op, Revise):
-        return (op.trigger, op.target)
-    raise TypeError(f"unknown mental operation {op!r}")
+Node = Union[Formula, MentalOp]
+
+
+def children(f: Node) -> list[Node]:
+    """The node's sub-formulas and mental operations, in _parts order."""
+    return [getattr(f, name) for name in f._parts]
+
+
+def rebuild(f: Node, parts: Sequence[Node]) -> Node:
+    """A copy of f with its _parts replaced by parts; f itself if it has none."""
+    if not f._parts:
+        return f
+    return replace(f, **dict(zip(f._parts, parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -567,31 +607,19 @@ def print_formula(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 
 
-def free_vars(f: Union[Formula, MentalOp]) -> frozenset[str]:
+def free_vars(f: Node) -> frozenset[str]:
     if isinstance(f, Atom):
         vs = f.start.vars() | f.end.vars()
         return vs | frozenset(a for a in f.args if is_var(a))
-    if isinstance(f, (Top, Bot)):
-        return frozenset()
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Belief, Knowledge)):
-        return free_vars(f.body)
     if isinstance(f, Always):
         return f.start.vars() | f.end.vars() | free_vars(f.body)
-    if isinstance(f, Dynamic):
-        return free_vars(f.op) | free_vars(f.body)
-    if isinstance(f, MentalOp):
-        out: frozenset[str] = frozenset()
-        for payload in mental_op_payloads(f):
-            out |= free_vars(payload)
-        return out
-    raise TypeError(f"unknown formula node {f!r}")
+    out: frozenset[str] = frozenset()
+    for name in f._parts:
+        out |= free_vars(getattr(f, name))
+    return out
 
 
-def is_ground(f: Union[Formula, MentalOp]) -> bool:
+def is_ground(f: Node) -> bool:
     return not free_vars(f)
 
 
@@ -616,11 +644,12 @@ def _sub_arg(a: str, s: Substitution) -> str:
     return value
 
 
-def substitute(f: Formula, s: Substitution) -> Formula:
+def substitute(f: Node, s: Substitution) -> Node:
     """Uniformly replace bound variables; time expressions are evaluated.
 
-    Unbound variables stay in place.  Grounded atoms are re-validated, so
-    an instantiation that orders bounds badly raises BadInterval.
+    Unbound variables stay in place.  Grounded atoms and box labels are
+    re-validated, so an instantiation that orders bounds badly raises
+    BadInterval.  Mental operations are substituted through their payloads.
     """
     if isinstance(f, Atom):
         return Atom(
@@ -629,39 +658,9 @@ def substitute(f: Formula, s: Substitution) -> Formula:
             _sub_time(f.end, s),
             tuple(_sub_arg(a, s) for a in f.args),
         )
-    if isinstance(f, (Top, Bot)):
-        return f
-    if isinstance(f, Not):
-        return Not(substitute(f.body, s))
-    if isinstance(f, And):
-        return And(substitute(f.left, s), substitute(f.right, s))
-    if isinstance(f, Or):
-        return Or(substitute(f.left, s), substitute(f.right, s))
-    if isinstance(f, Implies):
-        return Implies(substitute(f.left, s), substitute(f.right, s))
-    if isinstance(f, Iff):
-        return Iff(substitute(f.left, s), substitute(f.right, s))
-    if isinstance(f, Belief):
-        return Belief(substitute(f.body, s))
-    if isinstance(f, Knowledge):
-        return Knowledge(substitute(f.body, s))
     if isinstance(f, Always):
         return Always(_sub_time(f.start, s), _sub_time(f.end, s), substitute(f.body, s))
-    if isinstance(f, Dynamic):
-        return Dynamic(substitute_op(f.op, s), substitute(f.body, s))
-    raise TypeError(f"unknown formula node {f!r}")
-
-
-def substitute_op(op: MentalOp, s: Substitution) -> MentalOp:
-    if isinstance(op, Learn):
-        return Learn(substitute(op.literal, s))
-    if isinstance(op, Conj):
-        return Conj(substitute(op.left, s), substitute(op.right, s))
-    if isinstance(op, Infer):
-        return Infer(substitute(op.premise, s), substitute(op.conclusion, s))
-    if isinstance(op, Revise):
-        return Revise(substitute(op.trigger, s), substitute(op.target, s))
-    raise TypeError(f"unknown mental operation {op!r}")
+    return rebuild(f, [substitute(c, s) for c in children(f)])
 
 
 def _solve_time(te: TimeExpr, value: TimePoint, binding: dict) -> bool:
@@ -759,19 +758,14 @@ def time_of(f: Formula) -> Optional[Interval]:
 def _time(f: Formula) -> Optional[Interval]:
     if isinstance(f, Atom):
         return f.interval()
-    if isinstance(f, (Top, Bot)):
-        return None
-    if isinstance(f, Not):
-        return _time(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return merge_times(_time(f.left), _time(f.right))
-    if isinstance(f, (Belief, Knowledge)):
-        return _time(f.body)
     if isinstance(f, Always):
         return Interval(int(f.start.offset), f.end.offset)
     if isinstance(f, Dynamic):
         return op_time(f.op)
-    raise TypeError(f"unknown formula node {f!r}")
+    t = None
+    for name in f._parts:
+        t = merge_times(t, _time(getattr(f, name)))
+    return t
 
 
 def fits(t: Optional[Interval], within: Interval) -> bool:
@@ -780,32 +774,27 @@ def fits(t: Optional[Interval], within: Interval) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Sugar normalization, AST dump, grounding enumeration
+# AST dump
 # ---------------------------------------------------------------------------
 
-
-def normalize_sugar(f: Formula) -> Formula:
-    """Rewrite | and <-> into the core connectives ~, &, ->."""
-    if isinstance(f, Or):
-        return Not(And(Not(normalize_sugar(f.left)), Not(normalize_sugar(f.right))))
-    if isinstance(f, Iff):
-        left, right = normalize_sugar(f.left), normalize_sugar(f.right)
-        return And(Implies(left, right), Implies(right, left))
-    if isinstance(f, Not):
-        return Not(normalize_sugar(f.body))
-    if isinstance(f, And):
-        return And(normalize_sugar(f.left), normalize_sugar(f.right))
-    if isinstance(f, Implies):
-        return Implies(normalize_sugar(f.left), normalize_sugar(f.right))
-    if isinstance(f, Belief):
-        return Belief(normalize_sugar(f.body))
-    if isinstance(f, Knowledge):
-        return Knowledge(normalize_sugar(f.body))
-    if isinstance(f, Always):
-        return Always(f.start, f.end, normalize_sugar(f.body))
-    if isinstance(f, Dynamic):
-        return Dynamic(f.op, normalize_sugar(f.body))
-    return f
+_NODE_NAMES = {
+    Atom: "atom",
+    Top: "true",
+    Bot: "false",
+    Not: "not",
+    And: "and",
+    Or: "or",
+    Implies: "implies",
+    Iff: "iff",
+    Belief: "belief",
+    Knowledge: "knowledge",
+    Always: "always",
+    Dynamic: "dynamic",
+    Learn: "learn",
+    Conj: "conj",
+    Infer: "infer",
+    Revise: "revise",
+}
 
 
 def _te_dict(te: TimeExpr):
@@ -814,137 +803,20 @@ def _te_dict(te: TimeExpr):
     return {"var": te.var, "shift": te.offset}
 
 
-def ast_dict(f: Union[Formula, MentalOp]) -> dict:
-    """Machine-readable nested-record dump of the AST (JSON compatible)."""
-    if isinstance(f, Atom):
-        return {
-            "node": "atom",
-            "pred": f.pred,
-            "start": _te_dict(f.start),
-            "end": _te_dict(f.end),
-            "args": list(f.args),
-        }
-    if isinstance(f, Top):
-        return {"node": "true"}
-    if isinstance(f, Bot):
-        return {"node": "false"}
-    if isinstance(f, Not):
-        return {"node": "not", "body": ast_dict(f.body)}
-    if isinstance(f, (And, Or, Implies, Iff)):
-        name = {And: "and", Or: "or", Implies: "implies", Iff: "iff"}[type(f)]
-        return {"node": name, "left": ast_dict(f.left), "right": ast_dict(f.right)}
-    if isinstance(f, Belief):
-        return {"node": "belief", "body": ast_dict(f.body)}
-    if isinstance(f, Knowledge):
-        return {"node": "knowledge", "body": ast_dict(f.body)}
-    if isinstance(f, Always):
-        return {
-            "node": "always",
-            "start": _te_dict(f.start),
-            "end": _te_dict(f.end),
-            "body": ast_dict(f.body),
-        }
-    if isinstance(f, Dynamic):
-        return {"node": "dynamic", "op": ast_dict(f.op), "body": ast_dict(f.body)}
-    if isinstance(f, Learn):
-        return {"op": "learn", "literal": ast_dict(f.literal)}
-    if isinstance(f, Conj):
-        return {"op": "conj", "left": ast_dict(f.left), "right": ast_dict(f.right)}
-    if isinstance(f, Infer):
-        return {"op": "infer", "premise": ast_dict(f.premise), "conclusion": ast_dict(f.conclusion)}
-    if isinstance(f, Revise):
-        return {"op": "revise", "trigger": ast_dict(f.trigger), "target": ast_dict(f.target)}
-    raise TypeError(f"unknown node {f!r}")
+def ast_dict(f: Node) -> dict:
+    """Machine-readable nested-record dump of the AST (JSON compatible).
 
-
-def _time_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, Atom):
-        return f.start.vars() | f.end.vars()
-    if isinstance(f, (Top, Bot)):
-        return frozenset()
-    if isinstance(f, Not):
-        return _time_vars(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return _time_vars(f.left) | _time_vars(f.right)
-    if isinstance(f, (Belief, Knowledge)):
-        return _time_vars(f.body)
-    if isinstance(f, Always):
-        return f.start.vars() | f.end.vars() | _time_vars(f.body)
-    if isinstance(f, Dynamic):
-        out = _time_vars(f.body)
-        for payload in mental_op_payloads(f.op):
-            out |= _time_vars(payload)
-        return out
-    raise TypeError(f"unknown formula node {f!r}")
-
-
-def _temporally_well_formed(f: Formula) -> bool:
-    """Ground check: every boxed body speaks within its box label."""
-    if isinstance(f, Always):
-        label = Interval(int(f.start.offset), f.end.offset)
-        return fits(_time(f.body), label) and _temporally_well_formed(f.body)
-    if isinstance(f, Not):
-        return _temporally_well_formed(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return _temporally_well_formed(f.left) and _temporally_well_formed(f.right)
-    if isinstance(f, (Belief, Knowledge)):
-        return _temporally_well_formed(f.body)
-    if isinstance(f, Dynamic):
-        return _temporally_well_formed(f.body)
-    return True
-
-
-def ground_instances(
-    f: Formula, horizon: int, constants: tuple[str, ...] = ()
-) -> Iterator[dict]:
-    """Enumerate substitutions producing valid ground instances of f.
-
-    Time variables range over 0..horizon; object variables range over the
-    given constants (default: constants already appearing in f).  Instances
-    that break atom bounds or speak outside a box label are skipped.
+    A formula's kind is under "node", a mental operation's under "op"; the
+    other keys are the node's field names.
     """
-    tvars = sorted(_time_vars(f))
-    ovars = sorted(free_vars(f) - frozenset(tvars))
-    if not constants:
-        constants = tuple(sorted(_constants_in(f))) or ("c",)
-
-    def assign(i: int, binding: dict) -> Iterator[dict]:
-        if i == len(tvars) + len(ovars):
-            try:
-                g = substitute(f, binding)
-            except (BadInterval, ValueError):
-                return
-            if is_ground(g) and _temporally_well_formed(g):
-                yield dict(binding)
-            return
-        if i < len(tvars):
-            var, pool = tvars[i], range(horizon + 1)
-        else:
-            var, pool = ovars[i - len(tvars)], constants
-        for value in pool:
-            binding[var] = value
-            yield from assign(i + 1, binding)
-        del binding[var]
-
-    yield from assign(0, {})
-
-
-def count_ground_instances(f: Formula, horizon: int, constants: tuple[str, ...] = ()) -> int:
-    return sum(1 for _ in ground_instances(f, horizon, constants))
-
-
-def _constants_in(f: Formula) -> set[str]:
-    out: set[str] = set()
-    if isinstance(f, Atom):
-        out |= {a for a in f.args if not is_var(a)}
-    elif isinstance(f, Not):
-        out |= _constants_in(f.body)
-    elif isinstance(f, (And, Or, Implies, Iff)):
-        out |= _constants_in(f.left) | _constants_in(f.right)
-    elif isinstance(f, (Belief, Knowledge, Always)):
-        out |= _constants_in(f.body)
-    elif isinstance(f, Dynamic):
-        out |= _constants_in(f.body)
-        for payload in mental_op_payloads(f.op):
-            out |= _constants_in(payload)
+    out = {"op" if isinstance(f, MentalOp) else "node": _NODE_NAMES[type(f)]}
+    for fld in fields(f):
+        value = getattr(f, fld.name)
+        if isinstance(value, TimeExpr):
+            value = _te_dict(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        elif fld.name in f._parts:
+            value = ast_dict(value)
+        out[fld.name] = value
     return out

@@ -228,10 +228,3 @@ class TimeExpr:
             return f"{self.var}-{-self.offset}"
         return self.var
 
-
-def eval_time_expr(e: TimeExpr, binding: Mapping[str, TimePoint]) -> TimePoint:
-    """Evaluate a time expression under a variable binding.
-
-    Arithmetic saturates at INF and may never go below 0.
-    """
-    return e.eval(binding)

@@ -4,7 +4,9 @@ A direct transcription of the truth clauses: one recursive walk per world,
 the world interval recomputed at every node, the time of every subformula
 taken from ``time_of``, and ``apply`` evaluating its guards world by world.
 It is slow on purpose and shares no code with the labelling checker in
-``tdlek.models`` beyond the formula and model data types.
+``tdlek.models`` beyond the formula and model data types.  Also here:
+``normalize_sugar``, the desugaring oracle of the time-function and
+checker tests.
 """
 
 from __future__ import annotations
@@ -29,10 +31,12 @@ from tdlek.formulas import (
     Or,
     Revise,
     Top,
+    children,
     fits,
     is_ground,
     op_time,
     print_formula,
+    rebuild,
     time_of,
 )
 from tdlek.intervals import Interval, TimeExpr, difference, intersect, subset
@@ -203,3 +207,15 @@ def apply(m: TLekModel, op: MentalOp) -> tuple[TLekModel, bool, dict]:
     if not delta:
         return m, applied, {}
     return m.with_nbhd(new_nbhd), applied, delta
+
+
+def normalize_sugar(f: Formula) -> Formula:
+    """Rewrite | and <-> into the core connectives ~, &, ->; prefixes keep their op."""
+    if isinstance(f, Dynamic):
+        return Dynamic(f.op, normalize_sugar(f.body))
+    f = rebuild(f, [normalize_sugar(c) for c in children(f)])
+    if isinstance(f, Or):
+        return Not(And(Not(f.left), Not(f.right)))
+    if isinstance(f, Iff):
+        return And(Implies(f.left, f.right), Implies(f.right, f.left))
+    return f

@@ -187,3 +187,20 @@ def test_rand_test_deterministic_output(capsys):
 def test_usage_error_exits_2(capsys):
     assert main(["rand-test", "unknown-suite"]) == 2
     assert main([]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frame", "--horizon", "-1"],
+        ["property1", "--horizon", "-3", "--count", "5"],
+        ["reduction-oracle", "--count", "5", "--horizon", "-2"],
+        ["frame", "--count", "-1"],
+        ["axioms-lek", "--max-worlds", "-1"],
+        ["axioms-lek", "--max-predicates", "-2"],
+    ],
+)
+def test_rand_test_negative_size_exits_2(capsys, argv):
+    code, out, err = run(capsys, "rand-test", *argv)
+    assert (code, out) == (2, "")
+    assert "must be at least 0" in err and "Traceback" not in err

@@ -1,5 +1,6 @@
-"""Parser, printer, time function, substitution, matching, grounding."""
+"""Parser, printer, time function, substitution, matching, AST dump."""
 
+import dataclasses
 import random
 
 import pytest
@@ -14,29 +15,31 @@ from tdlek.formulas import (
     Bot,
     Conj,
     Dynamic,
+    Formula,
     FormulaSyntaxError,
     Iff,
     Implies,
     Infer,
     Knowledge,
     Learn,
+    MentalOp,
     NonGround,
     Not,
     Or,
     Revise,
     Top,
     ast_dict,
-    count_ground_instances,
     free_vars,
     is_ground,
     match_atom,
-    normalize_sugar,
     parse,
     print_formula,
     substitute,
     time_of,
 )
 from tdlek.randgen import gen_free_formula
+
+from reference_checker import normalize_sugar
 
 
 def atom(pred, lo, hi, *args):
@@ -282,8 +285,42 @@ def test_match_atom_requires_ground_target():
 
 
 # ---------------------------------------------------------------------------
-# AST dump and grounding enumeration
+# The _parts table and the AST dump
 # ---------------------------------------------------------------------------
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def _walk(node):
+    """Every node under node, found through its dataclass fields, not _parts."""
+    yield node
+    for fld in dataclasses.fields(node):
+        value = getattr(node, fld.name)
+        if isinstance(value, (Formula, MentalOp)):
+            yield from _walk(value)
+
+
+def test_parts_name_exactly_the_subformula_fields():
+    # a node type whose _parts missed a field would silently drop out of
+    # free_vars, substitute and reduce_formula
+    rng = random.Random(17)
+    formulas = [gen_free_formula(rng, depth=5) for _ in range(400)]
+    formulas.append(parse("true -> ~false"))
+    seen = set()
+    for f in formulas:
+        for node in _walk(f):
+            subformula_fields = tuple(
+                fld.name
+                for fld in dataclasses.fields(node)
+                if isinstance(getattr(node, fld.name), (Formula, MentalOp))
+            )
+            assert node._parts == subformula_fields, type(node).__name__
+            seen.add(type(node))
+    assert seen == set(_subclasses(Formula)) | set(_subclasses(MentalOp))
 
 
 def test_ast_dict_is_json_ready():
@@ -294,30 +331,3 @@ def test_ast_dict_is_json_ready():
     assert '"node": "dynamic"' in blob
     assert '"shift": 1' in blob
 
-
-def test_ground_instance_count_for_nested_box_rule():
-    # K(box[2,20] enroll(T,T) -> box[2,20](box[T,T+14] pay(T1,T1)));
-    # a valid instance needs T1 in [T,T+14] and T, T+14 inside [2,20].
-    f = parse("K(box[2,20] enroll(T,T) -> box[2,20](box[T,T+14] pay(T1,T1)))")
-    got = count_ground_instances(f, horizon=20)
-    t1, t2, pay_window = 2, 20, 14
-    pairs = sum(
-        1
-        for t in range(t1, t2 - pay_window + 1)
-        for tp in range(t, t + pay_window + 1)
-        if t1 <= tp <= t2
-    )
-    assert got == pairs
-    # counting T choices alone (payment pinned to the last day) matches
-    # the closed form t2 - t1 - 14 + 1
-    t_choices = {
-        s["T"] for s in __import__("tdlek.formulas", fromlist=["ground_instances"]).ground_instances(f, 20)
-    }
-    assert len(t_choices) == t2 - t1 - pay_window + 1
-
-
-def test_ground_instances_respect_atom_bounds():
-    f = parse("p(T,T-1)")
-    assert count_ground_instances(f, horizon=5) == 0
-    g = parse("p(T,T+1)")
-    assert count_ground_instances(g, horizon=3) == 4

@@ -1,16 +1,22 @@
 """Golden CLI outputs: exact stdout and exit code for fixed argv.
 
-The expected values were recorded from the clause-by-clause checker and
-the rescan-everything forward chainer, so they pin byte-identical output,
-traces and the suites' random streams across rewrites of the model
-checker, the dynamics and the agent.
+The expected values were recorded from the clause-by-clause checker, the
+rescan-everything forward chainer and the hand-written formula walkers,
+so they pin byte-identical output, traces and the suites' random streams
+across rewrites of the model checker, the dynamics, the agent and the
+formula traversals.
 """
 
+import json
+import random
 from pathlib import Path
 
 import pytest
 
 from tdlek.cli import main
+from tdlek.formulas import print_formula
+from tdlek.models import gen_random_model
+from tdlek.randgen import gen_dynamic_formula, gen_free_formula, model_vocab
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -104,3 +110,44 @@ def test_run_stdout_and_trace_are_golden(capsys, tmp_path, name):
     code, out = run(capsys, "run", str(script), "--trace", str(trace))
     assert (code, out) == (0, (GOLDEN_DIR / f"{name}.stdout").read_text())
     assert trace.read_text() == (GOLDEN_DIR / f"{name}.jsonl").read_text()
+
+
+def parse_dump_argv() -> list[list[str]]:
+    """tdlek parse --dump on 200 free formulas, variables included."""
+    rng = random.Random(2024)
+    return [["parse", "--dump", print_formula(gen_free_formula(rng, depth=4))] for _ in range(200)]
+
+
+def reduce_argv() -> list[list[str]]:
+    """tdlek reduce on 300 ground prefixed formulas over random model
+    vocabularies, then 120 free formulas of every node kind, one in six
+    with variables (exit 2); some are unreducible (exit 1)."""
+    rng = random.Random(2025)
+    cases = []
+    for i in range(300):
+        m = gen_random_model(seed=i, max_worlds=4, max_predicates=3, horizon=10)
+        f = gen_dynamic_formula(rng, model_vocab(m), 10, dyn_depth=3)
+        cases.append(["reduce", print_formula(f)])
+    rng = random.Random(2026)
+    for i in range(120):
+        f = gen_free_formula(rng, depth=4, allow_vars=i % 6 == 0)
+        cases.append(["reduce", print_formula(f)])
+    return cases
+
+
+# golden file -> the argv it was recorded for; each line of the file is
+# {"argv", "code", "stdout", "stderr"} as main() gave them
+RECORDED = {"parse_dump": parse_dump_argv, "reduce": reduce_argv}
+
+
+@pytest.mark.parametrize("name", list(RECORDED))
+def test_recorded_cli_runs_are_golden(capsys, name):
+    records = [json.loads(line) for line in (GOLDEN_DIR / f"{name}.jsonl").read_text().splitlines()]
+    assert [r["argv"] for r in records] == RECORDED[name]()
+    mismatches = []
+    for r in records:
+        code = main(r["argv"])
+        out, err = capsys.readouterr()
+        if (code, out, err) != (r["code"], r["stdout"], r["stderr"]):
+            mismatches.append(r["argv"])
+    assert not mismatches, f"{len(mismatches)} of {len(records)} differ; first: {mismatches[0]}"

@@ -13,7 +13,6 @@ from tdlek.intervals import (
     TimeExpr,
     UnboundVariable,
     difference,
-    eval_time_expr,
     hull,
     intersect,
     make_interval,
@@ -213,21 +212,21 @@ def test_partition_randomized_against_oracle():
 
 
 def test_eval_time_expr():
-    assert eval_time_expr(TimeExpr.at("T", 14), {"T": 3}) == 17
-    assert eval_time_expr(TimeExpr.at("T", 1), {"T": 5}) == 6
+    assert TimeExpr.at("T", 14).eval({"T": 3}) == 17
+    assert TimeExpr.at("T", 1).eval({"T": 5}) == 6
     with pytest.raises(UnboundVariable):
-        eval_time_expr(TimeExpr.at("T", 1), {})
+        TimeExpr.at("T", 1).eval({})
 
 
 def test_eval_time_expr_saturates_at_inf():
-    assert eval_time_expr(TimeExpr.at("T", 3), {"T": INF}) == INF
-    assert eval_time_expr(TimeExpr.at("T", -3), {"T": INF}) == INF
-    assert eval_time_expr(TimeExpr.lit(INF), {}) == INF
+    assert TimeExpr.at("T", 3).eval({"T": INF}) == INF
+    assert TimeExpr.at("T", -3).eval({"T": INF}) == INF
+    assert TimeExpr.lit(INF).eval({}) == INF
 
 
 def test_eval_time_expr_underflow():
     with pytest.raises(BadInterval):
-        eval_time_expr(TimeExpr.at("T", -1), {"T": 0})
+        TimeExpr.at("T", -1).eval({"T": 0})
 
 
 def test_time_expr_str():

@@ -11,7 +11,6 @@ from tdlek.formulas import (
     Belief,
     Knowledge,
     NonGround,
-    normalize_sugar,
     parse,
 )
 from tdlek.models import (
@@ -28,6 +27,8 @@ from tdlek.models import (
     world_interval,
 )
 from tdlek.randgen import gen_static, model_vocab
+
+from reference_checker import normalize_sugar
 from tdlek.suites import lek_axiom_instances, _instantiable
 
 
