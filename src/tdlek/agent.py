@@ -12,6 +12,7 @@ new state; a trace of events makes runs replayable.
 from __future__ import annotations
 
 import json
+from functools import reduce
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence, Union
 
@@ -19,12 +20,12 @@ from .intervals import (
     INF,
     BadInterval,
     Interval,
-    IntervalSet,
     TimeExpr,
     TimePoint,
     UnboundVariable,
     difference,
     fmt_time,
+    hull,
     intersect,
     is_time_point,
     subset,
@@ -114,36 +115,8 @@ def _as_literal(lit: Union[Formula, BeliefLit]) -> BeliefLit:
     raise ValueError(f"not a literal: {print_formula(lit)}")
 
 
-def _group_key(b: BeliefLit):
-    return (b.atom.pred, b.atom.args, b.positive)
-
-
 def _make_lit(pred: str, args: tuple[str, ...], positive: bool, iv: Interval) -> BeliefLit:
     return BeliefLit(Atom(pred, TimeExpr.lit(iv.lo), TimeExpr.lit(iv.hi), args), positive)
-
-
-def _merged(group: Iterable[BeliefLit], lit: BeliefLit) -> set[BeliefLit]:
-    """The canonical beliefs of lit's group once lit is added to it."""
-    merged = IntervalSet.of([b.interval() for b in group] + [lit.interval()])
-    return {_make_lit(lit.atom.pred, lit.atom.args, lit.positive, part) for part in merged}
-
-
-def _insert(wm: frozenset[BeliefLit], lit: BeliefLit) -> frozenset[BeliefLit]:
-    """Add a literal, merging with same-polarity beliefs it touches."""
-    group = frozenset(b for b in wm if _group_key(b) == _group_key(lit))
-    return (wm - group) | _merged(group, lit)
-
-
-def _covered(beliefs: Iterable[BeliefLit], atom: Atom, positive: bool) -> bool:
-    """Some given belief of the same polarity spans the whole atom."""
-    span = atom.interval()
-    return any(
-        b.positive == positive
-        and b.atom.pred == atom.pred
-        and b.atom.args == atom.args
-        and subset(span, b.interval())
-        for b in beliefs
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -216,36 +189,26 @@ def rule_from_formula(f: Formula) -> Rule:
     return Rule(tuple(premises), conclusion, positive, text)
 
 
-def _canonical_rule_key(rule: Rule) -> str:
-    """Rule text with variables renamed in first-occurrence order."""
+def _canonical_rule_key(rule: Rule) -> tuple:
+    """The rule's premise atoms with their box bounds, its conclusion and
+    polarity, with variables renamed in first-occurrence order."""
     names: dict[str, str] = {}
 
+    def rename(var: str) -> str:
+        return names.setdefault(var, f"V{len(names) + 1}")
+
     def rename_te(te: TimeExpr) -> TimeExpr:
-        if te.var is None:
-            return te
-        fresh = names.setdefault(te.var, f"V{len(names) + 1}")
-        return TimeExpr(fresh, te.offset)
+        return te if te.var is None else TimeExpr(rename(te.var), te.offset)
 
     def rename_atom(a: Atom) -> Atom:
-        return Atom(
-            a.pred,
-            rename_te(a.start),
-            rename_te(a.end),
-            tuple(names.setdefault(x, f"V{len(names) + 1}") if is_var(x) else x for x in a.args),
-        )
+        start, end = rename_te(a.start), rename_te(a.end)
+        return Atom(a.pred, start, end, tuple(rename(x) if is_var(x) else x for x in a.args))
 
-    parts = []
-    for p in rule.premises:
-        head = rename_atom(p.atom)
-        if p.box:
-            lo, hi = rename_te(p.box[0]), rename_te(p.box[1])
-            parts.append(f"box[{lo},{hi}]{print_formula(head)}")
-        else:
-            parts.append(print_formula(head))
-    concl = print_formula(rename_atom(rule.conclusion))
-    if not rule.positive:
-        concl = "~" + concl
-    return " & ".join(parts) + " -> " + concl
+    premises = tuple(
+        (rename_atom(p.atom), p.box and (rename_te(p.box[0]), rename_te(p.box[1])))
+        for p in rule.premises
+    )
+    return premises, rename_atom(rule.conclusion), rule.positive
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +289,116 @@ def trace_records(trace: Sequence[TraceEvent]) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+class WorkingMemory:
+    """The beliefs held, grouped by predicate, then by (args, polarity).
+
+    Each group is a frozenset of pairwise disjoint, non-adjacent beliefs.
+    Per predicate the positive beliefs are also kept sorted by
+    BeliefLit.key; that list is rebuilt lazily, and only for a predicate
+    that changed.  A store is never edited once a state holds it: an
+    operation edits a copy() and puts the copy in the new state.
+    """
+
+    __slots__ = ("preds", "sorted")
+
+    def __init__(self):
+        self.preds: dict[str, dict[tuple, frozenset[BeliefLit]]] = {}
+        self.sorted: dict[str, list[BeliefLit]] = {}
+
+    def copy(self) -> WorkingMemory:
+        """A store to edit: both dict levels are copied, the groups shared."""
+        new = WorkingMemory()
+        new.preds = {pred: dict(groups) for pred, groups in self.preds.items()}
+        new.sorted = dict(self.sorted)
+        return new
+
+    def beliefs(self) -> frozenset[BeliefLit]:
+        return frozenset(
+            b for groups in self.preds.values() for group in groups.values() for b in group
+        )
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, WorkingMemory) and self.preds == other.preds
+
+    def __hash__(self) -> int:
+        return hash(self.beliefs())
+
+    def __repr__(self) -> str:
+        return f"WorkingMemory({sorted(self.beliefs(), key=BeliefLit.key)!r})"
+
+    def group(self, atom: Atom, positive: bool) -> frozenset[BeliefLit]:
+        """The beliefs with atom's predicate and arguments and this polarity."""
+        return self.preds.get(atom.pred, {}).get((atom.args, positive), frozenset())
+
+    def target(self, atom: Atom, positive: bool) -> Optional[BeliefLit]:
+        """The belief of this polarity spanning the whole atom; a group is
+        disjoint, so there is at most one."""
+        span = atom.interval()
+        return next((b for b in self.group(atom, positive) if subset(span, b.interval())), None)
+
+    def covered(self, atom: Atom, positive: bool) -> bool:
+        return self.target(atom, positive) is not None
+
+    def positives(self, pred: str) -> list[BeliefLit]:
+        """The positive beliefs of pred, sorted by BeliefLit.key."""
+        if pred not in self.sorted:
+            groups = self.preds.get(pred, {}).items()
+            self.sorted[pred] = sorted(
+                (b for (_, positive), group in groups if positive for b in group),
+                key=BeliefLit.key,
+            )
+        return self.sorted[pred]
+
+    def swap(self, lit: BeliefLit, removed: Iterable[BeliefLit], added: Iterable[BeliefLit]) -> None:
+        """Replace beliefs within lit's group."""
+        groups = self.preds.setdefault(lit.atom.pred, {})
+        key = (lit.atom.args, lit.positive)
+        group = groups.get(key, frozenset()).difference(removed).union(added)
+        if group:
+            groups[key] = group
+        else:
+            groups.pop(key, None)
+        if not groups:
+            del self.preds[lit.atom.pred]
+        self.sorted.pop(lit.atom.pred, None)
+
+    def insert(self, lit: BeliefLit) -> None:
+        """Add lit, replacing the beliefs of its group that overlap it or
+        are adjacent to it by their hull with it."""
+        span = lit.interval()
+        touching = {
+            b: iv
+            for b in self.group(lit.atom, lit.positive)
+            if (iv := b.interval()).lo <= span.hi + 1 and span.lo <= iv.hi + 1
+        }
+        merged = reduce(hull, touching.values(), span)
+        self.swap(lit, touching, (_make_lit(lit.atom.pred, lit.atom.args, lit.positive, merged),))
+
+    def restructure(self, target: BeliefLit, denied: Interval) -> Restructured:
+        """Replace target by its parts outside the denied span."""
+        event = Restructured(
+            target,
+            tuple(
+                _make_lit(target.atom.pred, target.atom.args, target.positive, p)
+                for p in difference(target.interval(), denied)
+            ),
+        )
+        self.swap(target, (target,), event.parts)
+        return event
+
+
 @dataclass(frozen=True)
 class AgentState:
     rules: tuple[Rule, ...] = ()
-    wm: frozenset[BeliefLit] = frozenset()
+    memory: WorkingMemory = field(default_factory=WorkingMemory)
     clock: TimePoint = 0
     trace: tuple[TraceEvent, ...] = ()
     fired: frozenset = frozenset()
+
+    @property
+    def wm(self) -> frozenset[BeliefLit]:
+        """The beliefs held: a read-only view of the store."""
+        return self.memory.beliefs()
 
     def wm_sorted(self) -> list[BeliefLit]:
         return sorted(self.wm, key=BeliefLit.key)
@@ -354,27 +420,6 @@ def init(rules: Iterable[Union[Rule, Formula, str]]) -> AgentState:
     return AgentState(rules=tuple(converted))
 
 
-def _restructured(target: BeliefLit, denied: Interval) -> Restructured:
-    """The event replacing target by its parts outside the denied span."""
-    return Restructured(
-        target,
-        tuple(
-            _make_lit(target.atom.pred, target.atom.args, target.positive, p)
-            for p in difference(target.interval(), denied)
-        ),
-    )
-
-
-def _restructure(
-    wm: frozenset[BeliefLit],
-    trace: tuple[TraceEvent, ...],
-    target: BeliefLit,
-    denied: Interval,
-) -> tuple[frozenset[BeliefLit], tuple[TraceEvent, ...]]:
-    event = _restructured(target, denied)
-    return (wm - {target}) | frozenset(event.parts), trace + (event,)
-
-
 def perceive(st: AgentState, lit: Union[Formula, BeliefLit], at: TimePoint) -> AgentState:
     """Record a perception as a belief, restructuring any directly
     contradicted opposite-polarity belief first; the clock moves to at."""
@@ -383,93 +428,34 @@ def perceive(st: AgentState, lit: Union[Formula, BeliefLit], at: TimePoint) -> A
         raise ValueError(f"perception time must be a finite natural, got {at!r}")
     if at < st.clock:
         raise ValueError(f"perception at {fmt_time(at)} is before the clock {fmt_time(st.clock)}")
-    wm, trace = st.wm, st.trace
+    memory = st.memory.copy()
+    events: list[TraceEvent] = []
     span = belief.interval()
-    opposite = (belief.atom.pred, belief.atom.args, not belief.positive)
-    for other in sorted((b for b in wm if _group_key(b) == opposite), key=BeliefLit.key):
+    for other in sorted(memory.group(belief.atom, not belief.positive), key=BeliefLit.key):
         if not intersect(other.interval(), span).is_empty():
-            wm, trace = _restructure(wm, trace, other, span)
-    wm = _insert(wm, belief)
-    trace = trace + (Perceived(belief, at),)
-    return replace(st, wm=wm, clock=at, trace=trace)
+            events.append(memory.restructure(other, span))
+    memory.insert(belief)
+    events.append(Perceived(belief, at))
+    return replace(st, memory=memory, clock=at, trace=st.trace + tuple(events))
 
 
-def _binding_key(binding: dict):
-    times = tuple(
-        (k, binding[k]) for k in sorted(binding) if is_time_point(binding[k])
-    )
-    objs = tuple((k, binding[k]) for k in sorted(binding) if not is_time_point(binding[k]))
+def _binding_key(items: tuple):
+    """Sort key of a binding given as its (variable, value) pairs sorted by
+    variable: time values first, then object values."""
+    times = tuple(kv for kv in items if is_time_point(kv[1]))
+    objs = tuple(kv for kv in items if not is_time_point(kv[1]))
     return (tuple(v for _, v in times), tuple(v for _, v in objs), times + objs)
 
 
-class _Memory:
-    """Working memory indexed for one infer_fixpoint call.
-
-    Beliefs are grouped by predicate, then by (args, polarity).  Per
-    predicate the positive beliefs are also kept sorted by BeliefLit.key;
-    that list is rebuilt lazily, and only for a predicate that changed.
-    """
-
-    def __init__(self, wm: frozenset[BeliefLit]):
-        self.preds: dict[str, dict[tuple, set[BeliefLit]]] = {}
-        self.sorted: dict[str, list[BeliefLit]] = {}
-        for b in wm:
-            self.preds.setdefault(b.atom.pred, {}).setdefault((b.atom.args, b.positive), set()).add(b)
-
-    def group(self, atom: Atom, positive: bool) -> set[BeliefLit]:
-        """The beliefs with atom's predicate and arguments and this polarity."""
-        return self.preds.get(atom.pred, {}).get((atom.args, positive), set())
-
-    def covered(self, atom: Atom) -> bool:
-        """Some positive belief spans the whole atom."""
-        return _covered(self.group(atom, True), atom, True)
-
-    def positives(self, pred: str) -> list[BeliefLit]:
-        """The positive beliefs of pred, sorted by BeliefLit.key."""
-        if pred not in self.sorted:
-            groups = self.preds.get(pred, {}).items()
-            self.sorted[pred] = sorted(
-                (b for (_, positive), group in groups if positive for b in group),
-                key=BeliefLit.key,
-            )
-        return self.sorted[pred]
-
-    def swap(self, lit: BeliefLit, removed: Iterable[BeliefLit], added: Iterable[BeliefLit]) -> None:
-        """Replace beliefs within lit's group."""
-        groups = self.preds.setdefault(lit.atom.pred, {})
-        group = groups.setdefault((lit.atom.args, lit.positive), set())
-        group.difference_update(removed)
-        group.update(added)
-        self.sorted.pop(lit.atom.pred, None)
-
-    def insert(self, lit: BeliefLit) -> None:
-        group = self.group(lit.atom, lit.positive)
-        self.swap(lit, set(group), _merged(group, lit))
-
-    def restructure(self, target: BeliefLit, denied: Interval) -> Restructured:
-        event = _restructured(target, denied)
-        self.swap(target, (target,), event.parts)
-        return event
-
-    def target(self, atom: Atom) -> Optional[BeliefLit]:
-        """The first positive belief, by key, spanning the whole atom."""
-        group = sorted(self.group(atom, True), key=BeliefLit.key)
-        return next((b for b in group if subset(atom.interval(), b.interval())), None)
-
-    def freeze(self) -> frozenset[BeliefLit]:
-        return frozenset(
-            b for groups in self.preds.values() for group in groups.values() for b in group
-        )
-
-
-def _candidate_bindings(memory: _Memory, rule: Rule) -> list[dict]:
-    """All complete premise bindings, deterministically ordered.
+def _candidate_bindings(memory: WorkingMemory, rule: Rule) -> list[tuple]:
+    """All complete premise bindings, each once as its (variable, value)
+    pairs sorted by variable, in _binding_key order.
 
     Variables bind by syntactic match against the beliefs of the premise's
     predicate; a premise that is already ground only needs a covering
     belief.  Box constraints are checked once the binding is complete.
     """
-    results: list[dict] = []
+    results: set[tuple] = set()
 
     def walk(i: int, binding: dict):
         if i == len(rule.premises):
@@ -483,14 +469,14 @@ def _candidate_bindings(memory: _Memory, rule: Rule) -> list[dict]:
                             return
                     except (BadInterval, UnboundVariable):
                         return
-            results.append(dict(binding))
+            results.add(tuple(sorted(binding.items())))
             return
         try:
             pat = substitute(rule.premises[i].atom, binding)
         except BadInterval:
             return
         if pat.is_ground():
-            if memory.covered(pat):
+            if memory.covered(pat, True):
                 walk(i + 1, binding)
             return
         for b in memory.positives(pat.pred):
@@ -499,8 +485,7 @@ def _candidate_bindings(memory: _Memory, rule: Rule) -> list[dict]:
                 walk(i + 1, {**binding, **m})
 
     walk(0, {})
-    unique = {tuple(sorted(r.items(), key=lambda kv: kv[0])): r for r in results}
-    return [unique[k] for k in sorted(unique, key=lambda k: _binding_key(dict(k)))]
+    return sorted(results, key=_binding_key)
 
 
 def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
@@ -517,7 +502,7 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
     the fired set, which only grows.  So a rule whose scan fired nothing is
     skipped on later restarts until a firing changes one of its predicates.
     """
-    memory = _Memory(st.wm)
+    memory = st.memory.copy()
     fired = set(st.fired)
     events: list[TraceEvent] = []
     readers: dict[str, list[int]] = {}  # predicate -> rules that mention it
@@ -534,28 +519,28 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
         for ridx, rule in enumerate(st.rules):
             if ridx in clean:
                 continue
-            for binding in _candidate_bindings(memory, rule):
-                key = (ridx, tuple(sorted(binding.items(), key=lambda kv: kv[0])))
+            for items in _candidate_bindings(memory, rule):
+                key = (ridx, items)
                 if key in fired:
                     continue
                 try:
-                    concl = substitute(rule.conclusion, binding)
+                    concl = substitute(rule.conclusion, dict(items))
                 except BadInterval:
                     continue
                 lit = BeliefLit(concl, rule.positive)
                 target = None
                 if rule.positive:
-                    if memory.covered(concl):
+                    if memory.covered(concl, True):
                         fired.add(key)
                         continue
                 else:
-                    target = memory.target(concl)
+                    target = memory.target(concl, True)
                     if target is None:
                         continue
                 firings += 1
                 if firings > budget:
                     raise BudgetExhausted(f"gave up after {budget} firings")
-                events.append(Fired(ridx, rule.text, tuple(sorted(binding.items())), lit))
+                events.append(Fired(ridx, rule.text, items, lit))
                 if target is None:
                     memory.insert(lit)
                 else:
@@ -568,28 +553,29 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
     while (changed := fire_first()) is not None:
         clean.difference_update(readers[changed])
     return replace(
-        st, wm=memory.freeze(), trace=st.trace + tuple(events), fired=frozenset(fired)
+        st, memory=memory, trace=st.trace + tuple(events), fired=frozenset(fired)
     )
 
 
 def revise(st: AgentState, p: Atom, q: Atom) -> AgentState:
     """Restructure the held belief q around the contradicting span of p."""
-    target = next((b for b in st.wm if b.positive and b.atom == q), None)
+    target = next((b for b in st.memory.group(q, True) if b.atom == q), None)
     if target is None:
         raise NoSuchBelief(f"no belief {print_formula(q)} in working memory")
     if intersect(p.interval(), q.interval()).is_empty():
         raise ValueError(
             f"{print_formula(p)} does not overlap {print_formula(q)}; nothing to restructure"
         )
-    wm, trace = _restructure(st.wm, st.trace, target, p.interval())
-    return replace(st, wm=wm, trace=trace)
+    memory = st.memory.copy()
+    event = memory.restructure(target, p.interval())
+    return replace(st, memory=memory, trace=st.trace + (event,))
 
 
 def conjoin(st: AgentState, left: Union[Formula, BeliefLit], right: Union[Formula, BeliefLit]) -> AgentState:
     """Record an explicit conjunction of two held beliefs."""
     a, b = _as_literal(left), _as_literal(right)
     for lit in (a, b):
-        if not _covered(st.wm, lit.atom, lit.positive):
+        if not st.memory.covered(lit.atom, lit.positive):
             raise NoSuchBelief(f"cannot conjoin: {lit} is not believed")
     return replace(st, trace=st.trace + (Conjoined(str(a), str(b)),))
 
@@ -603,7 +589,7 @@ def query(st: AgentState, f: Formula) -> bool:
             raise UnsupportedQuery(f"B supports ground atoms only: {print_formula(f)}")
         if not f.body.is_ground():
             raise NonGround(f"query needs a ground atom: {print_formula(f)}")
-        return _covered(st.wm, f.body, True)
+        return st.memory.covered(f.body, True)
     if isinstance(f, Knowledge):
         try:
             wanted = _canonical_rule_key(rule_from_formula(f))
@@ -650,22 +636,22 @@ def to_model(st: AgentState, horizon: int) -> TLekModel:
 def replay(rules: Iterable[Union[Rule, Formula, str]], trace: Sequence[TraceEvent]) -> AgentState:
     """Rebuild the final state mechanically from a recorded trace."""
     state = init(rules)
-    wm: frozenset[BeliefLit] = state.wm
+    memory = WorkingMemory()
     clock: TimePoint = state.clock
     for ev in trace:
         if isinstance(ev, Perceived):
-            wm = _insert(wm, ev.literal)
+            memory.insert(ev.literal)
             clock = ev.at
         elif isinstance(ev, Fired):
             if ev.conclusion.positive:
-                wm = _insert(wm, ev.conclusion)
+                memory.insert(ev.conclusion)
         elif isinstance(ev, Restructured):
-            wm = (wm - {ev.removed}) | frozenset(ev.parts)
+            memory.swap(ev.removed, (ev.removed,), ev.parts)
         elif isinstance(ev, Conjoined):
             pass
         else:
             raise TypeError(f"unknown trace event {ev!r}")
-    return replace(state, wm=wm, clock=clock, trace=tuple(trace))
+    return replace(state, memory=memory, clock=clock, trace=tuple(trace))
 
 
 # ---------------------------------------------------------------------------

@@ -1,33 +1,146 @@
-"""Rescan-everything reference forward chainer, for differential tests.
+"""Frozenset reference agent, for differential tests.
 
-This is the forward chainer as it was before working memory was indexed:
-after every firing the scan restarts at the first rule and re-joins every
-rule's premises against the whole working memory, and the fired set and
-the trace are copied on each firing.  It is slow on purpose and shares
-with ``tdlek.agent`` only the belief, rule and trace types and the
-frozenset helpers that perception and replay use.
+This is the agent as it was before working memory became an indexed
+store: working memory is a frozenset of beliefs, every insert re-merges
+the whole (predicate, args, polarity) group, perception and revision scan
+the whole memory, and the forward chainer restarts at the first rule
+after every firing and re-joins every rule's premises against the whole
+working memory, copying the fired set and the trace on each firing.  It
+is slow on purpose and shares with ``tdlek.agent`` only the belief, rule
+and trace types; it keeps its own state record and memory helpers.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Iterable
 
 from tdlek.agent import (
-    AgentState,
     BeliefLit,
     BudgetExhausted,
     Fired,
+    Perceived,
+    Restructured,
     Rule,
-    _binding_key,
-    _covered,
-    _insert,
-    _restructure,
 )
-from tdlek.formulas import match_atom, substitute
-from tdlek.intervals import BadInterval, Interval, UnboundVariable, subset
+from tdlek.formulas import Atom, match_atom, substitute
+from tdlek.intervals import (
+    BadInterval,
+    Interval,
+    IntervalSet,
+    TimeExpr,
+    UnboundVariable,
+    difference,
+    intersect,
+    is_time_point,
+    subset,
+)
 
 
-def _candidate_bindings(st: AgentState, rule: Rule) -> list[dict]:
+@dataclass(frozen=True)
+class State:
+    rules: tuple[Rule, ...] = ()
+    wm: frozenset[BeliefLit] = frozenset()
+    clock: int = 0
+    trace: tuple = ()
+    fired: frozenset = frozenset()
+
+    def wm_sorted(self) -> list[BeliefLit]:
+        return sorted(self.wm, key=BeliefLit.key)
+
+    def render_wm(self) -> str:
+        return ", ".join(str(b) for b in self.wm_sorted())
+
+
+def _group_key(b: BeliefLit):
+    return (b.atom.pred, b.atom.args, b.positive)
+
+
+def _make_lit(pred: str, args: tuple[str, ...], positive: bool, iv: Interval) -> BeliefLit:
+    return BeliefLit(Atom(pred, TimeExpr.lit(iv.lo), TimeExpr.lit(iv.hi), args), positive)
+
+
+def _merged(group: Iterable[BeliefLit], lit: BeliefLit) -> set[BeliefLit]:
+    """The canonical beliefs of lit's group once lit is added to it."""
+    merged = IntervalSet.of([b.interval() for b in group] + [lit.interval()])
+    return {_make_lit(lit.atom.pred, lit.atom.args, lit.positive, part) for part in merged}
+
+
+def _insert(wm: frozenset[BeliefLit], lit: BeliefLit) -> frozenset[BeliefLit]:
+    """Add a literal, merging with same-polarity beliefs it touches."""
+    group = frozenset(b for b in wm if _group_key(b) == _group_key(lit))
+    return (wm - group) | _merged(group, lit)
+
+
+def _covered(beliefs: Iterable[BeliefLit], atom: Atom, positive: bool) -> bool:
+    """Some given belief of the same polarity spans the whole atom."""
+    span = atom.interval()
+    return any(
+        b.positive == positive
+        and b.atom.pred == atom.pred
+        and b.atom.args == atom.args
+        and subset(span, b.interval())
+        for b in beliefs
+    )
+
+
+def _restructure(
+    wm: frozenset[BeliefLit], trace: tuple, target: BeliefLit, denied: Interval
+) -> tuple[frozenset[BeliefLit], tuple]:
+    event = Restructured(
+        target,
+        tuple(
+            _make_lit(target.atom.pred, target.atom.args, target.positive, p)
+            for p in difference(target.interval(), denied)
+        ),
+    )
+    return (wm - {target}) | frozenset(event.parts), trace + (event,)
+
+
+def perceive(st: State, belief: BeliefLit, at: int) -> State:
+    """Restructure every overlapping opposite-polarity belief, then insert."""
+    wm, trace = st.wm, st.trace
+    span = belief.interval()
+    opposite = (belief.atom.pred, belief.atom.args, not belief.positive)
+    for other in sorted((b for b in wm if _group_key(b) == opposite), key=BeliefLit.key):
+        if not intersect(other.interval(), span).is_empty():
+            wm, trace = _restructure(wm, trace, other, span)
+    wm = _insert(wm, belief)
+    return replace(st, wm=wm, clock=at, trace=trace + (Perceived(belief, at),))
+
+
+def revise(st: State, p: Atom, q: Atom) -> State:
+    """Restructure the held positive belief q around p's span."""
+    target = next(b for b in st.wm if b.positive and b.atom == q)
+    wm, trace = _restructure(st.wm, st.trace, target, p.interval())
+    return replace(st, wm=wm, trace=trace)
+
+
+def replay(rules: tuple[Rule, ...], trace) -> State:
+    """Rebuild working memory and the clock from a trace."""
+    wm: frozenset[BeliefLit] = frozenset()
+    clock = 0
+    for ev in trace:
+        if isinstance(ev, Perceived):
+            wm = _insert(wm, ev.literal)
+            clock = ev.at
+        elif isinstance(ev, Fired):
+            if ev.conclusion.positive:
+                wm = _insert(wm, ev.conclusion)
+        elif isinstance(ev, Restructured):
+            wm = (wm - {ev.removed}) | frozenset(ev.parts)
+    return State(rules, wm, clock, tuple(trace))
+
+
+def _binding_key(binding: dict):
+    times = tuple(
+        (k, binding[k]) for k in sorted(binding) if is_time_point(binding[k])
+    )
+    objs = tuple((k, binding[k]) for k in sorted(binding) if not is_time_point(binding[k]))
+    return (tuple(v for _, v in times), tuple(v for _, v in objs), times + objs)
+
+
+def _candidate_bindings(st: State, rule: Rule) -> list[dict]:
     """All complete premise bindings, deterministically ordered.
 
     Variables bind by syntactic match against belief atoms; a premise that
@@ -70,7 +183,7 @@ def _candidate_bindings(st: AgentState, rule: Rule) -> list[dict]:
     return [unique[k] for k in sorted(unique, key=lambda k: _binding_key(dict(k)))]
 
 
-def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
+def infer_fixpoint(st: State, budget: int = 10_000) -> State:
     """Fire rules to a fixpoint.
 
     Deterministic strategy: rules in list order, bindings smallest first

@@ -279,6 +279,30 @@ def test_infer_is_deterministic():
     assert run() == run()
 
 
+def test_operations_leave_their_input_state_unchanged():
+    def snapshot(s):
+        return s.wm, s.render_wm(), s.trace, s.fired, s.clock
+
+    st = infer_fixpoint(perceive(init(MARRIAGE_RULES), parse("marryA(5,5)"), 5))
+    before = snapshot(st)
+    cut = perceive(st, parse("~married(10,12)"), 10)
+    merged = perceive(st, parse("married(0,5)"), 5)
+    revised = revise(st, atom("married", 9, 9), atom("married", 6, INF))
+    perceived = perceive(st, parse("divorceA(8,8)"), 8)
+    seen = snapshot(perceived)
+    inferred = infer_fixpoint(perceived)
+    assert query(st, parse("B(married(7,7)) & B(marryA(5,5))"))
+    assert snapshot(st) == before
+    assert snapshot(perceived) == seen
+    # siblings derived from one parent each see only their own edit
+    assert wm_strings(cut) == ["married(13,inf)", "married(6,9)", "marryA(5,5)", "~married(10,12)"]
+    assert wm_strings(merged) == ["married(0,inf)", "marryA(5,5)"]
+    assert wm_strings(revised) == ["married(10,inf)", "married(6,8)", "marryA(5,5)"]
+    assert wm_strings(inferred) == [
+        "divorceA(8,8)", "divorced(9,inf)", "married(6,8)", "marryA(5,5)"
+    ]
+
+
 # ---------------------------------------------------------------------------
 # query
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Differential tests: the indexed forward chainer against the reference.
+"""Differential tests: the store-backed agent against the frozenset reference.
 
-Every ``infer`` of a random script and of the two scenario scripts is run
-through both ``tdlek.agent.infer_fixpoint`` and the rescan-everything
-chainer in ``reference_agent``, from the same state, and the two must
-agree on the final working memory, the trace JSON lines, the fired set and
-the firing count at which ``BudgetExhausted`` is raised.
+Every random script and the two scenario scripts run through both
+``tdlek.agent`` and ``reference_agent`` in step.  After every perception,
+every revision of a held belief and every ``infer`` the two must agree on
+the working memory, the trace JSON lines, the fired set and the clock, and
+on the firing count at which ``BudgetExhausted`` is raised.  At the end,
+``replay`` of the trace must rebuild the working memory and its rendering.
 
 The random scripts mix joins on shared time and object variables, ground
 premises, boxed premises (some with a bound that can evaluate to inf),
@@ -20,16 +21,19 @@ import pytest
 
 import reference_agent as ref
 from tdlek.agent import (
+    BeliefLit,
     BudgetExhausted,
     Fired,
     Restructured,
     infer_fixpoint,
     init,
     perceive,
+    replay,
+    revise,
     rule_from_formula,
     trace_json_lines,
 )
-from tdlek.formulas import parse
+from tdlek.formulas import Not, parse
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -135,63 +139,100 @@ def firings(before, after) -> int:
     return sum(1 for ev in after.trace[len(before.trace):] if isinstance(ev, Fired))
 
 
-def assert_same_infer(st, budget: int):
-    """Run both chainers from st; return the common result, or None when
-    both exhaust the budget.  A result is also re-run with a budget of
-    exactly the firings it needed, which must suffice, and of one less,
-    which must not."""
+def literal(f) -> BeliefLit:
+    return BeliefLit(f.body, False) if isinstance(f, Not) else BeliefLit(f, True)
+
+
+def assert_same(got, want):
+    """The store-backed state got matches the reference state want."""
+    assert got.wm == want.wm
+    assert trace_json_lines(got.trace) == trace_json_lines(want.trace)
+    assert got.fired == want.fired
+    assert (got.rules, got.clock) == (want.rules, want.clock)
+
+
+def assert_same_infer(st, ref_st, budget: int):
+    """Run both chainers, from st and from its reference twin ref_st; return
+    both results, or None when both exhaust the budget.  A result is also
+    re-run with a budget of exactly the firings it needed, which must
+    suffice, and of one less, which must not."""
     try:
-        want = ref.infer_fixpoint(st, budget=budget)
+        want = ref.infer_fixpoint(ref_st, budget=budget)
     except BudgetExhausted:
         with pytest.raises(BudgetExhausted):
             infer_fixpoint(st, budget=budget)
         return None
     got = infer_fixpoint(st, budget=budget)
-    assert got.wm == want.wm
-    assert trace_json_lines(got.trace) == trace_json_lines(want.trace)
-    assert got.fired == want.fired
-    assert (got.rules, got.clock) == (want.rules, want.clock)
-    n = firings(st, want)
+    assert_same(got, want)
+    n = firings(st, got)
     assert infer_fixpoint(st, budget=n).trace == got.trace
     if n:
         with pytest.raises(BudgetExhausted):
             infer_fixpoint(st, budget=n - 1)
-    return got
+    return got, want
 
 
-def run_both(lines: list[str], budget: int) -> dict:
-    """Drive a script's rule, perceive and infer lines through the agent,
-    comparing every infer; returns counts of what the run exercised."""
+def revision(rng, st):
+    """A (p, q) pair for revise: q a held positive belief, p a span that
+    starts inside it; None when no positive belief is held."""
+    held = [b.atom for b in st.wm_sorted() if b.positive]
+    if not held:
+        return None
+    q = rng.choice(held)
+    lo = min(q.start.offset + rng.randint(0, 3), q.end.offset)
+    hi = rng.choice((lo, lo + rng.randint(1, 3), "inf"))
+    return parse(f"{q.pred}({lo},{hi}{''.join(',' + a for a in q.args)})"), q
+
+
+def run_both(lines: list[str], budget: int, seed: int) -> dict:
+    """Drive a script's rule, perceive and infer lines through the agent
+    and the reference in step, revising a held belief after some
+    perceptions, comparing the two states after every step and the
+    replay of the final trace; returns counts of what the run exercised."""
     rules = [line[5:] for line in lines if line.startswith("rule ")]
     st = init(rules)
-    seen = {"infers": 0, "firings": 0, "restructured": 0, "exhausted": 0}
+    want = ref.State(st.rules)
+    rng = random.Random(seed)
+    seen = {"infers": 0, "firings": 0, "restructured": 0, "exhausted": 0, "revised": 0}
     for line in lines:
         word, _, rest = line.partition(" ")
         if word == "perceive":
             lit, _, at = rest.partition("@")
             st = perceive(st, parse(lit.strip()), int(at))
+            want = ref.perceive(want, literal(parse(lit.strip())), int(at))
+            assert_same(st, want)
+            pair = revision(rng, st) if rng.random() < 0.15 else None
+            if pair is not None:
+                st, want = revise(st, *pair), ref.revise(want, *pair)
+                assert_same(st, want)
+                seen["revised"] += 1
         elif word == "infer":
-            after = assert_same_infer(st, budget)
+            after = assert_same_infer(st, want, budget)
             seen["infers"] += 1
             if after is None:
                 seen["exhausted"] += 1
                 break
-            seen["firings"] += firings(st, after)
+            seen["firings"] += firings(st, after[0])
             seen["restructured"] += sum(
-                1 for ev in after.trace[len(st.trace):] if isinstance(ev, Restructured)
+                1 for ev in after[0].trace[len(st.trace):] if isinstance(ev, Restructured)
             )
-            st = after
+            st, want = after
+    rebuilt = replay(st.rules, st.trace)
+    assert rebuilt.wm == st.wm == ref.replay(want.rules, want.trace).wm
+    assert rebuilt.render_wm() == st.render_wm()
+    assert rebuilt.clock == st.clock
     return seen
 
 
 def test_random_scripts_agree_with_reference():
-    totals = {"infers": 0, "firings": 0, "restructured": 0, "exhausted": 0}
+    totals = {"infers": 0, "firings": 0, "restructured": 0, "exhausted": 0, "revised": 0}
     for seed in SEEDS:
-        for k, v in run_both(random_script(seed), budget=40).items():
+        for k, v in run_both(random_script(seed), budget=40, seed=seed).items():
             totals[k] += v
-    # the streams exercise firing, restructuring and budget exhaustion
+    # the streams exercise firing, restructuring, revision and budget exhaustion
     assert totals["firings"] > 400
     assert totals["restructured"] > 50
+    assert totals["revised"] > 100
     assert totals["exhausted"] > 0
 
 
@@ -201,4 +242,4 @@ def test_scenario_scripts_agree_with_reference(name):
         line.split("#", 1)[0].strip()
         for line in (SCENARIO_DIR / name).read_text().splitlines()
     ]
-    assert run_both([line for line in lines if line], budget=10_000)["firings"] > 0
+    assert run_both([line for line in lines if line], budget=10_000, seed=0)["firings"] > 0
