@@ -41,7 +41,7 @@ def cmd_parse(args) -> int:
 def cmd_check(args) -> int:
     try:
         model = load_model_file(args.model)
-    except (OSError, ModelFormatError) as exc:
+    except (OSError, UnicodeDecodeError, ModelFormatError) as exc:
         _err(f"cannot load model: {exc}")
         return USAGE_ERROR
     if args.world not in model.worlds:
@@ -79,18 +79,22 @@ def cmd_reduce(args) -> int:
 def cmd_run(args) -> int:
     try:
         result = run_scenario_file(args.scenario)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _err(f"cannot read scenario: {exc}")
         return USAGE_ERROR
     except ScenarioError as exc:
         _err(f"scenario error: {exc}")
         return USAGE_ERROR
+    if args.trace:
+        try:
+            with open(args.trace, "w", encoding="utf-8") as fh:
+                fh.write(trace_json_lines(result.state.trace))
+        except OSError as exc:
+            _err(f"cannot write trace: {exc}")
+            return USAGE_ERROR
     for lineno, text, value in result.queries:
         print(f"query {text} = {'true' if value else 'false'}")
     print(result.state.render_wm())
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(trace_json_lines(result.state.trace))
     bad = [c for c in result.checks if not c.ok]
     for c in bad:
         _err(

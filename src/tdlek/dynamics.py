@@ -143,6 +143,17 @@ def _truth(m: TLekModel, f: Formula) -> int:
     return label(m, f)[1]
 
 
+def _effect(op: MentalOp) -> tuple[Optional[Formula], Formula]:
+    """(guard, gained formula) of a Learn, Conj or Infer: where the guard
+    holds, or everywhere when it is None, the operation adds the gained
+    formula's extension to the neighbourhood."""
+    if isinstance(op, Learn):
+        return None, op.literal
+    if isinstance(op, Conj):
+        return And(Belief(op.left), Belief(op.right)), And(op.left, op.right)
+    return And(Belief(op.premise), Knowledge(Implies(op.premise, op.conclusion))), op.conclusion
+
+
 def _update(m: TLekModel, op: MentalOp) -> tuple[Optional[TLekModel], bool, dict]:
     """(updated model, applied, delta); None stands for m itself, which the
     memo on m may not hold without a reference cycle."""
@@ -150,17 +161,7 @@ def _update(m: TLekModel, op: MentalOp) -> tuple[Optional[TLekModel], bool, dict
     fired = fr.fit(op_time(op))
     adds: list[Formula] = []
     removes: list[Formula] = []
-    if isinstance(op, Learn):
-        adds.append(op.literal)
-    elif isinstance(op, Conj):
-        fired &= _truth(m, Belief(op.left)) & _truth(m, Belief(op.right))
-        adds.append(And(op.left, op.right))
-    elif isinstance(op, Infer):
-        fired &= _truth(m, Belief(op.premise)) & _truth(
-            m, Knowledge(Implies(op.premise, op.conclusion))
-        )
-        adds.append(op.conclusion)
-    elif isinstance(op, Revise):
+    if isinstance(op, Revise):
         overlap = intersect(op.trigger.interval(), op.target.interval())
         if overlap.is_empty():
             fired = 0
@@ -178,6 +179,11 @@ def _update(m: TLekModel, op: MentalOp) -> tuple[Optional[TLekModel], bool, dict
                 Atom(op.target.pred, TimeExpr.lit(cut.lo), TimeExpr.lit(cut.hi), op.target.args)
             )
             adds.extend(_residual_atoms(op))
+    else:
+        guard, gained = _effect(op)
+        if guard is not None:
+            fired &= _truth(m, guard)
+        adds.append(gained)
     if not fired:
         return None, False, {}
     add_masks = [_truth(m, f) for f in adds]
@@ -246,25 +252,14 @@ def _push(op: MentalOp, body: Formula) -> Formula:
     """Push one prefix through a static body."""
     if isinstance(body, Belief):
         pushed = _push(op, body.body)
-        if isinstance(op, Learn):
-            return Or(Belief(pushed), Knowledge(Iff(pushed, op.literal)))
-        if isinstance(op, Infer):
-            guard = And(
-                Belief(op.premise),
-                Knowledge(Implies(op.premise, op.conclusion)),
-            )
-            return Or(Belief(pushed), And(guard, Knowledge(Iff(pushed, op.conclusion))))
-        if isinstance(op, Conj):
-            guard = And(Belief(op.left), Belief(op.right))
-            return Or(
-                Belief(pushed),
-                And(guard, Knowledge(Iff(pushed, And(op.left, op.right)))),
-            )
         if isinstance(op, Revise):
             raise UnreducibleShape(
                 f"[{print_mental_op(op)}] on a belief: revision both removes and adds "
                 "neighbourhood elements, so no static equivalent exists"
             )
+        guard, gained = _effect(op)
+        equiv = Knowledge(Iff(pushed, gained))
+        return Or(Belief(pushed), equiv if guard is None else And(guard, equiv))
     if isinstance(body, Always):
         raise UnreducibleShape(
             f"[{print_mental_op(op)}] on box{'' if body.is_default_interval() else '[...]'}: "

@@ -266,17 +266,35 @@ def rebuild(f: Node, parts: Sequence[Node]) -> Node:
 
 
 # ---------------------------------------------------------------------------
+# Syntax tables: the parser reads them by token, the printer by class
+# ---------------------------------------------------------------------------
+
+# Binary connectives, loosest first: token -> (class, level, right-associative).
+_BINARY = {
+    "<->": (Iff, 1, False),
+    "->": (Implies, 2, True),
+    "|": (Or, 3, False),
+    "&": (And, 4, False),
+}
+_UNARY = len(_BINARY) + 1  # prefixes bind tighter than every binary connective
+_PREFIX = {"~": Not, "B": Belief, "K": Knowledge}
+_CONSTANT = {"true": Top, "false": Bot}
+
+_BINARY_BY_CLASS = {cls: (tok, level, right) for tok, (cls, level, right) in _BINARY.items()}
+_TOKEN = {cls: tok for table in (_PREFIX, _CONSTANT) for tok, cls in table.items()}
+
+
+# ---------------------------------------------------------------------------
 # Lexer
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<iff><->)
-  | (?P<implies>->)
-  | (?P<num>\d+)
-  | (?P<name>[A-Za-z][A-Za-z0-9_]*)
-  | (?P<sym>[()\[\],+\-~&|])
+  | (?P<NUM>\d+)
+  | (?P<NAME>[a-z][A-Za-z0-9_]*)
+  | (?P<VAR>[A-Z][A-Za-z0-9_]*)
+  | (?P<sym><->|->|[()\[\],+\-~&|])
     """,
     re.VERBOSE,
 )
@@ -298,20 +316,9 @@ def _lex(text: str) -> list[_Tok]:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise FormulaSyntaxError(f"stray character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
-        if m.lastgroup == "ws":
-            pass
-        elif m.lastgroup == "iff":
-            toks.append(_Tok("<->", lexeme, line, col))
-        elif m.lastgroup == "implies":
-            toks.append(_Tok("->", lexeme, line, col))
-        elif m.lastgroup == "num":
-            toks.append(_Tok("NUM", lexeme, line, col))
-        elif m.lastgroup == "name":
-            kind = "VAR" if lexeme[0].isupper() else "NAME"
-            toks.append(_Tok(kind, lexeme, line, col))
-        else:
-            toks.append(_Tok(lexeme, lexeme, line, col))
+        lexeme, kind = m.group(0), m.lastgroup
+        if kind != "ws":
+            toks.append(_Tok(lexeme if kind == "sym" else kind, lexeme, line, col))
         for ch in lexeme:
             if ch == "\n":
                 line += 1
@@ -324,7 +331,7 @@ def _lex(text: str) -> list[_Tok]:
 
 
 # ---------------------------------------------------------------------------
-# Parser (recursive descent)
+# Parser (precedence climbing over _BINARY, recursive descent below it)
 # ---------------------------------------------------------------------------
 
 
@@ -357,55 +364,32 @@ class _Parser:
         msg = f"unexpected {tok.value!r}" if tok.kind != "EOF" else "unexpected end of input"
         raise FormulaSyntaxError(msg, tok.line, tok.col, expected=expected)
 
-    # precedence chain -----------------------------------------------------
-
     def formula(self) -> Formula:
-        f = self.iff()
-        tok = self.peek()
-        if tok.kind != "EOF":
+        f = self.binary()
+        if self.peek().kind != "EOF":
             self.fail("end of input", "binary operator")
         return f
 
-    def iff(self) -> Formula:
-        f = self.implies()
-        while self.peek().kind == "<->":
-            self.take()
-            f = Iff(f, self.implies())
-        return f
-
-    def implies(self) -> Formula:
-        f = self.disj()
-        if self.peek().kind == "->":
-            self.take()
-            return Implies(f, self.implies())
-        return f
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek().kind == "|":
-            self.take()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
+    def binary(self, min_level: int = 1) -> Formula:
+        """The longest formula whose connectives bind at min_level or tighter."""
         f = self.unary()
-        while self.peek().kind == "&":
+        while True:
+            entry = _BINARY.get(self.peek().kind)
+            if entry is None or entry[1] < min_level:
+                return f
             self.take()
-            f = And(f, self.unary())
-        return f
+            cls, level, right = entry
+            f = cls(f, self.binary(level if right else level + 1))
 
     def unary(self) -> Formula:
         tok = self.peek()
-        if tok.kind == "~":
+        if tok.value in _PREFIX:
             self.take()
-            return Not(self.unary())
-        if tok.kind == "VAR" and tok.value == "B":
+            return _PREFIX[tok.value](self.unary())
+        if tok.value in _CONSTANT:
             self.take()
-            return Belief(self.unary())
-        if tok.kind == "VAR" and tok.value == "K":
-            self.take()
-            return Knowledge(self.unary())
-        if tok.kind == "NAME" and tok.value == "box":
+            return _CONSTANT[tok.value]()
+        if tok.value == "box":
             self.take()
             if self.peek().kind == "[":
                 lo, hi = self.interval_bounds()
@@ -423,18 +407,12 @@ class _Parser:
             return Dynamic(op, self.unary())
         if tok.kind == "(":
             self.take()
-            f = self.iff()
+            f = self.binary()
             self.expect(")")
             return f
-        if tok.kind == "NAME" and tok.value == "true":
-            self.take()
-            return Top()
-        if tok.kind == "NAME" and tok.value == "false":
-            self.take()
-            return Bot()
         if tok.kind == "NAME" and tok.value not in RESERVED:
             return self.atom()
-        self.fail("~", "B", "K", "box", "[", "(", "true", "false", "atom")
+        self.fail(*_PREFIX, "box", "[", "(", *_CONSTANT, "atom")
 
     def interval_bounds(self) -> tuple[TimeExpr, TimeExpr]:
         self.expect("[")
@@ -453,31 +431,18 @@ class _Parser:
         if tok.kind == "+":
             self.take()
             return Learn(self.literal())
-        if tok.kind == "NAME" and tok.value == "and":
-            self.take()
-            self.expect("(")
-            left = self.iff()
-            self.expect(",")
-            right = self.iff()
-            self.expect(")")
-            return Conj(left, right)
-        if tok.kind == "NAME" and tok.value == "inf":
-            self.take()
-            self.expect("(")
-            premise = self.iff()
-            self.expect(",")
-            concl = self.atom()
-            self.expect(")")
-            return Infer(premise, concl)
-        if tok.kind == "NAME" and tok.value == "rev":
-            self.take()
-            self.expect("(")
-            trigger = self.atom()
-            self.expect(",")
-            target = self.atom()
-            self.expect(")")
-            return Revise(trigger, target)
-        self.fail("+", "and", "inf", "rev")
+        if tok.kind != "NAME" or tok.value not in _MENTAL_OPS:
+            self.fail("+", *_MENTAL_OPS)
+        self.take()
+        cls, arg_parsers = _MENTAL_OPS[tok.value]
+        self.expect("(")
+        args = []
+        for parse_arg in arg_parsers:
+            if args:
+                self.expect(",")
+            args.append(parse_arg(self))
+        self.expect(")")
+        return cls(*args)
 
     def literal(self) -> Formula:
         if self.peek().kind == "~":
@@ -524,6 +489,15 @@ class _Parser:
         self.fail("number", "inf", "time variable")
 
 
+# Mental operations written name(arg,...): name -> (class, argument parsers).
+_MENTAL_OPS = {
+    "and": (Conj, (_Parser.binary, _Parser.binary)),
+    "inf": (Infer, (_Parser.binary, _Parser.atom)),
+    "rev": (Revise, (_Parser.atom, _Parser.atom)),
+}
+_OP_NAMES = {cls: name for name, (cls, _) in _MENTAL_OPS.items()}
+
+
 def parse(text: str) -> Formula:
     """Parse a formula; raises FormulaSyntaxError with line and column."""
     return _Parser(text).formula()
@@ -541,8 +515,6 @@ def parse_atom(text: str) -> Atom:
 # Printer (minimal parentheses; parse(print_formula(f)) == f)
 # ---------------------------------------------------------------------------
 
-_LEVEL_IFF, _LEVEL_IMPLIES, _LEVEL_OR, _LEVEL_AND, _LEVEL_UNARY = 1, 2, 3, 4, 5
-
 
 def _interval_suffix(lo: TimeExpr, hi: TimeExpr) -> str:
     closer = ")" if (hi.is_ground() and hi.offset == INF) else "]"
@@ -551,50 +523,34 @@ def _interval_suffix(lo: TimeExpr, hi: TimeExpr) -> str:
 
 def print_mental_op(op: MentalOp) -> str:
     if isinstance(op, Learn):
-        return "+" + _pf(op.literal, _LEVEL_UNARY)
-    if isinstance(op, Conj):
-        return f"and({_pf(op.left, 0)},{_pf(op.right, 0)})"
-    if isinstance(op, Infer):
-        return f"inf({_pf(op.premise, 0)},{_pf(op.conclusion, 0)})"
-    if isinstance(op, Revise):
-        return f"rev({_pf(op.trigger, 0)},{_pf(op.target, 0)})"
-    raise TypeError(f"unknown mental operation {op!r}")
+        return "+" + _pf(op.literal, _UNARY)
+    name = _OP_NAMES.get(type(op))
+    if name is None:
+        raise TypeError(f"unknown mental operation {op!r}")
+    return f"{name}({','.join(_pf(arg, 0) for arg in children(op))})"
 
 
 def _pf(f: Formula, required: int) -> str:
     if isinstance(f, Atom):
         parts = [str(f.start), str(f.end), *f.args]
         return f"{f.pred}({','.join(parts)})"
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bot):
-        return "false"
+    binary = _BINARY_BY_CLASS.get(type(f))
+    if binary is not None:
+        tok, level, right = binary
+        # the operand on the associative side may share the level
+        s = f"{_pf(f.left, level + right)} {tok} {_pf(f.right, level + (not right))}"
+        return f"({s})" if level < required else s
     if isinstance(f, Not):
-        return "~" + _pf(f.body, _LEVEL_UNARY)
-    if isinstance(f, Belief):
-        return f"B({_pf(f.body, 0)})"
-    if isinstance(f, Knowledge):
-        return f"K({_pf(f.body, 0)})"
+        return "~" + _pf(f.body, _UNARY)
+    tok = _TOKEN.get(type(f))  # B, K, true, false
+    if tok is not None:
+        return f"{tok}({_pf(f.body, 0)})" if f._parts else tok
     if isinstance(f, Always):
         head = "box" if f.is_default_interval() else "box" + _interval_suffix(f.start, f.end)
         return f"{head}({_pf(f.body, 0)})"
     if isinstance(f, Dynamic):
-        return f"[{print_mental_op(f.op)}] " + _pf(f.body, _LEVEL_UNARY)
-    if isinstance(f, And):
-        s = f"{_pf(f.left, _LEVEL_AND)} & {_pf(f.right, _LEVEL_AND + 1)}"
-        level = _LEVEL_AND
-    elif isinstance(f, Or):
-        s = f"{_pf(f.left, _LEVEL_OR)} | {_pf(f.right, _LEVEL_OR + 1)}"
-        level = _LEVEL_OR
-    elif isinstance(f, Implies):
-        s = f"{_pf(f.left, _LEVEL_IMPLIES + 1)} -> {_pf(f.right, _LEVEL_IMPLIES)}"
-        level = _LEVEL_IMPLIES
-    elif isinstance(f, Iff):
-        s = f"{_pf(f.left, _LEVEL_IFF)} <-> {_pf(f.right, _LEVEL_IFF + 1)}"
-        level = _LEVEL_IFF
-    else:
-        raise TypeError(f"unknown formula node {f!r}")
-    return f"({s})" if level < required else s
+        return f"[{print_mental_op(f.op)}] " + _pf(f.body, _UNARY)
+    raise TypeError(f"unknown formula node {f!r}")
 
 
 def print_formula(f: Formula) -> str:

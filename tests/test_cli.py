@@ -35,6 +35,11 @@ def test_parse_dump_emits_json(capsys):
     assert json.loads(lines[1])["node"] == "atom"
 
 
+def test_parse_survives_300_parentheses(capsys):
+    code, out, err = run(capsys, "parse", "(" * 300 + "p(1,1)" + ")" * 300)
+    assert (code, out, err) == (0, "p(1,1)\n", "")
+
+
 def test_parse_error_exits_2(capsys):
     code, out, err = run(capsys, "parse", "p(5,2)")
     assert code == 2
@@ -95,6 +100,14 @@ def test_check_missing_model_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_check_model_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "model.tlek"
+    path.write_bytes(b"worlds:\n  w0: p(1,1)\xff\n")
+    code, out, err = run(capsys, "check", "-m", str(path), "-w", "w0", "p(1,1)")
+    assert (code, out) == (2, "")
+    assert err.startswith("cannot load model: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # reduce
 # ---------------------------------------------------------------------------
@@ -148,6 +161,22 @@ def test_run_scenario_error_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "run", str(scn))
     assert code == 2
     assert "line 1" in err
+
+
+def test_run_scenario_not_utf8_exits_2(capsys, tmp_path):
+    scn = tmp_path / "latin1.scn"
+    scn.write_bytes("perceive caf\u00e9(1,1) @ 1\n".encode("latin-1"))
+    code, out, err = run(capsys, "run", str(scn))
+    assert (code, out) == (2, "")
+    assert err.startswith("cannot read scenario: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("trace", ["missing/trace.jsonl", "."])
+def test_run_unwritable_trace_exits_2(capsys, tmp_path, trace):
+    scenario = str(SCENARIO_DIR / "umbrella.scn")
+    code, out, err = run(capsys, "run", scenario, "--trace", str(tmp_path / trace))
+    assert (code, out) == (2, "")
+    assert err.startswith("cannot write trace: ") and err.count("\n") == 1
 
 
 def test_run_box_bound_at_inf_skips_the_binding(capsys, tmp_path):

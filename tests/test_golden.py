@@ -1,10 +1,10 @@
 """Golden CLI outputs: exact stdout and exit code for fixed argv.
 
 The expected values were recorded from the clause-by-clause checker, the
-rescan-everything forward chainer and the hand-written formula walkers,
-so they pin byte-identical output, traces and the suites' random streams
-across rewrites of the model checker, the dynamics, the agent and the
-formula traversals.
+rescan-everything forward chainer, the hand-written formula walkers and
+the one-method-per-level parser, so they pin byte-identical output,
+traces and the suites' random streams across rewrites of the model
+checker, the dynamics, the agent, the formula traversals and the parser.
 """
 
 import json
@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from tdlek.cli import main
-from tdlek.formulas import print_formula
+from tdlek.formulas import Formula, children, print_formula
 from tdlek.models import gen_random_model
 from tdlek.randgen import gen_dynamic_formula, gen_free_formula, model_vocab
 
@@ -135,9 +135,106 @@ def reduce_argv() -> list[list[str]]:
     return cases
 
 
+BINARY_OPS = ("&", "|", "->", "<->")
+
+# one input per parser error branch, some spread over several lines
+PARSE_ERRORS = [
+    "p(1,1) $ q(1,1)",
+    "p(1,1)\n  & q(1,1) @",
+    "p(1,1) q(1,1)",
+    "p(1,1) & & q(1,1)",
+    "p(1,1))",
+    "p(1,1) &",
+    "",
+    "~",
+    "(p(1,1) & q(1,1)",
+    "((p(1,1))",
+    "[+p(1,1) p(1,1)",
+    "box[1,2 p(1,1)",
+    "box[1 2] p(1,1)",
+    "box[] p(1,1)",
+    "p(1 1)",
+    "p(1,1 q)",
+    "p(1,1,",
+    "p(1,1,2)",
+    "p",
+    "p(X+,1)",
+    "p(X+Y,1)",
+    "p(a,1)",
+    "p(5,2)",
+    "p(inf,inf)",
+    "box(1,1)",
+    "rev(1,1) & p(1,1)",
+    "inf(1,1)",
+    "[+B p(1,1)] p(1,1)",
+    "[+~~p(1,1)] p(1,1)",
+    "[inf(p(1,1),true)] p(1,1)",
+    "[rev(p(1,1),and(1,1))] p(1,1)",
+    "[and(p(1,1) q(1,1))] p(1,1)",
+    "[and(p(1,1),q(1,1)] p(1,1)",
+    "box[5,2] p(1,1)",
+    "box[inf,inf]\n\tp(1,1)",
+    "false & box[5,2] p(1,1)",
+    "[foo(p(1,1))] p(1,1)",
+    "[] p(1,1)",
+    "[+p(1,1)",
+    "B",
+    "K K",
+]
+
+# tokens a mutation may insert, wrong or right
+MUTATION_TOKENS = (
+    "~", "&", "|", "->", "<->", "(", ")", "[", "]", ",", "+", "-",
+    "B", "K", "box", "true", "inf", "and", "7", "X", "$", " ",
+)
+
+
+def _mutations(rng: random.Random, f) -> list[str]:
+    """One input per mutation of f's printed text: drop a character,
+    insert a token, strip the spaces, and parenthesise a sub-formula."""
+    text = print_formula(f)
+    at = rng.randrange(len(text))
+    drop = text[:at] + text[at + 1:]
+    at = rng.randrange(len(text) + 1)
+    insert = text[:at] + rng.choice(MUTATION_TOKENS) + text[at:]
+    subs, stack = [], [f]
+    while stack:
+        node = stack.pop()
+        subs.append(node)
+        stack.extend(children(node))
+    sub = print_formula(rng.choice([s for s in subs if isinstance(s, Formula)]))
+    return [drop, insert, text.replace(" ", ""), text.replace(sub, f"({sub})", 1)]
+
+
+def parse_text_argv() -> list[list[str]]:
+    """tdlek parse --dump on hand-written text: every ordered pair of binary
+    operators, bare, under stacked prefixes, in redundant parentheses and
+    with tabs and newlines; one input per parser error branch; then seeded
+    mutations of 100 printed free formulas."""
+    texts = []
+    for op1 in BINARY_OPS:
+        for op2 in BINARY_OPS:
+            texts.append(f"p(1,1) {op1} q(1,1) {op2} r(1,1)")
+            texts.append(f"~B p(1,1) {op1} K box q(1,1) {op2} [+~r(1,1)] ~r(1,1)")
+            texts.append(f"box[1,T+2] (p(1,1) {op1} q(1,1)) {op2} B(K r(1,1))")
+            texts.append(f"((p(1,1)) {op1} (q(1,1) {op2} (r(1,1))))")
+            texts.append(f"p(1,1)\t{op1}\n(q(1,1)\n\t{op2}  r(1,1))")
+    texts += [
+        "[and(p(1,1) -> q(1,1), r(1,1) | s(1,1))] B p(1,1) & q(1,1)",
+        "[inf(p(1,1) <-> q(1,1), r(X,inf,a))] K ~r(X,inf,a) -> p(1,1)",
+        "[rev(p(1,2), q(0,9,b))] B q(3,9,b) | true <-> false",
+        "box[0,inf) box[T-1,T+1] p(T,T) & ~~false",
+    ]
+    texts += PARSE_ERRORS
+    rng = random.Random(2027)
+    for _ in range(100):
+        texts += _mutations(rng, gen_free_formula(rng, depth=4))
+    return [["parse", "--dump", text] for text in texts]
+
+
 # golden file -> the argv it was recorded for; each line of the file is
 # {"argv", "code", "stdout", "stderr"} as main() gave them
-RECORDED = {"parse_dump": parse_dump_argv, "reduce": reduce_argv}
+RECORDED = {"parse_dump": parse_dump_argv, "reduce": reduce_argv, "parse_text": parse_text_argv}
 
 
 @pytest.mark.parametrize("name", list(RECORDED))
