@@ -12,9 +12,12 @@ new state; a trace of events makes runs replayable.
 from __future__ import annotations
 
 import json
-from functools import reduce
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence, Union
+from functools import cached_property, reduce
+from heapq import heappop, heappush
+from itertools import count
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .intervals import (
     INF,
@@ -139,6 +142,17 @@ class Rule:
 
     def __str__(self) -> str:
         return self.text
+
+    @cached_property
+    def covering(self) -> tuple[bool, ...]:
+        """Per premise, whether the earlier premises bind all its
+        variables, so that a join tests it by coverage, not by matching."""
+        flags, bound = [], set()
+        for p in self.premises:
+            names = free_vars(p.atom)
+            flags.append(names <= bound)
+            bound |= names
+        return tuple(flags)
 
 
 def rule_from_formula(f: Formula) -> Rule:
@@ -289,27 +303,34 @@ def trace_records(trace: Sequence[TraceEvent]) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+def _lo(b: BeliefLit) -> TimePoint:
+    return b.atom.start.offset
+
+
+def _hi(b: BeliefLit) -> TimePoint:
+    return b.atom.end.offset
+
+
 class WorkingMemory:
     """The beliefs held, grouped by predicate, then by (args, polarity).
 
-    Each group is a frozenset of pairwise disjoint, non-adjacent beliefs.
-    Per predicate the positive beliefs are also kept sorted by
-    BeliefLit.key; that list is rebuilt lazily, and only for a predicate
-    that changed.  A store is never edited once a state holds it: an
-    operation edits a copy() and puts the copy in the new state.
+    Each group is a tuple of pairwise disjoint, non-adjacent beliefs sorted
+    by start, and therefore also by end, so a lookup by time bisects.  A
+    store is never edited once a state holds it: an operation edits a
+    copy() and puts the copy in the new state.  Copies share the groups
+    that neither edited, so comparing groups by identity finds what an
+    edit changed.
     """
 
-    __slots__ = ("preds", "sorted")
+    __slots__ = ("preds",)
 
     def __init__(self):
-        self.preds: dict[str, dict[tuple, frozenset[BeliefLit]]] = {}
-        self.sorted: dict[str, list[BeliefLit]] = {}
+        self.preds: dict[str, dict[tuple, tuple[BeliefLit, ...]]] = {}
 
     def copy(self) -> WorkingMemory:
         """A store to edit: both dict levels are copied, the groups shared."""
         new = WorkingMemory()
         new.preds = {pred: dict(groups) for pred, groups in self.preds.items()}
-        new.sorted = dict(self.sorted)
         return new
 
     def beliefs(self) -> frozenset[BeliefLit]:
@@ -326,53 +347,78 @@ class WorkingMemory:
     def __repr__(self) -> str:
         return f"WorkingMemory({sorted(self.beliefs(), key=BeliefLit.key)!r})"
 
-    def group(self, atom: Atom, positive: bool) -> frozenset[BeliefLit]:
+    def group(self, atom: Atom, positive: bool) -> tuple[BeliefLit, ...]:
         """The beliefs with atom's predicate and arguments and this polarity."""
-        return self.preds.get(atom.pred, {}).get((atom.args, positive), frozenset())
+        return self.preds.get(atom.pred, {}).get((atom.args, positive), ())
 
     def target(self, atom: Atom, positive: bool) -> Optional[BeliefLit]:
-        """The belief of this polarity spanning the whole atom; a group is
-        disjoint, so there is at most one."""
+        """The belief of this polarity spanning the whole atom: only the
+        last belief of the group that starts by the atom's start can."""
         span = atom.interval()
-        return next((b for b in self.group(atom, positive) if subset(span, b.interval())), None)
+        group = self.group(atom, positive)
+        i = bisect_right(group, span.lo, key=_lo)
+        if i and span.hi <= _hi(group[i - 1]):
+            return group[i - 1]
+        return None
 
     def covered(self, atom: Atom, positive: bool) -> bool:
         return self.target(atom, positive) is not None
 
-    def positives(self, pred: str) -> list[BeliefLit]:
-        """The positive beliefs of pred, sorted by BeliefLit.key."""
-        if pred not in self.sorted:
-            groups = self.preds.get(pred, {}).items()
-            self.sorted[pred] = sorted(
-                (b for (_, positive), group in groups if positive for b in group),
-                key=BeliefLit.key,
-            )
-        return self.sorted[pred]
+    def holds(self, b: BeliefLit) -> bool:
+        """b itself, not merely an equal belief, is held."""
+        group = self.group(b.atom, b.positive)
+        i = bisect_left(group, _lo(b), key=_lo)
+        return i < len(group) and group[i] is b
 
-    def swap(self, lit: BeliefLit, removed: Iterable[BeliefLit], added: Iterable[BeliefLit]) -> None:
-        """Replace beliefs within lit's group."""
+    def candidates(self, pat: Atom) -> Sequence[BeliefLit]:
+        """The positive beliefs pat may match: its group when its arguments
+        are ground, narrowed to the belief with pat's start or end when
+        that is ground; otherwise every positive belief of its predicate."""
+        groups = self.preds.get(pat.pred, {})
+        if any(is_var(a) for a in pat.args):
+            return [b for (_, positive), group in groups.items() if positive for b in group]
+        group = groups.get((pat.args, True), ())
+        if pat.start.var is None:
+            i = bisect_left(group, pat.start.offset, key=_lo)
+        elif pat.end.var is None:
+            i = bisect_left(group, pat.end.offset, key=_hi)
+        else:
+            return group
+        return group[i : i + 1]
+
+    def _put(self, lit: BeliefLit, group: tuple[BeliefLit, ...]) -> None:
+        """Make group the beliefs of lit's group."""
         groups = self.preds.setdefault(lit.atom.pred, {})
         key = (lit.atom.args, lit.positive)
-        group = groups.get(key, frozenset()).difference(removed).union(added)
         if group:
             groups[key] = group
         else:
             groups.pop(key, None)
-        if not groups:
-            del self.preds[lit.atom.pred]
-        self.sorted.pop(lit.atom.pred, None)
+            if not groups:
+                del self.preds[lit.atom.pred]
 
-    def insert(self, lit: BeliefLit) -> None:
-        """Add lit, replacing the beliefs of its group that overlap it or
-        are adjacent to it by their hull with it."""
+    def swap(self, old: BeliefLit, parts: Sequence[BeliefLit]) -> None:
+        """Replace the held belief old by parts: sorted beliefs inside it."""
+        group = self.group(old.atom, old.positive)
+        i = bisect_left(group, _lo(old), key=_lo)
+        if i == len(group) or group[i] != old:
+            raise NoSuchBelief(f"no belief {old} in working memory")
+        self._put(old, group[:i] + tuple(parts) + group[i + 1 :])
+
+    def insert(self, lit: BeliefLit) -> Optional[BeliefLit]:
+        """Add lit: the run of its group that overlaps it or is adjacent
+        to it is replaced by their hull with it.  Return the belief added,
+        or None when a held belief already spans lit."""
         span = lit.interval()
-        touching = {
-            b: iv
-            for b in self.group(lit.atom, lit.positive)
-            if (iv := b.interval()).lo <= span.hi + 1 and span.lo <= iv.hi + 1
-        }
-        merged = reduce(hull, touching.values(), span)
-        self.swap(lit, touching, (_make_lit(lit.atom.pred, lit.atom.args, lit.positive, merged),))
+        group = self.group(lit.atom, lit.positive)
+        i = bisect_left(group, span.lo - 1, key=_hi)
+        j = bisect_right(group, span.hi + 1, key=_lo)
+        if j - i == 1 and _lo(group[i]) <= span.lo and span.hi <= _hi(group[i]):
+            return None
+        merged = reduce(hull, (b.interval() for b in group[i:j]), span)
+        added = _make_lit(lit.atom.pred, lit.atom.args, lit.positive, merged)
+        self._put(lit, group[:i] + (added,) + group[j:])
+        return added
 
     def restructure(self, target: BeliefLit, denied: Interval) -> Restructured:
         """Replace target by its parts outside the denied span."""
@@ -383,8 +429,33 @@ class WorkingMemory:
                 for p in difference(target.interval(), denied)
             ),
         )
-        self.swap(target, (target,), event.parts)
+        self.swap(target, event.parts)
         return event
+
+    def added_since(self, old: WorkingMemory) -> Iterator[BeliefLit]:
+        """The positive beliefs held here but not in old, an earlier
+        version of this store; only the groups not shared are compared."""
+        for pred, groups in self.preds.items():
+            before = old.preds.get(pred, {})
+            for key, group in groups.items():
+                if key[1] and group is not (prior := before.get(key)):
+                    held = set(map(id, prior or ()))
+                    yield from (b for b in group if id(b) not in held)
+
+
+@dataclass(frozen=True, eq=False)
+class _Chaining:
+    """What infer_fixpoint leaves for the next call on the state it
+    returns: the rules and fired set it ran with, the store it ended on,
+    and per rule its dormant instances, as agenda entries keyed by the
+    conclusion's arguments.  At the fixpoint every other candidate binding
+    is fired, or its conclusion cannot be instantiated, so the next call
+    need only join the beliefs added since."""
+
+    rules: tuple[Rule, ...]
+    fired: frozenset
+    memory: WorkingMemory
+    dormant: tuple[dict[tuple, list[tuple]], ...]
 
 
 @dataclass(frozen=True)
@@ -394,6 +465,7 @@ class AgentState:
     clock: TimePoint = 0
     trace: tuple[TraceEvent, ...] = ()
     fired: frozenset = frozenset()
+    chaining: Optional[_Chaining] = field(default=None, compare=False, repr=False)
 
     @property
     def wm(self) -> frozenset[BeliefLit]:
@@ -431,9 +503,11 @@ def perceive(st: AgentState, lit: Union[Formula, BeliefLit], at: TimePoint) -> A
     memory = st.memory.copy()
     events: list[TraceEvent] = []
     span = belief.interval()
-    for other in sorted(memory.group(belief.atom, not belief.positive), key=BeliefLit.key):
-        if not intersect(other.interval(), span).is_empty():
-            events.append(memory.restructure(other, span))
+    opposite = memory.group(belief.atom, not belief.positive)
+    for other in opposite[
+        bisect_left(opposite, span.lo, key=_hi) : bisect_right(opposite, span.hi, key=_lo)
+    ]:
+        events.append(memory.restructure(other, span))
     memory.insert(belief)
     events.append(Perceived(belief, at))
     return replace(st, memory=memory, clock=at, trace=st.trace + tuple(events))
@@ -447,19 +521,27 @@ def _binding_key(items: tuple):
     return (tuple(v for _, v in times), tuple(v for _, v in objs), times + objs)
 
 
-def _candidate_bindings(memory: WorkingMemory, rule: Rule) -> list[tuple]:
-    """All complete premise bindings, each once as its (variable, value)
-    pairs sorted by variable, in _binding_key order.
+def _candidate_bindings(
+    memory: WorkingMemory, rule: Rule, seed: Optional[BeliefLit] = None, at: int = -1
+) -> dict[tuple, tuple[BeliefLit, ...]]:
+    """The complete premise bindings, each as its (variable, value) pairs
+    sorted by variable, mapped to the beliefs that support its premises.
 
-    Variables bind by syntactic match against the beliefs of the premise's
-    predicate; a premise that is already ground only needs a covering
-    belief.  Box constraints are checked once the binding is complete.
+    Variables bind by syntactic match against the positive beliefs of the
+    premise's predicate; a premise whose variables the earlier premises
+    all bind only needs a covering belief, which supports it.  Box
+    constraints are checked once the binding is complete.  Given a seed
+    belief, only the bindings it supports at premise position at: its
+    match there binds that premise's variables, or, for a premise tested
+    by coverage, its argument variables, before the walk starts.
     """
-    results: set[tuple] = set()
+    premises, covering = rule.premises, rule.covering
+    supports: list[Optional[BeliefLit]] = [None] * len(premises)
+    found: dict[tuple, tuple[BeliefLit, ...]] = {}
 
     def walk(i: int, binding: dict):
-        if i == len(rule.premises):
-            for p in rule.premises:
+        if i == len(premises):
+            for p in premises:
                 if p.box:
                     try:
                         lo = p.box[0].eval(binding)
@@ -469,23 +551,45 @@ def _candidate_bindings(memory: WorkingMemory, rule: Rule) -> list[tuple]:
                             return
                     except (BadInterval, UnboundVariable):
                         return
-            results.add(tuple(sorted(binding.items())))
+            found[tuple(sorted(binding.items()))] = tuple(supports)
+            return
+        if i == at and not covering[i]:
+            supports[i] = seed
+            walk(i + 1, binding)
             return
         try:
-            pat = substitute(rule.premises[i].atom, binding)
+            pat = substitute(premises[i].atom, binding)
         except BadInterval:
             return
-        if pat.is_ground():
-            if memory.covered(pat, True):
+        if covering[i]:
+            if i != at:
+                supports[i] = memory.target(pat, True)
+            elif subset(pat.interval(), seed.interval()):
+                supports[i] = seed
+            else:
+                return
+            if supports[i] is not None:
                 walk(i + 1, binding)
             return
-        for b in memory.positives(pat.pred):
+        for b in memory.candidates(pat):
             m = match_atom(pat, b.atom)
             if m is not None:
+                supports[i] = b
                 walk(i + 1, {**binding, **m})
 
-    walk(0, {})
-    return sorted(results, key=_binding_key)
+    if seed is None:
+        walk(0, {})
+    elif covering[at]:
+        names = premises[at].atom.args
+        if len(names) == len(seed.atom.args):
+            binding: dict = {}
+            for x, a in zip(names, seed.atom.args):
+                if (binding.setdefault(x, a) if is_var(x) else x) != a:
+                    return found
+            walk(0, binding)
+    elif (m := match_atom(premises[at].atom, seed.atom)) is not None:
+        walk(0, m)
+    return found
 
 
 def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
@@ -498,30 +602,77 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
     span lies inside it; otherwise the instance stays dormant.  Raises
     BudgetExhausted after the given number of firings.
 
-    A rule's scan reads only the beliefs of the predicates it mentions and
-    the fired set, which only grows.  So a rule whose scan fired nothing is
-    skipped on later restarts until a firing changes one of its predicates.
+    The scan is kept incrementally, and its firings are exactly those of a
+    full rescan.  Each rule has an agenda: a heap of candidate bindings in
+    scan order, each with the beliefs supporting its premises.  When the
+    scan reaches a rule, the beliefs added since are joined at the rule's
+    premises of their predicate.  A popped binding whose support is no longer
+    held is dropped; one that fired or whose positive conclusion is held
+    is done for good; a dormant one waits until a belief joins its
+    conclusion's group.  The state returned keeps the dormant instances,
+    so the next call on it joins only the beliefs added since.
     """
+    rules = st.rules
     memory = st.memory.copy()
     fired = set(st.fired)
     events: list[TraceEvent] = []
-    readers: dict[str, list[int]] = {}  # predicate -> rules that mention it
-    for ridx, rule in enumerate(st.rules):
-        for pred in {p.atom.pred for p in rule.premises} | {rule.conclusion.pred}:
-            readers.setdefault(pred, []).append(ridx)
-    clean: set[int] = set()  # rules whose last scan fired nothing
+    reads: dict[str, list[int]] = {}  # predicate -> rules with a premise of it
+    denies: dict[str, list[int]] = {}  # predicate -> rules denying it
+    for ridx, rule in enumerate(rules):
+        for pred in {p.atom.pred for p in rule.premises}:
+            reads.setdefault(pred, []).append(ridx)
+        if not rule.positive:
+            denies.setdefault(rule.conclusion.pred, []).append(ridx)
+    kept = st.chaining
+    reuse = kept is not None and kept.rules is rules and kept.fired is st.fired
+    rescan = [not reuse] * len(rules)
+    if reuse:
+        dormant = [{args: list(entries) for args, entries in d.items()} for d in kept.dormant]
+    else:
+        dormant = [{} for _ in rules]
+    agendas: list[list] = [[] for _ in rules]
+    pending: list[list[BeliefLit]] = [[] for _ in rules]
+    order = count()  # heap tie-break: the same binding may be queued twice
     firings = 0
 
-    def fire_first() -> Optional[str]:
-        """Fire the first instance that can fire and return the predicate
-        it changed, or None at the fixpoint."""
+    def added(b: BeliefLit) -> None:
+        """Note a positive belief added to the store."""
+        for ridx in reads.get(b.atom.pred, ()):
+            pending[ridx].append(b)
+        for ridx in denies.get(b.atom.pred, ()):
+            for key, items, supports in dormant[ridx].pop(b.atom.args, ()):
+                heappush(agendas[ridx], (key, next(order), items, supports))
+
+    def refresh(ridx: int, rule: Rule) -> None:
+        """Queue the rule's bindings that the beliefs added since use."""
+        seeds, pending[ridx] = pending[ridx], []
+        if rescan[ridx]:
+            rescan[ridx] = False
+            dormant[ridx] = {}
+            agendas[ridx] = sorted(
+                (_binding_key(items), next(order), items, supports)
+                for items, supports in _candidate_bindings(memory, rule).items()
+            )
+            return
+        found: dict[tuple, tuple] = {}
+        for b in filter(memory.holds, seeds):
+            for at, p in enumerate(rule.premises):
+                if p.atom.pred == b.atom.pred:
+                    found.update(_candidate_bindings(memory, rule, b, at))
+        for items, supports in found.items():
+            heappush(agendas[ridx], (_binding_key(items), next(order), items, supports))
+
+    def fire_first() -> bool:
+        """Fire the first instance that can fire; False at the fixpoint."""
         nonlocal firings
-        for ridx, rule in enumerate(st.rules):
-            if ridx in clean:
-                continue
-            for items in _candidate_bindings(memory, rule):
-                key = (ridx, items)
-                if key in fired:
+        for ridx, rule in enumerate(rules):
+            if rescan[ridx] or pending[ridx]:
+                refresh(ridx, rule)
+            agenda = agendas[ridx]
+            while agenda:
+                key, _, items, supports = heappop(agenda)
+                done = (ridx, items)
+                if done in fired or not all(map(memory.holds, supports)):
                     continue
                 try:
                     concl = substitute(rule.conclusion, dict(items))
@@ -531,36 +682,47 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
                 target = None
                 if rule.positive:
                     if memory.covered(concl, True):
-                        fired.add(key)
+                        fired.add(done)
                         continue
                 else:
                     target = memory.target(concl, True)
                     if target is None:
+                        dormant[ridx].setdefault(concl.args, []).append((key, items, supports))
                         continue
                 firings += 1
                 if firings > budget:
                     raise BudgetExhausted(f"gave up after {budget} firings")
                 events.append(Fired(ridx, rule.text, items, lit))
                 if target is None:
-                    memory.insert(lit)
+                    added(memory.insert(lit))
                 else:
-                    events.append(memory.restructure(target, concl.interval()))
-                fired.add(key)
-                return concl.pred
-            clean.add(ridx)
-        return None
+                    event = memory.restructure(target, concl.interval())
+                    events.append(event)
+                    for part in event.parts:
+                        added(part)
+                fired.add(done)
+                return True
+        return False
 
-    while (changed := fire_first()) is not None:
-        clean.difference_update(readers[changed])
+    if reuse:
+        for b in memory.added_since(kept.memory):
+            added(b)
+    while fire_first():
+        pass
+    fired_now = frozenset(fired)
     return replace(
-        st, memory=memory, trace=st.trace + tuple(events), fired=frozenset(fired)
+        st,
+        memory=memory,
+        trace=st.trace + tuple(events),
+        fired=fired_now,
+        chaining=_Chaining(rules, fired_now, memory, tuple(dormant)),
     )
 
 
 def revise(st: AgentState, p: Atom, q: Atom) -> AgentState:
     """Restructure the held belief q around the contradicting span of p."""
-    target = next((b for b in st.memory.group(q, True) if b.atom == q), None)
-    if target is None:
+    target = st.memory.target(q, True)
+    if target is None or target.atom != q:
         raise NoSuchBelief(f"no belief {print_formula(q)} in working memory")
     if intersect(p.interval(), q.interval()).is_empty():
         raise ValueError(
@@ -646,7 +808,7 @@ def replay(rules: Iterable[Union[Rule, Formula, str]], trace: Sequence[TraceEven
             if ev.conclusion.positive:
                 memory.insert(ev.conclusion)
         elif isinstance(ev, Restructured):
-            memory.swap(ev.removed, (ev.removed,), ev.parts)
+            memory.swap(ev.removed, ev.parts)
         elif isinstance(ev, Conjoined):
             pass
         else:

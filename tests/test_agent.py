@@ -6,11 +6,13 @@ from pathlib import Path
 
 import pytest
 
+import tdlek.agent
 from tdlek.intervals import INF, TimeExpr
 from tdlek.formulas import Atom, parse
 from tdlek.models import check, validate_model
 from tdlek.agent import (
     BudgetExhausted,
+    Fired,
     MalformedRule,
     NoSuchBelief,
     ScenarioError,
@@ -136,6 +138,34 @@ def test_marriage_restructuring():
         "married(6,8)",
         "marryA(5,5)",
     ]
+
+
+def test_umbrella_chaining_work_is_linear(monkeypatch):
+    # n point perceptions two apart, then one infer: each belief is joined
+    # once per premise of its predicate, so the matching and coverage work
+    # stays linear in n (a rescan after every firing made it quadratic)
+    n = 480
+    st = init(UMBRELLA_RULES)
+    for i in range(n):
+        st = perceive(st, atom("rain", 2 * i, 2 * i), 2 * i)
+    calls = {"match_atom": 0, "subset": 0}
+
+    def counted(name):
+        original = getattr(tdlek.agent, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(tdlek.agent, name, counted(name))
+    out = infer_fixpoint(st)
+    assert sum(isinstance(ev, Fired) for ev in out.trace) == n + 1
+    assert len(out.wm) == 2 * n + 1
+    assert calls["match_atom"] <= 4 * n
+    assert calls["subset"] <= 8 * n
 
 
 def test_fixpoint_without_applicable_rules():

@@ -12,9 +12,16 @@ premises, boxed premises (some with a bound that can evaluate to inf),
 negative conclusions and negative perceptions, and they reuse conclusion
 predicates as premises of other rules, so a firing changes what another
 rule can match or restructure after that rule was last scanned.
+
+``infer`` keeps its agendas in the state it returns, for the next call.
+So the runs also change that state between two calls in every way a
+caller can: a rule appended after some ``infer``s, an ``infer`` on a
+``replay``ed state, an ``infer`` right after a ``revise``, and a second
+``infer`` with nothing in between.
 """
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -40,6 +47,7 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 PREDS = ("p", "q", "r", "s", "u")
 OBJECTS = ("a", "b")
 SEEDS = range(150)
+LATE_SEEDS = range(150, 250)
 
 
 def _premise(rng, pred: str, tvars: list[str], ovars: list[str]) -> str:
@@ -135,6 +143,20 @@ def random_script(seed: int, events: int = 24) -> list[str]:
     return lines
 
 
+def with_late_rules(lines: list[str], seed: int) -> list[str]:
+    """The script with one or two of its rules, never the first, moved to
+    just after a random infer, so they join a state that was inferred
+    without them."""
+    rng = random.Random(seed)
+    rules = [line for line in lines if line.startswith("rule ")]
+    late = rng.sample(rules[1:], k=min(len(rules) - 1, rng.choice((1, 2))))
+    out = [line for line in lines if line not in late]
+    for line in late:
+        infers = [i for i, x in enumerate(out) if x == "infer"]
+        out.insert(rng.choice(infers) + 1, line)
+    return out
+
+
 def firings(before, after) -> int:
     return sum(1 for ev in after.trace[len(before.trace):] if isinstance(ev, Fired))
 
@@ -188,15 +210,42 @@ def run_both(lines: list[str], budget: int, seed: int) -> dict:
     """Drive a script's rule, perceive and infer lines through the agent
     and the reference in step, revising a held belief after some
     perceptions, comparing the two states after every step and the
-    replay of the final trace; returns counts of what the run exercised."""
-    rules = [line[5:] for line in lines if line.startswith("rule ")]
-    st = init(rules)
-    want = ref.State(st.rules)
+    replay of the final trace; returns counts of what the run exercised.
+
+    A second stream, so that the first one's revisions stay as they were,
+    adds the calls that change what a kept agenda sees: an infer right
+    after some revisions, and after some infers another infer or a replay
+    of the trace."""
+    st = init([])
+    want = ref.State()
     rng = random.Random(seed)
-    seen = {"infers": 0, "firings": 0, "restructured": 0, "exhausted": 0, "revised": 0}
+    twist = random.Random(-1 - seed)
+    seen = {"infers": 0, "firings": 0, "restructured": 0, "exhausted": 0, "revised": 0,
+            "replayed": 0, "late rules": 0}
+
+    def infer() -> bool:
+        """Infer in both; False when both exhausted the budget."""
+        nonlocal st, want
+        after = assert_same_infer(st, want, budget)
+        seen["infers"] += 1
+        if after is None:
+            seen["exhausted"] += 1
+            return False
+        seen["firings"] += firings(st, after[0])
+        seen["restructured"] += sum(
+            1 for ev in after[0].trace[len(st.trace):] if isinstance(ev, Restructured)
+        )
+        st, want = after
+        return True
+
     for line in lines:
         word, _, rest = line.partition(" ")
-        if word == "perceive":
+        if word == "rule":
+            rule = rule_from_formula(parse(rest))
+            seen["late rules"] += seen["infers"] > 0
+            st = replace(st, rules=st.rules + (rule,))
+            want = replace(want, rules=want.rules + (rule,))
+        elif word == "perceive":
             lit, _, at = rest.partition("@")
             st = perceive(st, parse(lit.strip()), int(at))
             want = ref.perceive(want, literal(parse(lit.strip())), int(at))
@@ -206,17 +255,18 @@ def run_both(lines: list[str], budget: int, seed: int) -> dict:
                 st, want = revise(st, *pair), ref.revise(want, *pair)
                 assert_same(st, want)
                 seen["revised"] += 1
+                if twist.random() < 0.5 and not infer():
+                    break
         elif word == "infer":
-            after = assert_same_infer(st, want, budget)
-            seen["infers"] += 1
-            if after is None:
-                seen["exhausted"] += 1
+            if not infer():
                 break
-            seen["firings"] += firings(st, after[0])
-            seen["restructured"] += sum(
-                1 for ev in after[0].trace[len(st.trace):] if isinstance(ev, Restructured)
-            )
-            st, want = after
+            roll = twist.random()
+            if roll < 0.15 and not infer():
+                break
+            if roll > 0.9:
+                st, want = replay(st.rules, st.trace), ref.replay(want.rules, want.trace)
+                assert_same(st, want)
+                seen["replayed"] += 1
     rebuilt = replay(st.rules, st.trace)
     assert rebuilt.wm == st.wm == ref.replay(want.rules, want.trace).wm
     assert rebuilt.render_wm() == st.render_wm()
@@ -224,16 +274,29 @@ def run_both(lines: list[str], budget: int, seed: int) -> dict:
     return seen
 
 
+def run_many(scripts) -> dict:
+    totals: dict = {}
+    for seed, lines in scripts:
+        for k, v in run_both(lines, budget=40, seed=seed).items():
+            totals[k] = totals.get(k, 0) + v
+    return totals
+
+
 def test_random_scripts_agree_with_reference():
-    totals = {"infers": 0, "firings": 0, "restructured": 0, "exhausted": 0, "revised": 0}
-    for seed in SEEDS:
-        for k, v in run_both(random_script(seed), budget=40, seed=seed).items():
-            totals[k] += v
-    # the streams exercise firing, restructuring, revision and budget exhaustion
+    totals = run_many((seed, random_script(seed)) for seed in SEEDS)
+    # the streams exercise firing, restructuring, revision, budget
+    # exhaustion and the calls that change a state between two infers
     assert totals["firings"] > 400
     assert totals["restructured"] > 50
     assert totals["revised"] > 100
     assert totals["exhausted"] > 0
+    assert totals["replayed"] > 50
+
+
+def test_rules_added_after_infer_agree_with_reference():
+    totals = run_many((seed, with_late_rules(random_script(seed), seed)) for seed in LATE_SEEDS)
+    assert totals["late rules"] > 100
+    assert totals["firings"] > 200
 
 
 @pytest.mark.parametrize("name", ["umbrella.scn", "marriage.scn"])
