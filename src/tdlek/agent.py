@@ -49,6 +49,7 @@ from .formulas import (
     Top,
     free_vars,
     is_var,
+    literal_parts,
     parse,
     print_formula,
     substitute,
@@ -111,11 +112,10 @@ class BeliefLit:
 def _as_literal(lit: Union[Formula, BeliefLit]) -> BeliefLit:
     if isinstance(lit, BeliefLit):
         return lit
-    if isinstance(lit, Atom):
-        return BeliefLit(lit, True)
-    if isinstance(lit, Not) and isinstance(lit.body, Atom):
-        return BeliefLit(lit.body, False)
-    raise ValueError(f"not a literal: {print_formula(lit)}")
+    parts = literal_parts(lit)
+    if parts is None:
+        raise ValueError(f"not a literal: {print_formula(lit)}")
+    return BeliefLit(*parts)
 
 
 def _make_lit(pred: str, args: tuple[str, ...], positive: bool, iv: Interval) -> BeliefLit:
@@ -160,7 +160,8 @@ def rule_from_formula(f: Formula) -> Rule:
 
     Premises are atoms, optionally boxed, joined by &.  The conclusion is
     an atom or a negated atom.  Every conclusion or box-bound variable
-    must occur in some premise atom, so grounding on demand terminates.
+    must occur in some premise atom, so grounding on demand terminates,
+    and no variable may stand both for a time and for an object.
     """
     text = print_formula(f)
     body = f.body if isinstance(f, Knowledge) else f
@@ -184,22 +185,21 @@ def rule_from_formula(f: Formula) -> Rule:
 
     gather(body.left)
 
-    concl = body.right
-    if isinstance(concl, Atom):
-        conclusion, positive = concl, True
-    elif isinstance(concl, Not) and isinstance(concl.body, Atom):
-        conclusion, positive = concl.body, False
-    else:
-        raise MalformedRule(f"conclusion must be a literal: {print_formula(concl)}")
+    literal = literal_parts(body.right)
+    if literal is None:
+        raise MalformedRule(f"conclusion must be a literal: {print_formula(body.right)}")
+    conclusion, positive = literal
 
-    bound = frozenset().union(*(free_vars(p.atom) for p in premises)) if premises else frozenset()
-    needed = free_vars(conclusion)
-    for p in premises:
-        if p.box:
-            needed |= p.box[0].vars() | p.box[1].vars()
-    loose = needed - bound
+    box_vars = frozenset().union(*(te.vars() for p in premises for te in p.box or ()))
+    bound = frozenset().union(*(free_vars(p.atom) for p in premises))
+    loose = (free_vars(conclusion) | box_vars) - bound
     if loose:
         raise MalformedRule(f"unbound conclusion variables {sorted(loose)} in: {text}")
+    atoms = [p.atom for p in premises] + [conclusion]
+    times = box_vars.union(*(te.vars() for a in atoms for te in (a.start, a.end)))
+    mixed = times & {x for a in atoms for x in a.args if is_var(x)}
+    if mixed:
+        raise MalformedRule(f"variables {sorted(mixed)} used both as times and as objects in: {text}")
     return Rule(tuple(premises), conclusion, positive, text)
 
 

@@ -27,11 +27,7 @@ def _err(msg: str) -> None:
 
 
 def cmd_parse(args) -> int:
-    try:
-        f = parse(args.formula)
-    except FormulaSyntaxError as exc:
-        _err(f"parse error: {exc}")
-        return USAGE_ERROR
+    f = parse(args.formula)
     print(print_formula(f))
     if args.dump:
         print(json.dumps(ast_dict(f), sort_keys=True))
@@ -47,11 +43,7 @@ def cmd_check(args) -> int:
     if args.world not in model.worlds:
         _err(f"no world {args.world!r} in {args.model}")
         return USAGE_ERROR
-    try:
-        f = parse(args.formula)
-    except FormulaSyntaxError as exc:
-        _err(f"parse error: {exc}")
-        return USAGE_ERROR
+    f = parse(args.formula)
     if not is_ground(f):
         _err("check needs a ground formula")
         return USAGE_ERROR
@@ -60,11 +52,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    try:
-        f = parse(args.formula)
-    except FormulaSyntaxError as exc:
-        _err(f"parse error: {exc}")
-        return USAGE_ERROR
+    f = parse(args.formula)
     try:
         print(print_formula(reduce_formula(f)))
     except NonGround as exc:
@@ -180,7 +168,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else OK
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except FormulaSyntaxError as exc:
+        _err(f"parse error: {exc}")
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ from .formulas import (
     Revise,
     children,
     is_ground,
+    literal_parts,
     op_time,
     print_formula,
     print_mental_op,
@@ -69,13 +70,9 @@ class OpOutcome:
     delta: dict = field(default_factory=dict)
 
 
-def _is_literal(f: Formula) -> bool:
-    return isinstance(f, Atom) or (isinstance(f, Not) and isinstance(f.body, Atom))
-
-
 def _validate_op(op: MentalOp) -> None:
     if isinstance(op, Learn):
-        if not _is_literal(op.literal):
+        if literal_parts(op.literal) is None:
             raise MalformedOp(f"+ needs an atom or negated atom, got {print_formula(op.literal)}")
     elif isinstance(op, Infer):
         if not isinstance(op.conclusion, Atom):
@@ -106,7 +103,8 @@ def wider_belief_exists(m: TLekModel, wid: str, op: Revise) -> bool:
     return False
 
 
-def _residual_atoms(op: Revise) -> list[Atom]:
+def residual_atoms(op: Revise) -> list[Atom]:
+    """The target's atoms over the sub-intervals that the trigger leaves."""
     parts = difference(op.target.interval(), op.trigger.interval())
     return [
         Atom(
@@ -178,7 +176,7 @@ def _update(m: TLekModel, op: MentalOp) -> tuple[Optional[TLekModel], bool, dict
             removes.append(
                 Atom(op.target.pred, TimeExpr.lit(cut.lo), TimeExpr.lit(cut.hi), op.target.args)
             )
-            adds.extend(_residual_atoms(op))
+            adds.extend(residual_atoms(op))
     else:
         guard, gained = _effect(op)
         if guard is not None:

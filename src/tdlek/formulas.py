@@ -253,6 +253,13 @@ class Dynamic(Formula):
 Node = Union[Formula, MentalOp]
 
 
+def literal_parts(f: Formula) -> Optional[tuple[Atom, bool]]:
+    """(atom, positive) of an atom or negated atom; None for any other formula."""
+    positive = not isinstance(f, Not)
+    atom = f if positive else f.body
+    return (atom, positive) if isinstance(atom, Atom) else None
+
+
 def children(f: Node) -> list[Node]:
     """The node's sub-formulas and mental operations, in _parts order."""
     return [getattr(f, name) for name in f._parts]
@@ -733,26 +740,6 @@ def fits(t: Optional[Interval], within: Interval) -> bool:
 # AST dump
 # ---------------------------------------------------------------------------
 
-_NODE_NAMES = {
-    Atom: "atom",
-    Top: "true",
-    Bot: "false",
-    Not: "not",
-    And: "and",
-    Or: "or",
-    Implies: "implies",
-    Iff: "iff",
-    Belief: "belief",
-    Knowledge: "knowledge",
-    Always: "always",
-    Dynamic: "dynamic",
-    Learn: "learn",
-    Conj: "conj",
-    Infer: "infer",
-    Revise: "revise",
-}
-
-
 def _te_dict(te: TimeExpr):
     if te.var is None:
         return fmt_time(te.offset) if te.offset == INF else te.offset
@@ -762,10 +749,12 @@ def _te_dict(te: TimeExpr):
 def ast_dict(f: Node) -> dict:
     """Machine-readable nested-record dump of the AST (JSON compatible).
 
-    A formula's kind is under "node", a mental operation's under "op"; the
-    other keys are the node's field names.
+    A formula's kind is under "node", a mental operation's under "op": its
+    class name in lower case, or true/false for the constants.  The other
+    keys are the node's field names.
     """
-    out = {"op" if isinstance(f, MentalOp) else "node": _NODE_NAMES[type(f)]}
+    kind = _TOKEN[type(f)] if type(f) in _CONSTANT.values() else type(f).__name__.lower()
+    out = {"op" if isinstance(f, MentalOp) else "node": kind}
     for fld in fields(f):
         value = getattr(f, fld.name)
         if isinstance(value, TimeExpr):

@@ -481,7 +481,10 @@ def load_model(text: str) -> TLekModel:
             rest_no_sets = re.sub(r"\{[^{}]*\}", "", rest).strip()
             if rest_no_sets:
                 raise ModelFormatError(f"line {lineno}: stray text {rest_no_sets!r}")
-            nbhd[wid.strip()] = family
+            wid = wid.strip()
+            if wid in nbhd:
+                raise ModelFormatError(f"line {lineno}: duplicate nbhd line for world {wid!r}")
+            nbhd[wid] = family
         else:
             raise ModelFormatError(f"line {lineno}: content before any section header")
     try:

@@ -33,6 +33,26 @@ from .models import TLekModel
 
 Vocab = Sequence[Atom]
 
+# Node kinds per generator, as (roll bound, class): one draw of
+# rng.random() picks the first class whose bound exceeds it.
+_STATIC_KINDS = (
+    (0.40, Atom), (0.52, Not), (0.66, And), (0.73, Or), (0.79, Implies),
+    (0.83, Iff), (0.92, Belief), (0.985, Knowledge), (1.0, Always),
+)
+_BODY_KINDS = (
+    (0.40, Atom), (0.54, Not), (0.72, And), (0.80, Or),
+    (0.885, Belief), (0.997, Knowledge), (1.0, Always),
+)
+_FREE_KINDS = (
+    (0.30, Atom), (0.40, Not), (0.50, And), (0.57, Or), (0.64, Implies),
+    (0.70, Iff), (0.78, Belief), (0.86, Knowledge), (0.92, Always), (1.0, Dynamic),
+)
+
+
+def _pick(rng: random.Random, kinds) -> type:
+    roll = rng.random()
+    return next(cls for bound, cls in kinds if roll < bound)
+
 
 def model_vocab(m: TLekModel) -> list[Atom]:
     atoms = {a for w in m.worlds.values() for a in w.atoms}
@@ -55,40 +75,15 @@ def gen_literal(rng: random.Random, vocab: Vocab, horizon: int) -> Formula:
 
 
 def gen_static(rng: random.Random, vocab: Vocab, horizon: int, depth: int = 2) -> Formula:
-    if depth <= 0:
+    cls = Atom if depth <= 0 else _pick(rng, _STATIC_KINDS)
+    if cls is Atom:
         return gen_vocab_atom(rng, vocab, horizon)
-    roll = rng.random()
-    if roll < 0.40:
-        return gen_vocab_atom(rng, vocab, horizon)
-    if roll < 0.52:
-        return Not(gen_static(rng, vocab, horizon, depth - 1))
-    if roll < 0.66:
-        return And(
-            gen_static(rng, vocab, horizon, depth - 1),
-            gen_static(rng, vocab, horizon, depth - 1),
-        )
-    if roll < 0.73:
-        return Or(
-            gen_static(rng, vocab, horizon, depth - 1),
-            gen_static(rng, vocab, horizon, depth - 1),
-        )
-    if roll < 0.79:
-        return Implies(
-            gen_static(rng, vocab, horizon, depth - 1),
-            gen_static(rng, vocab, horizon, depth - 1),
-        )
-    if roll < 0.83:
-        return Iff(
-            gen_static(rng, vocab, horizon, depth - 1),
-            gen_static(rng, vocab, horizon, depth - 1),
-        )
-    if roll < 0.92:
-        return Belief(gen_static(rng, vocab, horizon, depth - 1))
-    if roll < 0.985:
-        return Knowledge(gen_static(rng, vocab, horizon, depth - 1))
-    lo = rng.randint(0, horizon)
-    hi = INF if rng.random() < 0.5 else rng.randint(lo, horizon)
-    return Always(TimeExpr.lit(lo), TimeExpr.lit(hi), gen_static(rng, vocab, horizon, depth - 1))
+    sub = lambda: gen_static(rng, vocab, horizon, depth - 1)  # noqa: E731
+    if cls is Always:
+        lo = rng.randint(0, horizon)
+        hi = INF if rng.random() < 0.5 else rng.randint(lo, horizon)
+        return Always(TimeExpr.lit(lo), TimeExpr.lit(hi), sub())
+    return cls(*(sub() for _ in cls._parts))
 
 
 def gen_mental_op(rng: random.Random, vocab: Vocab, horizon: int, dyn_depth: int = 0) -> MentalOp:
@@ -120,27 +115,15 @@ def gen_dynamic_body(rng: random.Random, vocab: Vocab, horizon: int, dyn_depth: 
             gen_mental_op(rng, vocab, horizon),
             gen_dynamic_body(rng, vocab, horizon, dyn_depth - 1),
         )
-    roll = rng.random()
-    if roll < 0.40:
+    cls = _pick(rng, _BODY_KINDS)
+    if cls is Atom:
         return gen_vocab_atom(rng, vocab, horizon)
-    if roll < 0.54:
-        return Not(gen_dynamic_body(rng, vocab, horizon, 0))
-    if roll < 0.72:
-        return And(
-            gen_dynamic_body(rng, vocab, horizon, 0),
-            gen_dynamic_body(rng, vocab, horizon, 0),
-        )
-    if roll < 0.80:
-        return Or(
-            gen_dynamic_body(rng, vocab, horizon, 0),
-            gen_dynamic_body(rng, vocab, horizon, 0),
-        )
-    if roll < 0.885:
-        return Belief(gen_static(rng, vocab, horizon, 1))
-    if roll < 0.997:
-        return Knowledge(gen_static(rng, vocab, horizon, 1))
-    lo = rng.randint(0, horizon)
-    return Always(TimeExpr.lit(lo), TimeExpr.lit(INF), gen_vocab_atom(rng, vocab, horizon))
+    if cls is Always:
+        lo = rng.randint(0, horizon)
+        return Always(TimeExpr.lit(lo), TimeExpr.lit(INF), gen_vocab_atom(rng, vocab, horizon))
+    if cls in (Belief, Knowledge):
+        return cls(gen_static(rng, vocab, horizon, 1))
+    return cls(*(gen_dynamic_body(rng, vocab, horizon, 0) for _ in cls._parts))
 
 
 def gen_dynamic_formula(rng: random.Random, vocab: Vocab, horizon: int, dyn_depth: int = 2) -> Dynamic:
@@ -196,27 +179,11 @@ def gen_free_atom(rng: random.Random, allow_vars: bool = True) -> Atom:
 
 def gen_free_formula(rng: random.Random, depth: int = 4, allow_vars: bool = True) -> Formula:
     """Arbitrary AST over the whole grammar, for parse/print round trips."""
-    if depth <= 0:
+    cls = Atom if depth <= 0 else _pick(rng, _FREE_KINDS)
+    if cls is Atom:
         return gen_free_atom(rng, allow_vars)
-    roll = rng.random()
     sub = lambda: gen_free_formula(rng, depth - 1, allow_vars)  # noqa: E731
-    if roll < 0.30:
-        return gen_free_atom(rng, allow_vars)
-    if roll < 0.40:
-        return Not(sub())
-    if roll < 0.50:
-        return And(sub(), sub())
-    if roll < 0.57:
-        return Or(sub(), sub())
-    if roll < 0.64:
-        return Implies(sub(), sub())
-    if roll < 0.70:
-        return Iff(sub(), sub())
-    if roll < 0.78:
-        return Belief(sub())
-    if roll < 0.86:
-        return Knowledge(sub())
-    if roll < 0.92:
+    if cls is Always:
         lo = _gen_time_expr(rng, allow_vars)
         while lo.is_ground() and lo.offset == INF:
             lo = _gen_time_expr(rng, allow_vars)
@@ -224,6 +191,8 @@ def gen_free_formula(rng: random.Random, depth: int = 4, allow_vars: bool = True
         if lo.is_ground() and hi.is_ground() and lo.offset > hi.offset:
             lo, hi = TimeExpr.lit(0), TimeExpr.lit(INF)
         return Always(lo, hi, sub())
+    if cls is not Dynamic:
+        return cls(*(sub() for _ in cls._parts))
     op_roll = rng.random()
     if op_roll < 0.3:
         lit = gen_free_atom(rng, allow_vars)

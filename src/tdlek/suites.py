@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .intervals import INF, Interval, TimeExpr, difference, subset
+from .intervals import INF, Interval, TimeExpr, subset
 from .formulas import (
     And,
     Atom,
@@ -47,6 +47,7 @@ from .dynamics import (
     apply,
     check_dynamic,
     reduce_formula,
+    residual_atoms,
     wider_belief_exists,
 )
 from .randgen import gen_dynamic_formula, gen_literal, gen_mental_op, gen_static, model_vocab
@@ -266,21 +267,23 @@ def property1_suite(models: list[TLekModel], seed: int = 0, per_model: int = 6) 
                     continue
                 if wider_belief_exists(m, wid, op):
                     continue
-                residuals = difference(target.interval(), trigger.interval())
-                for part in residuals:
-                    residual = Atom(
-                        target.pred, TimeExpr.lit(part.lo), TimeExpr.lit(part.hi), target.args
-                    )
-                    report.total += 1
-                    f = Dynamic(op, Belief(residual))
-                    if not check_dynamic(m, wid, f):
-                        report.failures.append(
-                            _fail_text(m, wid, f, "revise validity failed")
-                        )
-                    else:
-                        applied["revise"] += 1
+                applied["revise"] += _check_residuals(report, m, wid, op)
     report.stats.update({f"applied_{k}": v for k, v in applied.items()})
     return report
+
+
+def _check_residuals(report: SuiteReport, m: TLekModel, wid: str, op: Revise) -> int:
+    """Check [op] B r at wid for each residual atom r of the revision; the
+    number that held."""
+    held = 0
+    for residual in residual_atoms(op):
+        report.total += 1
+        f = Dynamic(op, Belief(residual))
+        if check_dynamic(m, wid, f):
+            held += 1
+        else:
+            report.failures.append(_fail_text(m, wid, f, "revise validity failed"))
+    return held
 
 
 def _revise_pair(rng: random.Random, vocab) -> tuple[Atom, Atom] | None:
@@ -321,15 +324,7 @@ def property1_runner(count: int = 1000, seed: int = 0,
     # deterministic revision instance on the handcrafted fixture, so the
     # suite always exercises an applied revision
     m, trigger, target = _revise_fixture()
-    op = Revise(trigger, target)
-    for part in difference(target.interval(), trigger.interval()):
-        residual = Atom(target.pred, TimeExpr.lit(part.lo), TimeExpr.lit(part.hi), target.args)
-        report.total += 1
-        f = Dynamic(op, Belief(residual))
-        if check_dynamic(m, "w1", f):
-            report.stats["applied_revise"] = report.stats.get("applied_revise", 0) + 1
-        else:
-            report.failures.append(_fail_text(m, "w1", f, "revise validity failed"))
+    report.stats["applied_revise"] += _check_residuals(report, m, "w1", Revise(trigger, target))
     return report
 
 

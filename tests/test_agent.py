@@ -73,6 +73,29 @@ def test_unsafe_rule_rejected():
         init(["K(p(1,1))"])  # not an implication
 
 
+@pytest.mark.parametrize(
+    "rule",
+    ["K(p(T,T) -> ~~q(T,T))", "K(p(T,T) -> q(T,T) & r(T,T))"],
+)
+def test_conclusion_must_be_a_literal(rule):
+    with pytest.raises(MalformedRule, match="conclusion must be a literal"):
+        rule_from_formula(parse(rule))
+
+
+@pytest.mark.parametrize(
+    "rule, var",
+    [
+        ("K(p(T,T) & q(0,0,T) -> r(0,0))", "T"),
+        ("K(p(T,T) -> r(0,0,T))", "T"),
+        ("K(q(0,0,X) & p(X,X) -> r(0,0))", "X"),
+        ("K(box[0,X] p(0,0,X) -> r(0,0))", "X"),
+    ],
+)
+def test_variable_used_as_time_and_object_rejected(rule, var):
+    with pytest.raises(MalformedRule, match=f"variables \\['{var}'\\] used both"):
+        rule_from_formula(parse(rule))
+
+
 def test_boxed_premise_accepted():
     rule = rule_from_formula(parse("K(box[T,T+2] p(T,T) -> q(T,T))"))
     assert rule.premises[0].box is not None
@@ -108,6 +131,12 @@ def test_perceive_contradiction_restructures_first():
     st = perceive(init([]), parse("p(0,9)"), 0)
     st = perceive(st, parse("~p(4,5)"), 4)
     assert wm_strings(st) == ["p(0,3)", "p(6,9)", "~p(4,5)"]
+
+
+@pytest.mark.parametrize("text", ["p(1,1) & q(1,1)", "~~p(1,1)"])
+def test_perceive_rejects_non_literal(text):
+    with pytest.raises(ValueError, match="not a literal"):
+        perceive(init([]), parse(text), 1)
 
 
 def test_perceive_rejects_time_travel():

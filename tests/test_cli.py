@@ -108,6 +108,14 @@ def test_check_model_not_utf8_exits_2(capsys, tmp_path):
     assert err.startswith("cannot load model: ") and err.count("\n") == 1
 
 
+def test_check_model_with_second_nbhd_line_exits_2(capsys, tmp_path):
+    path = tmp_path / "model.tlek"
+    path.write_text("worlds:\n  w0: p(1,1)\nclasses:\n  w0\nnbhd:\n  w0: {w0}\n  w0:\n")
+    code, out, err = run(capsys, "check", "-m", str(path), "-w", "w0", "B p(1,1)")
+    assert (code, out) == (2, "")
+    assert err == "cannot load model: line 7: duplicate nbhd line for world 'w0'\n"
+
+
 # ---------------------------------------------------------------------------
 # reduce
 # ---------------------------------------------------------------------------
@@ -192,6 +200,30 @@ def test_run_box_bound_at_inf_skips_the_binding(capsys, tmp_path):
     assert code == 0
     assert "Traceback" not in err
     assert out == "query B(q(0,0)) = false\np(0,inf)\n"
+
+
+@pytest.mark.parametrize(
+    "script, var",
+    [
+        ("rule K(p(T,T) & q(0,0,T) -> r(0,0))\nperceive p(1,1) @ 1\nperceive q(0,0,a) @ 1\ninfer\n", "T"),
+        ("rule K(p(T,T) -> r(0,0,T))\nperceive p(1,1) @ 1\ninfer\n", "T"),
+        ("rule K(q(0,0,X) & p(X,X) -> r(0,0))\nperceive q(0,0,a) @ 1\nperceive p(1,1) @ 1\ninfer\n", "X"),
+    ],
+)
+def test_run_rule_variable_used_as_time_and_object_exits_2(capsys, tmp_path, script, var):
+    scn = tmp_path / "mixed.scn"
+    scn.write_text(script)
+    code, out, err = run(capsys, "run", str(scn))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"scenario error: line 1: variables ['{var}'] used both as times and as objects")
+
+
+def test_run_query_of_rule_with_mixed_variable_exits_2(capsys, tmp_path):
+    scn = tmp_path / "mixed_query.scn"
+    scn.write_text("query K(p(T,T) -> r(0,0,T))\n")
+    code, out, err = run(capsys, "run", str(scn))
+    assert (code, out) == (2, "")
+    assert err.startswith("scenario error: line 1: K supports rules only")
 
 
 # ---------------------------------------------------------------------------

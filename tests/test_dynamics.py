@@ -91,6 +91,8 @@ def test_learn_rejects_non_literal():
     m, raining = covering_model()
     with pytest.raises(MalformedOp):
         apply(m, Learn(And(raining, raining)))
+    with pytest.raises(MalformedOp):
+        apply(m, Learn(Not(Not(raining))))
     with pytest.raises(NonGround):
         apply(m, Learn(parse("p(T,T)")))
 

@@ -293,6 +293,12 @@ def test_load_reports_bad_atom_with_line_number():
             load_model(f"worlds:\n  w0: q(0,9)\n  w1: {bad}\n")
 
 
+def test_load_rejects_second_nbhd_line_for_a_world():
+    text = "worlds:\n  w0: p(1,1)\nclasses:\n  w0\nnbhd:\n  w0: {w0}\n  w0:\n"
+    with pytest.raises(ModelFormatError, match="^line 7: duplicate nbhd line for world 'w0'$"):
+        load_model(text)
+
+
 def test_load_accepts_comments_and_blank_lines():
     text = """
 # a tiny model
