@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from typing import Mapping, Optional, Sequence, Union
 
 from .intervals import (
@@ -63,7 +64,66 @@ def _check_bounds(head: str, start: TimeExpr, end: TimeExpr, brackets: str = "()
         )
 
 
-class Formula:
+# The time memo's "not computed yet"; None is the time of true and false.
+_UNSET = object()
+_NO_VARS: frozenset[str] = frozenset()
+
+
+class Node:
+    """Base of the formula and mental-operation nodes: memoised facts.
+
+    A node never changes, so its hash, free variables and time are each
+    computed on first use, from its children's memoised values, and kept
+    as attributes of the node; construction computes none of them.  The
+    hash is the value the generated dataclass hash gives, so sets and
+    dicts of nodes iterate in the same order as without the memo.
+    """
+
+    __slots__ = ()
+    _values = None  # node -> its field values as a tuple; set per class by _node
+    _memo_hash = None
+    _memo_free = None
+    _memo_time = _UNSET
+
+    def __hash__(self) -> int:
+        h = self._memo_hash
+        if h is None:
+            h = hash(self._values(self))
+            object.__setattr__(self, "_memo_hash", h)
+        return h
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, so no memo leaves the process:
+        # a hash is only valid under the hash seed it was computed with.
+        return type(self), self._values(self)
+
+
+_MEMOS = tuple(name for name in vars(Node) if name.startswith("_memo_"))
+
+
+def _node(cls):
+    """Make cls a frozen dataclass node with Node's memoised hash."""
+    cls = dataclass(frozen=True)(cls)
+    names = tuple(f.name for f in fields(cls))
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        cls._values = staticmethod(lambda node: (get(node),))
+    else:  # attrgetter of two or more names returns their tuple
+        cls._values = staticmethod(attrgetter(*names) if names else lambda node: ())
+    cls.__hash__ = Node.__hash__
+    # CPython keeps an instance's attributes in a compact array shared with
+    # its class while they are names the class had already seen when the
+    # instance was made; a new name turns the instance's attributes into a
+    # dict of their own (about 230 bytes more).  One throwaway instance
+    # shows the class every field and memo name before any real instance
+    # exists, so a memo costs 8 bytes whatever order the memos come in.
+    proto = object.__new__(cls)
+    for name in names + _MEMOS:
+        object.__setattr__(proto, name, None)
+    return cls
+
+
+class Formula(Node):
     """Base of the formula nodes.
 
     Each node class names, in its _parts tuple, the fields that hold
@@ -77,7 +137,7 @@ class Formula:
         return print_formula(self)
 
 
-class MentalOp:
+class MentalOp(Node):
     """Base of the mental operations; _parts as for Formula."""
 
     __slots__ = ()
@@ -86,7 +146,7 @@ class MentalOp:
         return print_mental_op(self)
 
 
-@dataclass(frozen=True)
+@_node
 class Atom(Formula):
     """Timed atom p(start, end, extra args...)."""
 
@@ -113,19 +173,24 @@ class Atom(Formula):
         )
 
     def interval(self) -> Interval:
-        if not self.is_ground():
-            raise NonGround(f"atom {self} is not ground")
-        return Interval(int(self.start.offset), self.end.offset)
+        """[start, end] of a ground atom; memoised as the atom's time."""
+        iv = self._memo_time
+        if iv is _UNSET:
+            if not self.is_ground():
+                raise NonGround(f"atom {self} is not ground")
+            iv = Interval(int(self.start.offset), self.end.offset)
+            object.__setattr__(self, "_memo_time", iv)
+        return iv
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     _parts = ("body",)
 
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     _parts = ("left", "right")
 
@@ -133,7 +198,7 @@ class And(Formula):
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     _parts = ("left", "right")
 
@@ -141,7 +206,7 @@ class Or(Formula):
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Formula):
     _parts = ("left", "right")
 
@@ -149,7 +214,7 @@ class Implies(Formula):
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Iff(Formula):
     _parts = ("left", "right")
 
@@ -157,21 +222,21 @@ class Iff(Formula):
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Belief(Formula):
     _parts = ("body",)
 
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Knowledge(Formula):
     _parts = ("body",)
 
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Always(Formula):
     """box[start,end] body; bounds may contain variables before grounding."""
 
@@ -184,6 +249,16 @@ class Always(Formula):
     def __post_init__(self):
         _check_bounds("box", self.start, self.end, "[]")
 
+    def interval(self) -> Interval:
+        """The label [start, end] of a ground box; memoised as its time."""
+        iv = self._memo_time
+        if iv is _UNSET:
+            if not (self.start.is_ground() and self.end.is_ground()):
+                raise NonGround(f"box bounds [{self.start},{self.end}] are not ground")
+            iv = Interval(int(self.start.offset), self.end.offset)
+            object.__setattr__(self, "_memo_time", iv)
+        return iv
+
     def is_default_interval(self) -> bool:
         return (
             self.start.is_ground()
@@ -193,17 +268,17 @@ class Always(Formula):
         )
 
 
-@dataclass(frozen=True)
+@_node
 class Top(Formula):
     _parts = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Bot(Formula):
     _parts = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Learn(MentalOp):
     """+lit: turn a perceived literal (atom or negated atom) into a belief."""
 
@@ -212,7 +287,7 @@ class Learn(MentalOp):
     literal: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Conj(MentalOp):
     """and(f,g): conjoin two formulas already believed."""
 
@@ -222,7 +297,7 @@ class Conj(MentalOp):
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Infer(MentalOp):
     """inf(f,a): one inference step from belief f and rule K(f -> a)."""
 
@@ -232,7 +307,7 @@ class Infer(MentalOp):
     conclusion: Atom
 
 
-@dataclass(frozen=True)
+@_node
 class Revise(MentalOp):
     """rev(p,q): restructure belief q around the contradicting perception p."""
 
@@ -242,15 +317,12 @@ class Revise(MentalOp):
     target: Atom
 
 
-@dataclass(frozen=True)
+@_node
 class Dynamic(Formula):
     _parts = ("op", "body")
 
     op: MentalOp
     body: Formula
-
-
-Node = Union[Formula, MentalOp]
 
 
 def literal_parts(f: Formula) -> Optional[tuple[Atom, bool]]:
@@ -571,15 +643,18 @@ def print_formula(f: Formula) -> str:
 
 
 def free_vars(f: Node) -> frozenset[str]:
-    if isinstance(f, Atom):
-        vs = f.start.vars() | f.end.vars()
-        return vs | frozenset(a for a in f.args if is_var(a))
-    if isinstance(f, Always):
-        return f.start.vars() | f.end.vars() | free_vars(f.body)
-    out: frozenset[str] = frozenset()
-    for name in f._parts:
-        out |= free_vars(getattr(f, name))
-    return out
+    """The node's variables; computed once per node and memoised on it."""
+    vs = f._memo_free
+    if vs is None:
+        if isinstance(f, Atom):
+            vs = f.start.vars() | f.end.vars() | frozenset(a for a in f.args if is_var(a))
+        else:
+            vs = f.start.vars() | f.end.vars() if isinstance(f, Always) else _NO_VARS
+            for name in f._parts:
+                vs |= free_vars(getattr(f, name))
+        vs = vs or _NO_VARS  # ground nodes share one empty set
+        object.__setattr__(f, "_memo_free", vs)
+    return vs
 
 
 def is_ground(f: Node) -> bool:
@@ -691,18 +766,23 @@ def merge_times(a: Optional[Interval], b: Optional[Interval]) -> Optional[Interv
 
 
 def op_time(op: MentalOp) -> Optional[Interval]:
-    """Interval a ground mental operation speaks about."""
-    if isinstance(op, Learn):
-        return _time(op.literal)
-    if isinstance(op, Conj):
-        return merge_times(_time(op.left), _time(op.right))
-    if isinstance(op, Infer):
-        return _time(op.conclusion)
-    if isinstance(op, Revise):
-        restored = difference(op.target.interval(), op.trigger.interval())
-        h = restored.hull()
-        return h if h is not None else op.target.interval()
-    raise TypeError(f"unknown mental operation {op!r}")
+    """Interval a ground mental operation speaks about; memoised on op."""
+    t = op._memo_time
+    if t is _UNSET:
+        if isinstance(op, Learn):
+            t = _time(op.literal)
+        elif isinstance(op, Conj):
+            t = merge_times(_time(op.left), _time(op.right))
+        elif isinstance(op, Infer):
+            t = _time(op.conclusion)
+        elif isinstance(op, Revise):
+            t = difference(op.target.interval(), op.trigger.interval()).hull()
+            if t is None:
+                t = op.target.interval()
+        else:
+            raise TypeError(f"unknown mental operation {op!r}")
+        object.__setattr__(op, "_memo_time", t)
+    return t
 
 
 def time_of(f: Formula) -> Optional[Interval]:
@@ -719,15 +799,18 @@ def time_of(f: Formula) -> Optional[Interval]:
 
 
 def _time(f: Formula) -> Optional[Interval]:
-    if isinstance(f, Atom):
-        return f.interval()
-    if isinstance(f, Always):
-        return Interval(int(f.start.offset), f.end.offset)
-    if isinstance(f, Dynamic):
-        return op_time(f.op)
-    t = None
-    for name in f._parts:
-        t = merge_times(t, _time(getattr(f, name)))
+    """time_of without the groundness test; memoised on f."""
+    t = f._memo_time
+    if t is _UNSET:
+        if isinstance(f, (Atom, Always)):
+            return f.interval()
+        if isinstance(f, Dynamic):
+            t = op_time(f.op)
+        else:
+            t = None
+            for name in f._parts:
+                t = merge_times(t, _time(getattr(f, name)))
+        object.__setattr__(f, "_memo_time", t)
     return t
 
 

@@ -3,7 +3,9 @@
 Time points are natural numbers; the symbolic value INF marks intervals
 that never end.  [lo, hi] is closed on both ends, [lo, INF] prints as
 "[lo,inf)" because no point sits at infinity itself.  All values here are
-immutable and all operations are pure.
+immutable and all operations are pure.  Intervals derived from valid ones
+(hulls, intersections) are built without re-validation, and time literals
+are shared: TimeExpr.lit returns one instance per value.
 """
 
 from __future__ import annotations
@@ -63,6 +65,19 @@ class Interval:
         return f"[{self.lo},inf)"
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _derived(lo: int, hi: TimePoint) -> Interval:
+    """[lo, hi] from bounds taken from valid intervals, with lo <= hi:
+    built without __post_init__, whose checks such bounds always pass."""
+    iv = _new(Interval)
+    _set(iv, "lo", lo)
+    _set(iv, "hi", hi)
+    return iv
+
+
 def make_interval(lo: TimePoint, hi: TimePoint) -> Interval:
     """Build [lo, hi]; lo must be finite and lo <= hi."""
     if lo == INF:
@@ -85,7 +100,7 @@ def parse_interval(text: str) -> Interval:
 
 def hull(a: Interval, b: Interval) -> Interval:
     """Smallest single interval containing both a and b."""
-    return Interval(min(a.lo, b.lo), max(a.hi, b.hi))
+    return _derived(min(a.lo, b.lo), max(a.hi, b.hi))
 
 
 def intersect(a: Interval, b: Interval) -> "IntervalSet":
@@ -94,7 +109,7 @@ def intersect(a: Interval, b: Interval) -> "IntervalSet":
     hi = min(a.hi, b.hi)
     if lo > hi:
         return IntervalSet()
-    return IntervalSet((Interval(lo, hi),))
+    return IntervalSet((_derived(lo, hi),))
 
 
 def difference(a: Interval, b: Interval) -> "IntervalSet":
@@ -163,10 +178,16 @@ class IntervalSet:
     def hull(self) -> Optional[Interval]:
         if not self.parts:
             return None
-        return Interval(self.parts[0].lo, self.parts[-1].hi)
+        return _derived(self.parts[0].lo, self.parts[-1].hi)
 
     def __str__(self) -> str:
         return "{" + ",".join(str(p) for p in self.parts) + "}"
+
+
+# TimeExpr.lit's shared instances, keyed by (type, value) so that True is
+# never taken for the literal 1; filled up to the cap, then left as it is.
+_LITERAL_CAP = 4096
+_LITERALS: dict[tuple[type, TimePoint], "TimeExpr"] = {}
 
 
 @dataclass(frozen=True)
@@ -192,7 +213,16 @@ class TimeExpr:
 
     @staticmethod
     def lit(value: TimePoint) -> "TimeExpr":
-        return TimeExpr(None, value)
+        """The literal time expression for value, shared per value."""
+        try:
+            te = _LITERALS.get((type(value), value))
+        except TypeError:  # unhashable, so no time point: the constructor says so
+            te = None
+        if te is None:
+            te = TimeExpr(None, value)
+            if len(_LITERALS) < _LITERAL_CAP:
+                _LITERALS[type(value), value] = te
+        return te
 
     @staticmethod
     def at(var: str, shift: int = 0) -> "TimeExpr":

@@ -176,6 +176,7 @@ class Frame:
         self.classes: tuple[int, ...] = tuple(self.mask(c) for c in m.classes)
         # cls[i]: the mask of world i's R-class
         self.cls: tuple[int, ...] = tuple(self.mask(m.class_of[wid]) for wid in self.ids)
+        self._fits: dict[Interval, int] = {}  # fit's memo
 
     def mask(self, wids: Iterable[str]) -> int:
         out = 0
@@ -190,10 +191,13 @@ class Frame:
         """Worlds whose interval contains t; all of them for timeless t."""
         if t is None:
             return self.all
-        mask = 0
-        for i, iv in enumerate(self.intervals):
-            if iv.lo <= t.lo and t.hi <= iv.hi:
-                mask |= 1 << i
+        mask = self._fits.get(t)
+        if mask is None:
+            mask = 0
+            for i, iv in enumerate(self.intervals):
+                if iv.lo <= t.lo and t.hi <= iv.hi:
+                    mask |= 1 << i
+            self._fits[t] = mask
         return mask
 
 
@@ -265,7 +269,7 @@ def _atom(m: TLekModel, f: Atom):
     for i, atoms in enumerate(m.frame.valuations):
         if f in atoms:
             mask |= 1 << i
-    return Interval(f.start.offset, f.end.offset), mask
+    return f.interval(), mask
 
 
 def _not(m: TLekModel, f: Not):
@@ -308,7 +312,7 @@ def _knowledge(m: TLekModel, f: Knowledge):
 
 
 def _always(m: TLekModel, f: Always):
-    span = Interval(int(f.start.offset), f.end.offset)
+    span = f.interval()
     t, body = label(m, f.body)
     if not fits(t, span):
         return span, 0

@@ -86,7 +86,7 @@ def gen_static(rng: random.Random, vocab: Vocab, horizon: int, depth: int = 2) -
     return cls(*(sub() for _ in cls._parts))
 
 
-def gen_mental_op(rng: random.Random, vocab: Vocab, horizon: int, dyn_depth: int = 0) -> MentalOp:
+def gen_mental_op(rng: random.Random, vocab: Vocab, horizon: int) -> MentalOp:
     roll = rng.random()
     if roll < 0.40:
         return Learn(gen_literal(rng, vocab, horizon))

@@ -6,10 +6,14 @@ taken from ``time_of``, and ``apply`` evaluating its guards world by world.
 It is slow on purpose and shares no code with the labelling checker in
 ``tdlek.models`` beyond the formula and model data types.  Also here:
 ``normalize_sugar``, the desugaring oracle of the time-function and
-checker tests.
+checker tests.  And the uncached walkers ``free_vars_ref``, ``time_of_ref``
+and ``hash_ref``, the oracles of the memoised node facts in
+``tdlek.formulas``.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 from tdlek.formulas import (
     Always,
@@ -34,12 +38,13 @@ from tdlek.formulas import (
     children,
     fits,
     is_ground,
+    is_var,
     op_time,
     print_formula,
     rebuild,
     time_of,
 )
-from tdlek.intervals import Interval, TimeExpr, difference, intersect, subset
+from tdlek.intervals import Interval, TimeExpr, difference, hull, intersect, subset
 from tdlek.models import TLekModel, world_interval
 
 
@@ -219,3 +224,63 @@ def normalize_sugar(f: Formula) -> Formula:
     if isinstance(f, Iff):
         return And(Implies(f.left, f.right), Implies(f.right, f.left))
     return f
+
+
+# ---------------------------------------------------------------------------
+# Uncached node facts: every call walks the whole tree again
+# ---------------------------------------------------------------------------
+
+
+def free_vars_ref(f) -> frozenset[str]:
+    """Variables of a formula or mental operation, by a fresh walk."""
+    out: set[str] = set()
+    for name, value in ((x.name, getattr(f, x.name)) for x in fields(f)):
+        if isinstance(value, TimeExpr):
+            out |= {value.var} if value.var is not None else set()
+        elif name == "args":
+            out |= {a for a in value if is_var(a)}
+        elif isinstance(value, (Formula, MentalOp)):
+            out |= free_vars_ref(value)
+    return frozenset(out)
+
+
+def _hull_ref(a, b):
+    return b if a is None else a if b is None else hull(a, b)
+
+
+def time_of_ref(f):
+    """Time of a ground formula or mental operation, by a fresh walk."""
+    if isinstance(f, (Atom, Always)):
+        return Interval(int(f.start.offset), f.end.offset)
+    if isinstance(f, Revise):
+        span = Interval(int(f.target.start.offset), f.target.end.offset)
+        cut = Interval(int(f.trigger.start.offset), f.trigger.end.offset)
+        restored = difference(span, cut).hull()
+        return span if restored is None else restored
+    if isinstance(f, Infer):
+        return time_of_ref(f.conclusion)
+    if isinstance(f, Dynamic):
+        return time_of_ref(f.op)
+    t = None
+    for x in fields(f):
+        t = _hull_ref(t, time_of_ref(getattr(f, x.name)))
+    return t
+
+
+class _Hashed:
+    """Stands in a tuple for a node whose hash was computed by hash_ref."""
+
+    def __init__(self, h: int):
+        self.h = h
+
+    def __hash__(self) -> int:
+        return self.h
+
+
+def hash_ref(f) -> int:
+    """The generated dataclass hash, hash of the tuple of field values,
+    with every sub-node's hash recomputed the same way."""
+    return hash(tuple(
+        _Hashed(hash_ref(v)) if isinstance(v, (Formula, MentalOp)) else v
+        for v in (getattr(f, x.name) for x in fields(f))
+    ))
