@@ -54,8 +54,9 @@ from .formulas import (
     print_formula,
     substitute,
     match_atom,
+    _trusted_atom,
 )
-from .models import TLekModel, World
+from .models import TLekModel, _trusted_world
 
 
 class MalformedRule(ValueError):
@@ -776,23 +777,35 @@ def query(st: AgentState, f: Formula) -> bool:
 def to_model(st: AgentState, horizon: int) -> TLekModel:
     """Bridge to the semantic layer: one world whose valuation closes the
     positive beliefs under sub-intervals, truncated at the horizon, with
-    the single neighbourhood element making exactly those beliefs true."""
+    the single neighbourhood element making exactly those beliefs true.
+
+    The beliefs are ground and were validated when they were made, so
+    their atoms and the world are built without validating them again,
+    and the world carries I(w): the lowest start and the highest
+    truncated end of the beliefs that start by the horizon.
+    """
     if horizon == INF or not is_time_point(horizon):
         raise ValueError("horizon must be a finite natural")
-    atoms: set[Atom] = set()
+    spans = []  # (atom, start, truncated end) of each belief that adds atoms
     for b in st.wm:
-        if not b.positive:
-            continue
-        iv = b.interval()
-        hi = int(min(iv.hi, horizon))
-        for a in range(iv.lo, hi + 1):
-            for z in range(a, hi + 1):
-                atoms.add(
-                    Atom(b.atom.pred, TimeExpr.lit(a), TimeExpr.lit(z), b.atom.args)
-                )
-    world = World("w0", frozenset(atoms))
+        lo = b.atom.start.offset
+        if b.positive and lo <= horizon:
+            spans.append((b.atom, lo, min(b.atom.end.offset, horizon)))
+    atoms = frozenset(_closure(spans))
+    iv = Interval(min(s[1] for s in spans), max(s[2] for s in spans)) if spans else None
+    world = _trusted_world("w0", atoms, iv)
     nbhd = {"w0": [frozenset({"w0"})]} if atoms else {"w0": []}
     return TLekModel([world], [frozenset({"w0"})], nbhd)
+
+
+def _closure(spans) -> Iterator[Atom]:
+    """The atoms p(a, z, args) with lo <= a <= z <= hi of each span."""
+    for atom, lo, hi in spans:
+        pred, args = atom.pred, atom.args
+        times = [TimeExpr.lit(t) for t in range(lo, hi + 1)]
+        for i, start in enumerate(times):
+            for end in times[i:]:
+                yield _trusted_atom(pred, start, end, args)
 
 
 def replay(rules: Iterable[Union[Rule, Formula, str]], trace: Sequence[TraceEvent]) -> AgentState:

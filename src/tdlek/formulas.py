@@ -183,6 +183,26 @@ class Atom(Formula):
         return iv
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _trusted_atom(pred: str, start: TimeExpr, end: TimeExpr, args: tuple[str, ...]) -> Atom:
+    """pred(start, end, args) from a valid ground atom's pred and args and
+    literal bounds, start finite and no later than end: built without
+    __post_init__, whose checks such parts always pass.  The fields are
+    set in declaration order, as __init__ sets them, and the hash memo is
+    seeded with the value Node.__hash__ would compute, since such atoms
+    are built to go into a set."""
+    atom = _new(Atom)
+    _set(atom, "pred", pred)
+    _set(atom, "start", start)
+    _set(atom, "end", end)
+    _set(atom, "args", args)
+    _set(atom, "_memo_hash", hash((pred, start, end, args)))
+    return atom
+
+
 @_node
 class Not(Formula):
     _parts = ("body",)

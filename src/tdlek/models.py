@@ -54,6 +54,8 @@ class World:
 
     id: str
     atoms: frozenset[Atom]
+    # I(w) when the builder knew it without scanning the atoms (not a field)
+    _interval = None
 
     def __post_init__(self):
         if not self.id or any(ch.isspace() or ch in "{}:," for ch in self.id):
@@ -63,14 +65,29 @@ class World:
                 raise NonGround(f"world {self.id}: atom {a} is not ground")
 
 
+def _trusted_world(wid: str, atoms: frozenset[Atom], interval: Optional[Interval]) -> World:
+    """World wid (a valid id) over ground atoms whose interval I(w) the
+    builder already knows (None for no atoms): built without
+    __post_init__, whose checks such a world always passes, and carrying
+    interval for world_interval."""
+    w = object.__new__(World)
+    object.__setattr__(w, "id", wid)
+    object.__setattr__(w, "atoms", atoms)
+    object.__setattr__(w, "_interval", interval)
+    return w
+
+
 def world_interval(w: World) -> Interval:
     """Derived interval: minimum start to supremum end of the valuation.
 
     An empty valuation gets the designated interval [0,inf), which makes
-    the timing side conditions vacuously permissive there.
+    the timing side conditions vacuously permissive there.  A world built
+    by _trusted_world carries its interval, so its atoms are not scanned.
     """
     if not w.atoms:
         return Interval(0, INF)
+    if w._interval is not None:
+        return w._interval
     lo = min(int(a.start.offset) for a in w.atoms)
     hi = max(a.end.offset for a in w.atoms)
     return Interval(lo, hi)
@@ -385,14 +402,14 @@ def gen_random_model(
             lo = rng.randint(0, max(0, horizon // 2))
             hi = INF if rng.random() < 0.3 else rng.randint(lo, horizon)
         for wid in cls:
-            atoms = {_atom(rng.choice(preds), lo, hi)}
+            atoms = {_random_atom(rng.choice(preds), lo, hi)}
             for _ in range(rng.randint(0, 2)):
                 a = rng.randint(lo, horizon if hi == INF else int(hi))
                 if hi == INF and rng.random() < 0.3:
                     b: TimePoint = INF
                 else:
                     b = rng.randint(a, horizon if hi == INF else int(hi))
-                atoms.add(_atom(rng.choice(preds), a, b))
+                atoms.add(_random_atom(rng.choice(preds), a, b))
             worlds.append(World(wid, frozenset(atoms)))
 
     base = TLekModel(worlds, [frozenset(c) for c in classes], {})
@@ -414,7 +431,7 @@ def gen_random_model(
     return base.with_nbhd(nbhd)
 
 
-def _atom(pred: str, lo: TimePoint, hi: TimePoint) -> Atom:
+def _random_atom(pred: str, lo: TimePoint, hi: TimePoint) -> Atom:
     return Atom(pred, TimeExpr.lit(int(lo)), TimeExpr.lit(hi))
 
 

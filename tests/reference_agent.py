@@ -8,6 +8,12 @@ after every firing and re-joins every rule's premises against the whole
 working memory, copying the fired set and the trace on each firing.  It
 is slow on purpose and shares with ``tdlek.agent`` only the belief, rule
 and trace types; it keeps its own state record and memory helpers.
+
+``to_model`` is the bridge to the semantic layer as it was before it
+trusted the beliefs: every atom goes through the validating ``Atom``
+constructor, the world through ``World``'s groundness test, and
+``world_interval`` scans the atoms for I(w).  It takes any state with a
+``wm`` of beliefs, this module's or ``tdlek.agent``'s.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from tdlek.agent import (
 )
 from tdlek.formulas import Atom, match_atom, substitute
 from tdlek.intervals import (
+    INF,
     BadInterval,
     Interval,
     IntervalSet,
@@ -35,6 +42,7 @@ from tdlek.intervals import (
     is_time_point,
     subset,
 )
+from tdlek.models import TLekModel, World
 
 
 @dataclass(frozen=True)
@@ -251,3 +259,23 @@ def infer_fixpoint(st: State, budget: int = 10_000) -> State:
                 break
         if not progressed:
             return state
+
+
+def to_model(st, horizon: int) -> TLekModel:
+    """One world whose valuation closes the positive beliefs under
+    sub-intervals, truncated at the horizon, with the single neighbourhood
+    element making exactly those beliefs true."""
+    if horizon == INF or not is_time_point(horizon):
+        raise ValueError("horizon must be a finite natural")
+    atoms: set[Atom] = set()
+    for b in st.wm:
+        if not b.positive:
+            continue
+        iv = b.interval()
+        hi = int(min(iv.hi, horizon))
+        for a in range(iv.lo, hi + 1):
+            for z in range(a, hi + 1):
+                atoms.add(Atom(b.atom.pred, TimeExpr.lit(a), TimeExpr.lit(z), b.atom.args))
+    world = World("w0", frozenset(atoms))
+    nbhd = {"w0": [frozenset({"w0"})]} if atoms else {"w0": []}
+    return TLekModel([world], [frozenset({"w0"})], nbhd)
