@@ -9,6 +9,7 @@ parse errors.  Identical argv and seed give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -118,7 +119,10 @@ def size(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser: built on the first call, then shared, so
+    callers must not change it."""
     p = argparse.ArgumentParser(
         prog="tdlek",
         description=(

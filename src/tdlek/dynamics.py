@@ -1,7 +1,7 @@
 """Mental operations as model transformers, and prefix elimination.
 
 apply() labels each guard once over all worlds of the input model and
-rebuilds the neighbourhood function from those truth sets, so the update
+rebuilds the neighbourhood masks from those truth sets, so the update
 is simultaneous across worlds; its outcome is memoised on the input model.
 This module also supplies the model checker's clause for prefixed
 formulas: update first, then label the body.  reduce_formula() rewrites
@@ -14,7 +14,7 @@ are reported, not guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .intervals import TimeExpr, difference, intersect, subset
@@ -58,16 +58,26 @@ class UnreducibleShape(ValueError):
 
 @dataclass(frozen=True)
 class OpOutcome:
-    """Result of applying a mental operation.
+    """Result of applying a mental operation to the model source.
 
-    applied is False when the otherwise branch fired at every world, in
-    which case model is the input model itself.  delta records the actual
-    neighbourhood changes per world, already in serializable form.
+    applied is False when the otherwise branch fired at every world.  When
+    no neighbourhood changed, model is source itself.
     """
 
     model: TLekModel
     applied: bool
-    delta: dict = field(default_factory=dict)
+    source: TLekModel
+
+    @property
+    def delta(self) -> dict:
+        """The neighbourhood changes per world, in serializable form."""
+        fr = self.source.frame
+        listed = lambda family: sorted(sorted(fr.worlds_of(x)) for x in family)
+        return {
+            wid: {"added": listed(after - before), "removed": listed(before - after)}
+            for wid, before, after in zip(fr.ids, self.source.nbhd, self.model.nbhd)
+            if before != after
+        }
 
 
 def _validate_op(op: MentalOp) -> None:
@@ -133,8 +143,8 @@ def apply(m: TLekModel, op: MentalOp) -> OpOutcome:
     if memo is None:
         _validate_op(op)
         memo = m._updates[op] = _update(m, op)
-    updated, applied, delta = memo
-    return OpOutcome(m if updated is None else updated, applied, delta)
+    updated, applied = memo
+    return OpOutcome(m if updated is None else updated, applied, m)
 
 
 def _truth(m: TLekModel, f: Formula) -> int:
@@ -152,9 +162,9 @@ def _effect(op: MentalOp) -> tuple[Optional[Formula], Formula]:
     return And(Belief(op.premise), Knowledge(Implies(op.premise, op.conclusion))), op.conclusion
 
 
-def _update(m: TLekModel, op: MentalOp) -> tuple[Optional[TLekModel], bool, dict]:
-    """(updated model, applied, delta); None stands for m itself, which the
-    memo on m may not hold without a reference cycle."""
+def _update(m: TLekModel, op: MentalOp) -> tuple[Optional[TLekModel], bool]:
+    """(updated model, applied); None stands for m itself, which the memo
+    on m may not hold without a reference cycle."""
     fr = m.frame
     fired = fr.fit(op_time(op))
     adds: list[Formula] = []
@@ -183,27 +193,15 @@ def _update(m: TLekModel, op: MentalOp) -> tuple[Optional[TLekModel], bool, dict
             fired &= _truth(m, guard)
         adds.append(gained)
     if not fired:
-        return None, False, {}
+        return None, False
     add_masks = [_truth(m, f) for f in adds]
     remove_masks = [_truth(m, f) for f in removes]
-    new_nbhd: dict[str, frozenset[frozenset[str]]] = {}
-    delta: dict = {}
-    for i, wid in enumerate(fr.ids):
-        before = after = m.n_of(wid)
-        if fired >> i & 1:
-            cls = fr.cls[i]
-            after = before.difference(fr.worlds_of(x & cls) for x in remove_masks).union(
-                fr.worlds_of(x & cls) for x in add_masks
-            )
-        new_nbhd[wid] = after
-        if before != after:
-            delta[wid] = {
-                "added": [sorted(x) for x in sorted(after - before, key=sorted)],
-                "removed": [sorted(x) for x in sorted(before - after, key=sorted)],
-            }
-    if not delta:
-        return None, True, {}
-    return m.with_nbhd(new_nbhd), True, delta
+    nbhd = tuple(
+        family.difference([x & cls for x in remove_masks]).union([x & cls for x in add_masks])
+        if fired >> i & 1 else family
+        for i, (cls, family) in enumerate(zip(fr.cls, m.nbhd))
+    )
+    return (None if nbhd == m.nbhd else m.with_nbhd(nbhd)), True
 
 
 def check_dynamic(m: TLekModel, wid: str, f: Formula) -> bool:

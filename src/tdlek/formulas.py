@@ -166,11 +166,8 @@ class Atom(Formula):
         _check_bounds(self.pred, self.start, self.end)
 
     def is_ground(self) -> bool:
-        return (
-            self.start.is_ground()
-            and self.end.is_ground()
-            and not any(is_var(a) for a in self.args)
-        )
+        vs = self._memo_free
+        return not (free_vars(self) if vs is None else vs)
 
     def interval(self) -> Interval:
         """[start, end] of a ground atom; memoised as the atom's time."""

@@ -195,11 +195,25 @@ class TimeExpr:
     """A time position: a literal point, a variable, or variable +/- constant.
 
     Literal form has var=None and the point in offset.  Variable form keeps
-    the (possibly negative) shift in offset.
+    the (possibly negative) shift in offset.  The hash, the generated
+    dataclass hash of (var, offset), is computed once and kept.
     """
 
     var: Optional[str]
     offset: TimePoint = 0
+    _memo_hash = None  # not a field
+
+    def __hash__(self) -> int:
+        h = self._memo_hash
+        if h is None:
+            h = hash((self.var, self.offset))
+            _set(self, "_memo_hash", h)
+        return h
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, so the memo does not leave the
+        # process: hash(None), and so a literal's hash, differs between them.
+        return TimeExpr, (self.var, self.offset)
 
     def __post_init__(self):
         if self.var is None:

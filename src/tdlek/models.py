@@ -2,15 +2,16 @@
 
 A model is a set of worlds (each carrying its valuation, a set of ground
 atoms), an equivalence relation R stored as a partition, and a
-neighbourhood function N mapping each world to a family of world-id sets.
+neighbourhood function N mapping each world to a family of world sets.
 Truth of B is membership of a formula's extension in N; K quantifies over
 the R-class; every clause is gated by the world's derived interval.
 
 The checker labels bottom-up: each subformula gets its time and its truth
 set, a bitmask over the sorted world ids, from its children's in one pass.
-World intervals and class masks are computed once per model, and a
-formula's truth set is memoised on the model, so checking it at every
-world costs one pass.
+N is kept as masks too.  World intervals, class masks and the worlds
+holding each atom are computed once per frame, which the models derived
+by an update share, and a formula's truth set is memoised on the model,
+so checking it at every world costs one pass.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional
 
 from .intervals import INF, Interval, TimeExpr, TimePoint
@@ -37,7 +37,6 @@ from .formulas import (
     Or,
     Top,
     fits,
-    is_ground,
     merge_times,
     parse_atom,
     print_formula,
@@ -96,8 +95,8 @@ def world_interval(w: World) -> Interval:
 class TLekModel:
     """Immutable snapshot of a model: worlds, R-partition, neighbourhoods.
 
-    The bitmask view (frame, nbhd_masks) is derived on first use, and the
-    truth sets and update outcomes computed on the model are memoised on it.
+    Each N(w) is a family of masks over frame.ids (n_of gives world ids),
+    and the truth sets and update outcomes are memoised on the model.
     """
 
     def __init__(
@@ -114,60 +113,50 @@ class TLekModel:
         self.classes: tuple[frozenset[str], ...] = tuple(
             sorted((frozenset(c) for c in classes), key=lambda c: sorted(c))
         )
-        seen: set[str] = set()
+        self.class_of: dict[str, frozenset[str]] = {}
         for c in self.classes:
             for wid in c:
                 if wid not in self.worlds:
                     raise ValueError(f"class member {wid} is not a world")
-                if wid in seen:
+                if wid in self.class_of:
                     raise ValueError(f"world {wid} appears in two classes")
-                seen.add(wid)
-        if seen != set(self.worlds):
-            missing = sorted(set(self.worlds) - seen)
+                self.class_of[wid] = c
+        if len(self.class_of) != len(self.worlds):
+            missing = sorted(set(self.worlds) - set(self.class_of))
             raise ValueError(f"worlds not covered by any class: {missing}")
-        self.class_of: dict[str, frozenset[str]] = {
-            wid: c for c in self.classes for wid in c
-        }
-        self.nbhd: dict[str, frozenset[frozenset[str]]] = {
-            wid: frozenset() for wid in self.worlds
-        }
+        self.frame = fr = Frame(self)
+        families = [frozenset()] * len(fr.ids)
         for wid, family in nbhd.items():
             if wid not in self.worlds:
                 raise ValueError(f"neighbourhood for unknown world {wid}")
             fam = frozenset(frozenset(x) for x in family)
-            for x in fam:
-                for member in x:
-                    if member not in self.worlds:
-                        raise ValueError(f"neighbourhood of {wid} mentions unknown world {member}")
-            self.nbhd[wid] = fam
+            unknown = frozenset().union(*fam) - set(self.worlds)
+            if unknown:
+                raise ValueError(f"neighbourhood of {wid} mentions unknown world {min(unknown)}")
+            families[fr.index[wid]] = frozenset(fr.mask(x) for x in fam)
+        self.nbhd: tuple[frozenset[int], ...] = tuple(families)
         self._truths: dict[Formula, int] = {}  # filled by truth_set
         self._updates: dict = {}  # mental op -> outcome, filled by dynamics.apply
-
-    @cached_property
-    def frame(self) -> "Frame":
-        return Frame(self)
-
-    @cached_property
-    def nbhd_masks(self) -> tuple[frozenset[int], ...]:
-        """N(w) as masks over frame.ids, indexed like frame.ids."""
-        fr = self.frame
-        return tuple(frozenset(fr.mask(x) for x in self.nbhd[wid]) for wid in fr.ids)
 
     def r_of(self, wid: str) -> frozenset[str]:
         return self.class_of[wid]
 
     def n_of(self, wid: str) -> frozenset[frozenset[str]]:
-        return self.nbhd[wid]
+        return frozenset(map(self.frame.worlds_of, self.nbhd[self.frame.index[wid]]))
 
-    def with_nbhd(self, nbhd: dict[str, frozenset[frozenset[str]]]) -> "TLekModel":
-        out = TLekModel(self.worlds.values(), self.classes, nbhd)
-        out.frame = self.frame  # same worlds and classes
+    def with_nbhd(self, nbhd: tuple[frozenset[int], ...]) -> "TLekModel":
+        """This model with its neighbourhoods replaced by nbhd, masks laid
+        out as in self.nbhd.  The worlds, classes and frame are shared, and
+        nothing is re-validated: nbhd must meet __init__'s checks."""
+        out = object.__new__(TLekModel)
+        out.worlds, out.classes, out.class_of = self.worlds, self.classes, self.class_of
+        out.frame, out.nbhd, out._truths, out._updates = self.frame, nbhd, {}, {}
         return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TLekModel):
             return NotImplemented
-        return (
+        return (  # equal worlds index their masks alike
             self.worlds == other.worlds
             and set(self.classes) == set(other.classes)
             and self.nbhd == other.nbhd
@@ -181,7 +170,8 @@ class Frame:
     """The worlds and the partition of a model as bitmasks, computed once.
 
     World frame.ids[i] is bit 1 << i of every truth set.  Each world's
-    interval comes from one world_interval call.
+    interval comes from one world_interval call.  The worlds holding an
+    atom, and those fitting a time, are found once per frame, on first use.
     """
 
     def __init__(self, m: TLekModel):
@@ -193,7 +183,8 @@ class Frame:
         self.classes: tuple[int, ...] = tuple(self.mask(c) for c in m.classes)
         # cls[i]: the mask of world i's R-class
         self.cls: tuple[int, ...] = tuple(self.mask(m.class_of[wid]) for wid in self.ids)
-        self._fits: dict[Interval, int] = {}  # fit's memo
+        self._fits: dict[tuple[int, TimePoint], int] = {}  # fit's memo, by (lo, hi)
+        self.holding: dict[Atom, int] = {}  # atom -> worlds holding it, filled by _atom
 
     def mask(self, wids: Iterable[str]) -> int:
         out = 0
@@ -208,13 +199,14 @@ class Frame:
         """Worlds whose interval contains t; all of them for timeless t."""
         if t is None:
             return self.all
-        mask = self._fits.get(t)
+        lo, hi = key = t.lo, t.hi
+        mask = self._fits.get(key)
         if mask is None:
             mask = 0
             for i, iv in enumerate(self.intervals):
-                if iv.lo <= t.lo and t.hi <= iv.hi:
+                if iv.lo <= lo and hi <= iv.hi:
                     mask |= 1 << i
-            self._fits[t] = mask
+            self._fits[key] = mask
         return mask
 
 
@@ -224,20 +216,21 @@ def validate_model(m: TLekModel) -> list[str]:
     Condition 1: every element of N(w) is a set of worlds reachable from w.
     Condition 2: if w R v then N(w) is a subset of N(v).
     """
+    fr = m.frame
     violations = []
-    for wid in sorted(m.worlds):
+    for i, wid in enumerate(fr.ids):
         reach = m.r_of(wid)
-        for x in sorted(m.n_of(wid), key=lambda s: sorted(s)):
-            if not x.issubset(reach):
-                outside = sorted(x - reach)
-                violations.append(
-                    f"condition 1 at {wid}: element {{{' '.join(sorted(x))}}} "
-                    f"leaves R({wid}) via {outside}"
-                )
+        leaving = (fr.worlds_of(x) for x in m.nbhd[i] if x & ~fr.cls[i])
+        for x in sorted(leaving, key=lambda s: sorted(s)):
+            outside = sorted(x - reach)
+            violations.append(
+                f"condition 1 at {wid}: element {{{' '.join(sorted(x))}}} "
+                f"leaves R({wid}) via {outside}"
+            )
     for cls in m.classes:
         for wid in sorted(cls):
             for vid in sorted(cls):
-                if wid != vid and not m.n_of(wid).issubset(m.n_of(vid)):
+                if wid != vid and not m.nbhd[fr.index[wid]] <= m.nbhd[fr.index[vid]]:
                     violations.append(f"condition 2 at ({wid},{vid}): N({wid}) is not a subset of N({vid})")
     return violations
 
@@ -246,8 +239,9 @@ def label(m: TLekModel, f: Formula) -> tuple[Optional[Interval], int]:
     """Time and truth set of a ground formula, labelled bottom-up.
 
     Each clause builds its node's interval from its children's and ANDs
-    its truth set with the worlds whose interval fits that time.  The
-    formula must be ground; this is not checked here.
+    its truth set with the worlds whose interval fits that time.  A
+    variable raises NonGround where labelling meets it: at the atom or box
+    that holds it, or in apply's check of a dynamic prefix's operation.
     """
     clause = CLAUSES.get(type(f))
     if clause is None:
@@ -259,13 +253,14 @@ def truth_set(m: TLekModel, f: Formula) -> int:
     """Worlds where a ground formula holds, as a mask over m.frame.ids.
 
     Memoised on the model, so checking one formula at every world labels
-    it once.
+    it once.  A formula with a variable raises NonGround and is not memoised.
     """
     mask = m._truths.get(f)
     if mask is None:
-        if not is_ground(f):
-            raise NonGround(f"check needs a ground formula: {print_formula(f)}")
-        mask = m._truths[f] = label(m, f)[1]
+        try:
+            mask = m._truths[f] = label(m, f)[1]
+        except NonGround:
+            raise NonGround(f"check needs a ground formula: {print_formula(f)}") from None
     return mask
 
 
@@ -281,12 +276,16 @@ def check(m: TLekModel, wid: str, f: Formula) -> bool:
 
 
 def _atom(m: TLekModel, f: Atom):
-    # an atom of a valuation always fits its world's interval
-    mask = 0
-    for i, atoms in enumerate(m.frame.valuations):
-        if f in atoms:
-            mask |= 1 << i
-    return f.interval(), mask
+    t = f.interval()  # raises NonGround on a variable; a held atom fits I(w)
+    fr = m.frame
+    mask = fr.holding.get(f)
+    if mask is None:
+        mask = 0
+        for i, atoms in enumerate(fr.valuations):
+            if f in atoms:
+                mask |= 1 << i
+        fr.holding[f] = mask
+    return t, mask
 
 
 def _not(m: TLekModel, f: Not):
@@ -308,7 +307,7 @@ def _belief(m: TLekModel, f: Belief):
     t, body = label(m, f.body)
     fr = m.frame
     mask = 0
-    for i, (cls, family) in enumerate(zip(fr.cls, m.nbhd_masks)):
+    for i, (cls, family) in enumerate(zip(fr.cls, m.nbhd)):
         if body & cls in family:
             mask |= 1 << i
     return t, mask & fr.fit(t)
@@ -329,7 +328,7 @@ def _knowledge(m: TLekModel, f: Knowledge):
 
 
 def _always(m: TLekModel, f: Always):
-    span = f.interval()
+    span = f.interval()  # raises NonGround on a variable bound
     t, body = label(m, f.body)
     if not fits(t, span):
         return span, 0
@@ -413,22 +412,23 @@ def gen_random_model(
             worlds.append(World(wid, frozenset(atoms)))
 
     base = TLekModel(worlds, [frozenset(c) for c in classes], {})
-    nbhd: dict[str, frozenset[frozenset[str]]] = {}
+    fr = base.frame
+    nbhd: list[frozenset[int]] = [frozenset()] * len(fr.ids)
     for cls in classes:
         members = sorted(cls)
-        family: set[frozenset[str]] = set()
+        family: set[int] = set()
         for _ in range(rng.randint(0, 2)):
-            family.add(frozenset(w for w in members if rng.random() < 0.6))
+            family.add(fr.mask(w for w in members if rng.random() < 0.6))
         vocab = sorted(
             {a for wid in members for a in base.worlds[wid].atoms},
             key=lambda a: (a.pred, a.start.offset, a.end.offset),
         )
         for _ in range(rng.randint(1, 3)):
             target = rng.choice(vocab)
-            family.add(extension(base, members[0], target))
+            family.add(fr.mask(extension(base, members[0], target)))
         for wid in members:
-            nbhd[wid] = frozenset(family)
-    return base.with_nbhd(nbhd)
+            nbhd[fr.index[wid]] = frozenset(family)
+    return base.with_nbhd(tuple(nbhd))
 
 
 def _random_atom(pred: str, lo: TimePoint, hi: TimePoint) -> Atom:

@@ -184,13 +184,14 @@ def _revise_fixture() -> tuple[TLekModel, Atom, Atom]:
     w1 = World("w1", frozenset({married, pad, atom("married", 6, 8)}))
     w2 = World("w2", frozenset({divorced, pad}))
     base = TLekModel([w1, w2], [frozenset({"w1", "w2"})], {})
+    fr = base.frame
     fam = frozenset(
         {
-            extension(base, "w1", married),
-            extension(base, "w1", divorced),
+            fr.mask(extension(base, "w1", married)),
+            fr.mask(extension(base, "w1", divorced)),
         }
     )
-    return base.with_nbhd({"w1": fam, "w2": fam}), divorced, married
+    return base.with_nbhd((fam, fam)), divorced, married
 
 
 def property1_suite(models: list[TLekModel], seed: int = 0, per_model: int = 6) -> SuiteReport:

@@ -5,8 +5,9 @@ the world interval recomputed at every node, the time of every subformula
 taken from ``time_of``, and ``apply`` evaluating its guards world by world.
 It is slow on purpose and shares no code with the labelling checker in
 ``tdlek.models`` beyond the formula and model data types.  Also here:
-``normalize_sugar``, the desugaring oracle of the time-function and
-checker tests.  And the uncached walkers ``free_vars_ref``, ``time_of_ref``
+``validate_model`` on the world-id families; ``normalize_sugar``, the
+desugaring oracle of the time-function and checker tests; and the
+uncached walkers ``free_vars_ref``, ``time_of_ref``
 and ``hash_ref``, the oracles of the memoised node facts in
 ``tdlek.formulas``.
 """
@@ -116,7 +117,7 @@ def _check(m: TLekModel, wid: str, f: Formula) -> bool:
 
 def check_dynamic(m: TLekModel, wid: str, f: Dynamic) -> bool:
     """Update first, then check the body, whose time must fit I(w)."""
-    outcome_model, _, _ = apply(m, f.op)
+    outcome_model = apply(m, f.op)[0]
     iv = world_interval(m.worlds[wid])
     return check(outcome_model, wid, f.body) and fits(time_of(f.body), iv)
 
@@ -144,8 +145,9 @@ def _residual_atoms(op: Revise) -> list[Atom]:
     ]
 
 
-def apply(m: TLekModel, op: MentalOp) -> tuple[TLekModel, bool, dict]:
-    """(updated model, applied, delta), guards evaluated world by world."""
+def apply(m: TLekModel, op: MentalOp) -> tuple[TLekModel, bool, dict, dict]:
+    """(updated model, applied, delta, each world's updated family of
+    world-id sets), guards evaluated world by world."""
     new_nbhd: dict[str, frozenset[frozenset[str]]] = {}
     delta: dict = {}
     applied = False
@@ -210,8 +212,27 @@ def apply(m: TLekModel, op: MentalOp) -> tuple[TLekModel, bool, dict]:
                 "removed": [sorted(x) for x in sorted(before - after, key=sorted)],
             }
     if not delta:
-        return m, applied, {}
-    return m.with_nbhd(new_nbhd), applied, delta
+        return m, applied, {}, new_nbhd
+    return TLekModel(m.worlds.values(), m.classes, new_nbhd), applied, delta, new_nbhd
+
+
+def validate_model(m: TLekModel) -> list[str]:
+    """The two neighbourhood conditions, checked on the world-id families."""
+    violations = []
+    for wid in sorted(m.worlds):
+        reach = m.r_of(wid)
+        for x in sorted(m.n_of(wid), key=sorted):
+            if not x.issubset(reach):
+                violations.append(
+                    f"condition 1 at {wid}: element {{{' '.join(sorted(x))}}} "
+                    f"leaves R({wid}) via {sorted(x - reach)}"
+                )
+    for cls in m.classes:
+        for wid in sorted(cls):
+            for vid in sorted(cls):
+                if wid != vid and not m.n_of(wid).issubset(m.n_of(vid)):
+                    violations.append(f"condition 2 at ({wid},{vid}): N({wid}) is not a subset of N({vid})")
+    return violations
 
 
 def normalize_sugar(f: Formula) -> Formula:

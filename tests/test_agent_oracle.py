@@ -3,8 +3,9 @@
 Every random script and the two scenario scripts run through both
 ``tdlek.agent`` and ``reference_agent`` in step.  After every perception,
 every revision of a held belief and every ``infer`` the two must agree on
-the working memory, the trace JSON lines, the fired set and the clock, and
-on the firing count at which ``BudgetExhausted`` is raised.  At the end,
+the working memory, the trace JSON lines of the events the step added
+(with the earlier events unchanged), the fired set and the clock, and on
+the firing count at which ``BudgetExhausted`` is raised.  At the end,
 ``replay`` of the trace must rebuild the working memory and its rendering.
 
 The random scripts mix joins on shared time and object variables, ground
@@ -165,15 +166,27 @@ def literal(f) -> BeliefLit:
     return BeliefLit(f.body, False) if isinstance(f, Not) else BeliefLit(f, True)
 
 
-def assert_same(got, want):
-    """The store-backed state got matches the reference state want."""
-    assert got.wm == want.wm
-    assert trace_json_lines(got.trace) == trace_json_lines(want.trace)
-    assert got.fired == want.fired
-    assert (got.rules, got.clock) == (want.rules, want.clock)
+class SameStates:
+    """Asserts that a store-backed state matches its reference twin, step
+    after step of one run.  The traces' JSON lines are compared byte for
+    byte only for the events added since the last step; the events
+    compared before must still be there, unchanged, in both traces."""
+
+    def __init__(self):
+        self.got: tuple = ()
+        self.want: tuple = ()
+
+    def __call__(self, got, want):
+        assert got.wm == want.wm
+        k = len(self.got)
+        assert got.trace[:k] == self.got and want.trace[:k] == self.want
+        assert trace_json_lines(got.trace[k:]) == trace_json_lines(want.trace[k:])
+        assert got.fired == want.fired
+        assert (got.rules, got.clock) == (want.rules, want.clock)
+        self.got, self.want = got.trace, want.trace
 
 
-def assert_same_infer(st, ref_st, budget: int):
+def assert_same_infer(st, ref_st, budget: int, assert_same: SameStates):
     """Run both chainers, from st and from its reference twin ref_st; return
     both results, or None when both exhaust the budget.  A result is also
     re-run with a budget of exactly the firings it needed, which must
@@ -218,6 +231,7 @@ def run_both(lines: list[str], budget: int, seed: int) -> dict:
     of the trace."""
     st = init([])
     want = ref.State()
+    assert_same = SameStates()
     rng = random.Random(seed)
     twist = random.Random(-1 - seed)
     seen = {"infers": 0, "firings": 0, "restructured": 0, "exhausted": 0, "revised": 0,
@@ -226,7 +240,7 @@ def run_both(lines: list[str], budget: int, seed: int) -> dict:
     def infer() -> bool:
         """Infer in both; False when both exhausted the budget."""
         nonlocal st, want
-        after = assert_same_infer(st, want, budget)
+        after = assert_same_infer(st, want, budget, assert_same)
         seen["infers"] += 1
         if after is None:
             seen["exhausted"] += 1

@@ -3,7 +3,10 @@
 Every check, extension and update is compared at every world of its
 model: first on everything the four property suites generate over many
 seeds, then on random static and dynamic formulas over random models with
-and without full-span world intervals.
+and without full-span world intervals.  An update is compared by its
+delta, its model, each world's neighbourhood against the reference's
+world-id families, and the saved model text; and a count guard checks
+that the update path builds no world-id set.
 """
 
 import random
@@ -12,6 +15,7 @@ import pytest
 
 import reference_checker as ref
 from tdlek import dynamics, models, suites
+from tdlek.formulas import Revise
 from tdlek.randgen import gen_dynamic_formula, gen_mental_op, gen_static, model_vocab
 
 SEEDS = range(50)
@@ -25,11 +29,14 @@ def assert_agree(m, f):
 
 def assert_same_update(m, op):
     outcome = dynamics.apply(m, op)
-    want_model, want_applied, want_delta = ref.apply(m, op)
+    want_model, want_applied, want_delta, want_nbhd = ref.apply(m, op)
     assert outcome.applied == want_applied, str(op)
     assert outcome.delta == want_delta, str(op)
     assert outcome.model == want_model, str(op)
     assert (outcome.model is m) == (want_model is m), str(op)
+    for wid in sorted(m.worlds):
+        assert outcome.model.n_of(wid) == want_nbhd[wid], (wid, str(op))
+    assert models.save_model(outcome.model) == models.save_model(want_model), str(op)
 
 
 class Recorder:
@@ -98,3 +105,38 @@ def test_random_formulas_agree_with_reference(full_span):
             assert_agree(m, gen_static(rng, vocab, 10, 3))
             assert_agree(m, gen_dynamic_formula(rng, vocab, 10))
             assert_same_update(m, gen_mental_op(rng, vocab, 10))
+
+
+def test_update_path_derives_no_world_sets(monkeypatch):
+    """apply works on the neighbourhood masks: no world-id set is built."""
+    fixture, trigger, target = suites._revise_fixture()
+    cases = [(fixture, Revise(trigger, target))]
+    for seed in SEEDS:
+        m = models.gen_random_model(seed)
+        rng = random.Random(seed)
+        cases += [(m, gen_mental_op(rng, model_vocab(m), 10)) for _ in range(6)]
+    calls = []
+    worlds_of = models.Frame.worlds_of
+    monkeypatch.setattr(models.Frame, "worlds_of", lambda fr, mask: calls.append(mask) or worlds_of(fr, mask))
+    changed = sum(dynamics.apply(m, op).model is not m for m, op in cases)
+    assert calls == []
+    assert changed > 30
+
+
+def test_validate_model_agrees_with_reference():
+    """Frame-condition checks on masks against the world-id reference, on
+    valid random models and on models whose families are random subsets
+    of all the worlds, which break both conditions."""
+    broken = 0
+    for seed in SEEDS:
+        m = models.gen_random_model(seed, max_worlds=5)
+        rng = random.Random(seed)
+        ids = sorted(m.worlds)
+        nbhd = {wid: [frozenset(v for v in ids if rng.random() < 0.5) for _ in range(rng.randint(0, 3))]
+                for wid in ids}
+        scrambled = models.TLekModel(m.worlds.values(), m.classes, nbhd)
+        for model in (m, scrambled):
+            got = models.validate_model(model)
+            assert got == ref.validate_model(model), seed
+            broken += bool(got)
+    assert broken > 30

@@ -35,6 +35,16 @@ def test_parse_dump_emits_json(capsys):
     assert json.loads(lines[1])["node"] == "atom"
 
 
+def test_consecutive_main_calls_share_no_state(capsys):
+    # the parser is built once per process; no parsed value may carry over
+    assert run(capsys, "parse", "--dump", "p(1,2)")[0] == 0
+    assert run(capsys, "parse", "p(1,2)") == (0, "p(1,2)\n", "")
+    code, out, err = run(capsys, "check", "p(1,2)")
+    assert (code, out) == (2, "") and "required" in err
+    assert run(capsys, "parse", "q(3,inf)") == (0, "q(3,inf)\n", "")
+    assert run(capsys, "check", "p(1,2)") == (code, out, err)
+
+
 def test_parse_survives_300_parentheses(capsys):
     code, out, err = run(capsys, "parse", "(" * 300 + "p(1,1)" + ")" * 300)
     assert (code, out, err) == (0, "p(1,1)\n", "")

@@ -110,7 +110,7 @@ def umbrella_model():
     w2 = World("w2", frozenset({take, atom("s", 0, 9)}))
     base = TLekModel([w1, w2], [frozenset({"w1", "w2"})], {})
     fam = frozenset({extension(base, "w1", raining)})
-    return base.with_nbhd({"w1": fam, "w2": fam}), raining, take
+    return TLekModel(base.worlds.values(), base.classes, {"w1": fam, "w2": fam}), raining, take
 
 
 def test_infer_adds_conclusion_extension():
@@ -138,7 +138,7 @@ def test_conj_adds_conjunction_extension():
     fam = frozenset(
         {extension(base, "w1", raining), extension(base, "w1", take)}
     )
-    m2 = base.with_nbhd({"w1": fam, "w2": fam})
+    m2 = TLekModel(base.worlds.values(), base.classes, {"w1": fam, "w2": fam})
     out = apply(m2, Conj(raining, take))
     assert out.applied
     assert check(out.model, "w1", Belief(And(raining, take)))
@@ -181,7 +181,7 @@ def test_revise_blocked_by_wider_belief():
             extension(base, "w1", wide),
         }
     )
-    m2 = base.with_nbhd({"w1": fam, "w2": fam})
+    m2 = TLekModel(base.worlds.values(), base.classes, {"w1": fam, "w2": fam})
     assert check(m2, "w1", Belief(wide))
     assert wider_belief_exists(m2, "w1", Revise(divorced, married))
     out = apply(m2, Revise(divorced, married))
@@ -211,7 +211,7 @@ def test_revise_removes_cut_extension():
             extension(base, "w1", cut),
         }
     )
-    m = base.with_nbhd({"w1": fam, "w2": fam})
+    m = TLekModel(base.worlds.values(), base.classes, {"w1": fam, "w2": fam})
     out = apply(m, Revise(trigger, married))
     assert out.applied
     removed = extension(m, "w1", cut)

@@ -123,7 +123,7 @@ def test_belief_clause():
     raining = atom("raining", 2, 2)
     w = World("w0", frozenset({raining}))
     base = TLekModel([w], [frozenset({"w0"})], {})
-    m = base.with_nbhd({"w0": frozenset({extension(base, "w0", raining)})})
+    m = TLekModel(base.worlds.values(), base.classes, {"w0": frozenset({extension(base, "w0", raining)})})
     assert check(m, "w0", parse("B(raining(2,2))"))
     assert not check(base, "w0", parse("B(raining(2,2))"))
     # extensional equality: a different formula with the same extension is believed
@@ -186,6 +186,28 @@ def test_check_requires_ground():
     m = single_world_model({atom("p", 1, 1)})
     with pytest.raises(NonGround):
         check(m, "w0", parse("p(T,T)"))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p(1,1) & q(T,2)",  # a time variable in an atom
+        "B(p(1,1,X))",  # an object variable
+        "p(1,1) | box[T,5](p(1,1))",  # a box bound
+        "false & [+p(T,T)] p(1,1)",  # a dynamic prefix's op, under a false conjunct
+        "K([inf(p(1,1),q(1,2,X))] p(1,1))",
+        "[rev(p(T,2),p(1,5))] p(1,1)",
+    ],
+)
+def test_check_names_the_whole_non_ground_formula(text):
+    # groundness is found while labelling, wherever the variable sits
+    m = single_world_model({atom("p", 1, 1), atom("p", 1, 5)})
+    f = parse(text)
+    for _ in range(2):
+        with pytest.raises(NonGround) as raised:
+            check(m, "w0", f)
+        assert str(raised.value) == f"check needs a ground formula: {text}"
+    assert f not in m._truths
 
 
 def test_check_agrees_with_desugared_brute_force():

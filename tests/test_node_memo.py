@@ -5,7 +5,8 @@ and time once and keeps them.  These tests compare every memo, cold and
 then warm, with the fresh walks in reference_checker, check that a node
 built from another starts with no memo of its own, and that no memo
 travels through pickle into a process with another hash seed.  Also here:
-the shared time literals of TimeExpr.lit and the intervals built without
+the memoised groundness of atoms, TimeExpr's memoised hash, the shared
+time literals of TimeExpr.lit and the intervals built without
 re-validation.
 """
 
@@ -22,11 +23,13 @@ from hypothesis import given, strategies as st
 
 from tdlek import intervals
 from tdlek.formulas import (
+    Atom,
     Formula,
     NonGround,
     children,
     free_vars,
     is_ground,
+    is_var,
     parse,
     rebuild,
     substitute,
@@ -156,6 +159,64 @@ def test_pickled_formula_is_found_in_a_set_under_another_hash_seed():
     fresh_hash, found, equal = _python(_READ, "2", text, data).decode().split()
     assert first_hash.decode() != fresh_hash  # the seeds do give other hashes
     assert (found, equal) == ("True", "True")
+
+
+def is_ground_ref(a) -> bool:
+    """An atom's groundness read off its fields."""
+    return a.start.var is None and a.end.var is None and not any(is_var(x) for x in a.args)
+
+
+def test_atom_is_ground_matches_its_fields_cold_and_warm():
+    atoms = [n for seed in range(30) for f in random_formulas(seed) for n in nodes(f)
+             if isinstance(n, Atom)]
+    atoms += [Atom(a.pred, a.start, a.end, a.args) for a in atoms]  # fresh, with no memo
+    assert any(is_ground_ref(a) for a in atoms) and not all(is_ground_ref(a) for a in atoms)
+    for a in atoms + atoms:
+        assert a.is_ground() == is_ground_ref(a)
+
+
+# ---------------------------------------------------------------------------
+# TimeExpr's memoised hash
+# ---------------------------------------------------------------------------
+
+TIMES = [TimeExpr.lit(3), TimeExpr.lit(INF), TimeExpr(None, 7), TimeExpr.at("T", -2), TimeExpr.at("X")]
+
+
+def test_time_expr_hash_is_memoised_with_the_generated_value():
+    for te in TIMES:
+        fresh = TimeExpr(te.var, te.offset)
+        assert "_memo_hash" not in vars(fresh)
+        assert hash(fresh) == hash((te.var, te.offset)) == hash(te)  # cold, then warm
+        assert vars(fresh)["_memo_hash"] == hash(fresh)
+        copy = pickle.loads(pickle.dumps(fresh))
+        assert copy == fresh and "_memo_hash" not in vars(copy)
+
+
+_WRITE_TIMES = """
+import pickle, sys
+from tdlek.intervals import TimeExpr
+times = (TimeExpr.lit(5), TimeExpr.at("T", 1))
+print(*map(hash, times))
+sys.stdout.flush()
+sys.stdout.buffer.write(pickle.dumps(times))
+"""
+
+_READ_TIMES = """
+import pickle, sys
+from tdlek.intervals import TimeExpr
+times = (TimeExpr.lit(5), TimeExpr.at("T", 1))
+here = {*times, TimeExpr.lit(6)}
+loaded = pickle.loads(sys.stdin.buffer.read())
+print(*map(hash, times), *(x in here for x in loaded), loaded == times)
+"""
+
+
+def test_pickled_time_exprs_are_found_in_a_set_under_another_hash_seed():
+    written = _python(_WRITE_TIMES, "1", "")
+    first_hashes, _, data = written.partition(b"\n")
+    fresh = _python(_READ_TIMES, "2", "", data).decode().split()
+    assert first_hashes.decode().split()[1] != fresh[1]  # the seeds do give other hashes
+    assert fresh[2:] == ["True", "True", "True"]
 
 
 # ---------------------------------------------------------------------------
