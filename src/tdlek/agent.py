@@ -17,21 +17,19 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from heapq import heappop, heappush
 from itertools import count
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .intervals import (
     INF,
-    BadInterval,
     Interval,
     TimeExpr,
     TimePoint,
-    UnboundVariable,
+    _derived,
     difference,
     fmt_time,
     hull,
     intersect,
     is_time_point,
-    subset,
 )
 from .formulas import (
     Always,
@@ -52,9 +50,8 @@ from .formulas import (
     literal_parts,
     parse,
     print_formula,
-    substitute,
-    match_atom,
     _trusted_atom,
+    _trusted_ground_atom,
 )
 from .models import TLekModel, _trusted_world
 
@@ -119,8 +116,19 @@ def _as_literal(lit: Union[Formula, BeliefLit]) -> BeliefLit:
     return BeliefLit(*parts)
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
 def _make_lit(pred: str, args: tuple[str, ...], positive: bool, iv: Interval) -> BeliefLit:
-    return BeliefLit(Atom(pred, TimeExpr.lit(iv.lo), TimeExpr.lit(iv.hi), args), positive)
+    """The belief pred(iv, args) of this polarity, from a held or derived
+    belief's pred and args and a valid interval: its atom is trusted, as
+    to_model's are, with its variables and time memos seeded, and the
+    literal skips the groundness test such an atom always passes."""
+    lit = _new(BeliefLit)
+    _set(lit, "atom", _trusted_ground_atom(pred, iv, args))
+    _set(lit, "positive", positive)
+    return lit
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +142,105 @@ class Premise:
     box: Optional[tuple[TimeExpr, TimeExpr]] = None  # containment constraint
 
 
+class Pattern(NamedTuple):
+    """An atom of a rule compiled for the join: its bounds as (var, offset)
+    pairs, var None for a literal time, and per argument whether it is a
+    variable; for a premise, also its box bounds as such pairs."""
+
+    pred: str
+    start: tuple[Optional[str], TimePoint]
+    end: tuple[Optional[str], TimePoint]
+    args: tuple[str, ...]
+    is_var: tuple[bool, ...]
+    box: Optional[tuple[tuple, tuple]] = None
+
+    @staticmethod
+    def of(atom: Atom, box: Optional[tuple[TimeExpr, TimeExpr]] = None) -> Pattern:
+        def pair(te: TimeExpr) -> tuple:
+            return te.var, te.offset
+
+        return Pattern(
+            atom.pred,
+            pair(atom.start),
+            pair(atom.end),
+            atom.args,
+            tuple(map(is_var, atom.args)),
+            box and (pair(box[0]), pair(box[1])),
+        )
+
+
+class RulePlan(NamedTuple):
+    premises: tuple[Pattern, ...]
+    conclusion: Pattern
+    times: frozenset[str]  # the rule's time variables
+
+
+def _value(te: tuple, binding: dict) -> Optional[TimePoint]:
+    """A (var, offset) bound under binding: None while var is unbound, and
+    below 0 where the shift takes it there (inf plus a shift is inf)."""
+    var, offset = te
+    if var is None:
+        return offset
+    base = binding.get(var)
+    return None if base is None else base + offset
+
+
+def _bounds(p: Pattern, binding: dict) -> Optional[tuple]:
+    """p's start and end under binding, each None while unbound; None if
+    they make no atom, where substitute raises BadInterval: a start below
+    0, of inf, or after the end, which takes in an end below 0 after a
+    bound start.  After an unbound start, such an end matches no belief."""
+    lo, hi = _value(p.start, binding), _value(p.end, binding)
+    if lo is not None and (lo < 0 or lo == INF or (hi is not None and lo > hi)):
+        return None
+    return lo, hi
+
+
+def _instance(c: Pattern, binding: dict) -> Optional[tuple[int, TimePoint, tuple[str, ...]]]:
+    """(start, end, args) of the ground atom c gives under a binding of all
+    its variables; None where that is no atom."""
+    bounds = _bounds(c, binding)
+    if bounds is None:
+        return None
+    return (*bounds, tuple(binding[x] if v else x for x, v in zip(c.args, c.is_var)))
+
+
+def _match(p: Pattern, lo, hi, binding: dict, atom: Atom) -> Optional[dict]:
+    """The values of p's variables that binding leaves unbound making p,
+    whose bounds evaluate to lo and hi (None where unbound), equal to the
+    ground atom, which has p's predicate; None if there are none.  Every
+    argument is compared, so atom may be of any group."""
+    new: dict = {}
+    start = atom.start.offset
+    if lo is None:
+        var, offset = p.start
+        if start < offset:
+            return None
+        new[var] = start - offset
+    elif start != lo:
+        return None
+    end = atom.end.offset
+    if hi is None:
+        var, offset = p.end
+        if var in new:
+            if new[var] + offset != end:
+                return None
+        elif end < offset:
+            return None
+        else:
+            new[var] = end - offset
+    elif end != hi:
+        return None
+    if len(atom.args) != len(p.args):
+        return None
+    for x, v, a in zip(p.args, p.is_var, atom.args):
+        if v:
+            x = binding[x] if x in binding else new.setdefault(x, a)
+        if x != a:
+            return None
+    return new
+
+
 @dataclass(frozen=True)
 class Rule:
     premises: tuple[Premise, ...]
@@ -143,6 +250,22 @@ class Rule:
 
     def __str__(self) -> str:
         return self.text
+
+    @cached_property
+    def plan(self) -> RulePlan:
+        """The rule compiled once for the join: its premises and conclusion
+        as patterns, and its time variables."""
+        times = frozenset(
+            te.var
+            for p in self.premises
+            for te in (p.atom.start, p.atom.end, *(p.box or ()))
+            if te.var is not None
+        )
+        return RulePlan(
+            tuple(Pattern.of(p.atom, p.box) for p in self.premises),
+            Pattern.of(self.conclusion),
+            times,
+        )
 
     @cached_property
     def covering(self) -> tuple[bool, ...]:
@@ -352,15 +475,21 @@ class WorkingMemory:
         """The beliefs with atom's predicate and arguments and this polarity."""
         return self.preds.get(atom.pred, {}).get((atom.args, positive), ())
 
-    def target(self, atom: Atom, positive: bool) -> Optional[BeliefLit]:
-        """The belief of this polarity spanning the whole atom: only the
-        last belief of the group that starts by the atom's start can."""
-        span = atom.interval()
-        group = self.group(atom, positive)
-        i = bisect_right(group, span.lo, key=_lo)
-        if i and span.hi <= _hi(group[i - 1]):
+    def spanning(
+        self, pred: str, args: tuple[str, ...], positive: bool, lo: int, hi: TimePoint
+    ) -> Optional[BeliefLit]:
+        """The belief pred(_, _, args) of this polarity spanning [lo, hi]:
+        only the last belief of the group that starts by lo can."""
+        group = self.preds.get(pred, {}).get((args, positive), ())
+        i = bisect_right(group, lo, key=_lo)
+        if i and hi <= _hi(group[i - 1]):
             return group[i - 1]
         return None
+
+    def target(self, atom: Atom, positive: bool) -> Optional[BeliefLit]:
+        """The belief of this polarity spanning the whole atom."""
+        span = atom.interval()
+        return self.spanning(atom.pred, atom.args, positive, span.lo, span.hi)
 
     def covered(self, atom: Atom, positive: bool) -> bool:
         return self.target(atom, positive) is not None
@@ -370,22 +499,6 @@ class WorkingMemory:
         group = self.group(b.atom, b.positive)
         i = bisect_left(group, _lo(b), key=_lo)
         return i < len(group) and group[i] is b
-
-    def candidates(self, pat: Atom) -> Sequence[BeliefLit]:
-        """The positive beliefs pat may match: its group when its arguments
-        are ground, narrowed to the belief with pat's start or end when
-        that is ground; otherwise every positive belief of its predicate."""
-        groups = self.preds.get(pat.pred, {})
-        if any(is_var(a) for a in pat.args):
-            return [b for (_, positive), group in groups.items() if positive for b in group]
-        group = groups.get((pat.args, True), ())
-        if pat.start.var is None:
-            i = bisect_left(group, pat.start.offset, key=_lo)
-        elif pat.end.var is None:
-            i = bisect_left(group, pat.end.offset, key=_hi)
-        else:
-            return group
-        return group[i : i + 1]
 
     def _put(self, lit: BeliefLit, group: tuple[BeliefLit, ...]) -> None:
         """Make group the beliefs of lit's group."""
@@ -514,12 +627,13 @@ def perceive(st: AgentState, lit: Union[Formula, BeliefLit], at: TimePoint) -> A
     return replace(st, memory=memory, clock=at, trace=st.trace + tuple(events))
 
 
-def _binding_key(items: tuple):
+def _binding_key(items: tuple, times: frozenset[str]):
     """Sort key of a binding given as its (variable, value) pairs sorted by
-    variable: time values first, then object values."""
-    times = tuple(kv for kv in items if is_time_point(kv[1]))
-    objs = tuple(kv for kv in items if not is_time_point(kv[1]))
-    return (tuple(v for _, v in times), tuple(v for _, v in objs), times + objs)
+    variable, of a rule with these time variables: time values first, then
+    object values."""
+    tvals = tuple(kv for kv in items if kv[0] in times)
+    objs = tuple(kv for kv in items if kv[0] not in times)
+    return (tuple(v for _, v in tvals), tuple(v for _, v in objs), tvals + objs)
 
 
 def _candidate_bindings(
@@ -535,8 +649,12 @@ def _candidate_bindings(
     belief, only the bindings it supports at premise position at: its
     match there binds that premise's variables, or, for a premise tested
     by coverage, its argument variables, before the walk starts.
+
+    The join reads the rule's plan: a premise's bounds are evaluated under
+    the binding, and a premise that this makes no atom ends the branch.
     """
-    premises, covering = rule.premises, rule.covering
+    premises, covering = rule.plan.premises, rule.covering
+    preds = memory.preds
     supports: list[Optional[BeliefLit]] = [None] * len(premises)
     found: dict[tuple, tuple[BeliefLit, ...]] = {}
 
@@ -544,13 +662,8 @@ def _candidate_bindings(
         if i == len(premises):
             for p in premises:
                 if p.box:
-                    try:
-                        lo = p.box[0].eval(binding)
-                        hi = p.box[1].eval(binding)
-                        ground_atom = substitute(p.atom, binding)
-                        if not subset(ground_atom.interval(), Interval(lo, hi)):
-                            return
-                    except (BadInterval, UnboundVariable):
+                    lo, hi = _value(p.box[0], binding), _value(p.box[1], binding)
+                    if not (0 <= lo <= _value(p.start, binding) and _value(p.end, binding) <= hi):
                         return
             found[tuple(sorted(binding.items()))] = tuple(supports)
             return
@@ -558,22 +671,38 @@ def _candidate_bindings(
             supports[i] = seed
             walk(i + 1, binding)
             return
-        try:
-            pat = substitute(premises[i].atom, binding)
-        except BadInterval:
+        p = premises[i]
+        bounds = _bounds(p, binding)
+        if bounds is None:
             return
+        lo, hi = bounds
+        args = tuple(binding.get(x, x) if v else x for x, v in zip(p.args, p.is_var))
         if covering[i]:
             if i != at:
-                supports[i] = memory.target(pat, True)
-            elif subset(pat.interval(), seed.interval()):
+                supports[i] = memory.spanning(p.pred, args, True, lo, hi)
+            elif _lo(seed) <= lo and hi <= _hi(seed):
                 supports[i] = seed
             else:
                 return
             if supports[i] is not None:
                 walk(i + 1, binding)
             return
-        for b in memory.candidates(pat):
-            m = match_atom(pat, b.atom)
+        # the positive beliefs p may match: its group when its arguments
+        # are bound, narrowed by bisection to the belief with p's start or
+        # end when that is bound; otherwise every one of its predicate
+        groups = preds.get(p.pred, {})
+        if any(v and x not in binding for x, v in zip(p.args, p.is_var)):
+            candidates = [b for (_, positive), group in groups.items() if positive for b in group]
+        else:
+            candidates = groups.get((args, True), ())
+            if lo is not None:
+                k = bisect_left(candidates, lo, key=_lo)
+                candidates = candidates[k : k + 1]
+            elif hi is not None:
+                k = bisect_left(candidates, hi, key=_hi)
+                candidates = candidates[k : k + 1]
+        for b in candidates:
+            m = _match(p, lo, hi, binding, b.atom)
             if m is not None:
                 supports[i] = b
                 walk(i + 1, {**binding, **m})
@@ -581,15 +710,18 @@ def _candidate_bindings(
     if seed is None:
         walk(0, {})
     elif covering[at]:
-        names = premises[at].atom.args
-        if len(names) == len(seed.atom.args):
+        p = premises[at]
+        if len(p.args) == len(seed.atom.args):
             binding: dict = {}
-            for x, a in zip(names, seed.atom.args):
-                if (binding.setdefault(x, a) if is_var(x) else x) != a:
+            for x, v, a in zip(p.args, p.is_var, seed.atom.args):
+                if (binding.setdefault(x, a) if v else x) != a:
                     return found
             walk(0, binding)
-    elif (m := match_atom(premises[at].atom, seed.atom)) is not None:
-        walk(0, m)
+    else:
+        p = premises[at]
+        m = _match(p, _value(p.start, {}), _value(p.end, {}), {}, seed.atom)
+        if m is not None:
+            walk(0, m)
     return found
 
 
@@ -647,21 +779,22 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
     def refresh(ridx: int, rule: Rule) -> None:
         """Queue the rule's bindings that the beliefs added since use."""
         seeds, pending[ridx] = pending[ridx], []
+        times = rule.plan.times
         if rescan[ridx]:
             rescan[ridx] = False
             dormant[ridx] = {}
             agendas[ridx] = sorted(
-                (_binding_key(items), next(order), items, supports)
+                (_binding_key(items, times), next(order), items, supports)
                 for items, supports in _candidate_bindings(memory, rule).items()
             )
             return
         found: dict[tuple, tuple] = {}
         for b in filter(memory.holds, seeds):
-            for at, p in enumerate(rule.premises):
-                if p.atom.pred == b.atom.pred:
+            for at, p in enumerate(rule.plan.premises):
+                if p.pred == b.atom.pred:
                     found.update(_candidate_bindings(memory, rule, b, at))
         for items, supports in found.items():
-            heappush(agendas[ridx], (_binding_key(items), next(order), items, supports))
+            heappush(agendas[ridx], (_binding_key(items, times), next(order), items, supports))
 
     def fire_first() -> bool:
         """Fire the first instance that can fire; False at the fixpoint."""
@@ -675,29 +808,28 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
                 done = (ridx, items)
                 if done in fired or not all(map(memory.holds, supports)):
                     continue
-                try:
-                    concl = substitute(rule.conclusion, dict(items))
-                except BadInterval:
+                instance = _instance(rule.plan.conclusion, dict(items))
+                if instance is None:
                     continue
-                lit = BeliefLit(concl, rule.positive)
-                target = None
+                lo, hi, args = instance
+                target = memory.spanning(rule.conclusion.pred, args, True, lo, hi)
                 if rule.positive:
-                    if memory.covered(concl, True):
+                    if target is not None:
                         fired.add(done)
                         continue
-                else:
-                    target = memory.target(concl, True)
-                    if target is None:
-                        dormant[ridx].setdefault(concl.args, []).append((key, items, supports))
-                        continue
+                elif target is None:
+                    dormant[ridx].setdefault(args, []).append((key, items, supports))
+                    continue
                 firings += 1
                 if firings > budget:
                     raise BudgetExhausted(f"gave up after {budget} firings")
+                span = _derived(lo, hi)
+                lit = _make_lit(rule.conclusion.pred, args, rule.positive, span)
                 events.append(Fired(ridx, rule.text, items, lit))
-                if target is None:
+                if rule.positive:
                     added(memory.insert(lit))
                 else:
-                    event = memory.restructure(target, concl.interval())
+                    event = memory.restructure(target, span)
                     events.append(event)
                     for part in event.parts:
                         added(part)

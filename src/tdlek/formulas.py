@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .intervals import (
     INF,
@@ -197,6 +197,15 @@ def _trusted_atom(pred: str, start: TimeExpr, end: TimeExpr, args: tuple[str, ..
     _set(atom, "end", end)
     _set(atom, "args", args)
     _set(atom, "_memo_hash", hash((pred, start, end, args)))
+    return atom
+
+
+def _trusted_ground_atom(pred: str, iv: Interval, args: tuple[str, ...]) -> Atom:
+    """_trusted_atom over iv's bounds, with the variables (none) and time
+    (iv) memos seeded too."""
+    atom = _trusted_atom(pred, TimeExpr.lit(iv.lo), TimeExpr.lit(iv.hi), args)
+    _set(atom, "_memo_free", _NO_VARS)
+    _set(atom, "_memo_time", iv)
     return atom
 
 
@@ -396,8 +405,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # NAME VAR NUM or the symbol itself; EOF at the end
     value: str
     line: int
@@ -405,24 +413,27 @@ class _Tok:
 
 
 def _lex(text: str) -> list[_Tok]:
+    """The tokens of text, in one pass of _TOKEN_RE; a gap between two
+    matches is a stray character.  A column counts the characters since
+    the last newline, so only whitespace tokens move the line."""
     toks: list[_Tok] = []
-    line, col = 1, 1
+    line, bol = 1, 0  # bol: the offset where the current line begins
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise FormulaSyntaxError(f"stray character {text[pos]!r}", line, col)
-        lexeme, kind = m.group(0), m.lastgroup
-        if kind != "ws":
-            toks.append(_Tok(lexeme if kind == "sym" else kind, lexeme, line, col))
-        for ch in lexeme:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
+    for m in _TOKEN_RE.finditer(text):
+        start = m.start()
+        if start != pos:
+            break
         pos = m.end()
-    toks.append(_Tok("EOF", "", line, col))
+        kind = m.lastgroup
+        if kind != "ws":
+            lexeme = m.group()
+            toks.append(_Tok(lexeme if kind == "sym" else kind, lexeme, line, start - bol + 1))
+        elif "\n" in (blank := m.group()):
+            line += blank.count("\n")
+            bol = text.rindex("\n", start, pos) + 1
+    if pos < len(text):
+        raise FormulaSyntaxError(f"stray character {text[pos]!r}", line, pos - bol + 1)
+    toks.append(_Tok("EOF", "", line, pos - bol + 1))
     return toks
 
 
@@ -430,11 +441,28 @@ def _lex(text: str) -> list[_Tok]:
 # Parser (precedence climbing over _BINARY, recursive descent below it)
 # ---------------------------------------------------------------------------
 
+# The deepest formula the parser accepts.  A formula's depth is the most
+# levels on a path from its top to an atom or a constant, where each
+# connective, prefix, box, dynamic prefix and mental operation is a level:
+# p(1,1) has depth 0, ~~p(1,1) and B(~p(1,1)) depth 2, and n atoms joined
+# by & depth n-1.  Under the default recursion limit, parse, print_formula,
+# check, reduce_formula and tdlek run all handle B(...) nested 327 deep,
+# the shallowest of the shapes probed (~, &, ->, B, K, box, dynamic
+# prefixes, with and without parentheses), and the limit is half of that.
+# Parentheses add no level, but the parser makes a call for each one open;
+# it handles 982 open at once, so it accepts half of that.  Formulas built
+# in code, past the parser, are not bounded.
+MAX_DEPTH = 163
+MAX_PARENS = 491
+
 
 class _Parser:
     def __init__(self, text: str):
         self.toks = _lex(text)
         self.pos = 0
+        self.open = 0  # levels open above the token being read
+        self.parens = 0  # parentheses open there
+        self.height = 0  # depth of the part a parse method returned last
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -460,6 +488,38 @@ class _Parser:
         msg = f"unexpected {tok.value!r}" if tok.kind != "EOF" else "unexpected end of input"
         raise FormulaSyntaxError(msg, tok.line, tok.col, expected=expected)
 
+    # The parse methods count levels as they go.  A method that returns a
+    # part sets height to its depth; a level is entered before its parts
+    # are parsed, so that deep nesting fails at the token that opens one
+    # level too many, before the parser's own calls nest too deep.  The
+    # calls that open a level or a parenthesis return before the parts are
+    # parsed, so they add no nesting of their own.
+
+    def enter(self, tok: _Tok) -> None:
+        """Open the level of the node tok starts."""
+        self.open += 1
+        self.bound(self.open, tok)
+
+    def leave(self, height: int) -> None:
+        """Close the level entered last, over parts of depth height."""
+        self.open -= 1
+        self.height = height + 1
+
+    def bound(self, depth: int, tok: _Tok) -> None:
+        """Fail at tok if it makes the formula deeper than MAX_DEPTH."""
+        if depth > MAX_DEPTH:
+            raise FormulaSyntaxError(f"formula nested deeper than {MAX_DEPTH} levels", tok.line, tok.col)
+
+    def open_paren(self) -> None:
+        tok = self.take()
+        self.parens += 1
+        if self.parens > MAX_PARENS:
+            raise FormulaSyntaxError(f"more than {MAX_PARENS} nested parentheses", tok.line, tok.col)
+
+    def close_paren(self) -> None:
+        self.parens -= 1
+        self.expect(")")
+
     def formula(self) -> Formula:
         f = self.binary()
         if self.peek().kind != "EOF":
@@ -468,22 +528,36 @@ class _Parser:
 
     def binary(self, min_level: int = 1) -> Formula:
         """The longest formula whose connectives bind at min_level or tighter."""
-        f = self.unary()
+        if self.peek().kind == "(":  # as in unary, but nested parentheses then take one call each
+            self.open_paren()
+            f = self.binary()
+            self.close_paren()
+        else:
+            f = self.unary()
         while True:
-            entry = _BINARY.get(self.peek().kind)
+            tok = self.peek()
+            entry = _BINARY.get(tok.kind)
             if entry is None or entry[1] < min_level:
                 return f
             self.take()
             cls, level, right = entry
+            left = self.height
+            self.enter(tok)
             f = cls(f, self.binary(level if right else level + 1))
+            self.leave(max(left, self.height))
+            self.bound(self.open + self.height, tok)
 
     def unary(self) -> Formula:
         tok = self.peek()
         if tok.value in _PREFIX:
             self.take()
-            return _PREFIX[tok.value](self.unary())
+            self.enter(tok)
+            body = self.unary()
+            self.leave(self.height)
+            return _PREFIX[tok.value](body)
         if tok.value in _CONSTANT:
             self.take()
+            self.height = 0
             return _CONSTANT[tok.value]()
         if tok.value == "box":
             self.take()
@@ -491,20 +565,26 @@ class _Parser:
                 lo, hi = self.interval_bounds()
             else:
                 lo, hi = TimeExpr.lit(0), TimeExpr.lit(INF)
+            self.enter(tok)
             body = self.unary()
+            self.leave(self.height)
             try:
                 return Always(lo, hi, body)
             except BadInterval as exc:
                 raise FormulaSyntaxError(str(exc), tok.line, tok.col) from exc
         if tok.kind == "[":
             self.take()
+            self.enter(tok)
             op = self.mental_op()
+            height = self.height
             self.expect("]")
-            return Dynamic(op, self.unary())
+            body = self.unary()
+            self.leave(max(height, self.height))
+            return Dynamic(op, body)
         if tok.kind == "(":
-            self.take()
+            self.open_paren()
             f = self.binary()
-            self.expect(")")
+            self.close_paren()
             return f
         if tok.kind == "NAME" and tok.value not in RESERVED:
             return self.atom()
@@ -524,26 +604,35 @@ class _Parser:
 
     def mental_op(self) -> MentalOp:
         tok = self.peek()
+        self.enter(tok)
         if tok.kind == "+":
             self.take()
-            return Learn(self.literal())
+            op = Learn(self.literal())
+            self.leave(self.height)
+            return op
         if tok.kind != "NAME" or tok.value not in _MENTAL_OPS:
             self.fail("+", *_MENTAL_OPS)
         self.take()
         cls, arg_parsers = _MENTAL_OPS[tok.value]
         self.expect("(")
-        args = []
+        args, height = [], 0
         for parse_arg in arg_parsers:
             if args:
                 self.expect(",")
             args.append(parse_arg(self))
+            height = max(height, self.height)
         self.expect(")")
+        self.leave(height)
         return cls(*args)
 
     def literal(self) -> Formula:
-        if self.peek().kind == "~":
+        tok = self.peek()
+        if tok.kind == "~":
             self.take()
-            return Not(self.atom())
+            self.enter(tok)
+            body = self.atom()
+            self.leave(0)
+            return Not(body)
         return self.atom()
 
     def atom(self) -> Atom:
@@ -563,6 +652,7 @@ class _Parser:
                 self.fail("constant", "variable")
             args.append(self.take().value)
         self.expect(")")
+        self.height = 0
         try:
             return Atom(name.value, start, end, tuple(args))
         except (BadInterval, ValueError) as exc:

@@ -425,7 +425,7 @@ def gen_random_model(
         )
         for _ in range(rng.randint(1, 3)):
             target = rng.choice(vocab)
-            family.add(fr.mask(extension(base, members[0], target)))
+            family.add(truth_set(base, target) & fr.cls[fr.index[members[0]]])
         for wid in members:
             nbhd[fr.index[wid]] = frozenset(family)
     return base.with_nbhd(tuple(nbhd))

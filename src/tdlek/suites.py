@@ -36,9 +36,9 @@ from .models import (
     TLekModel,
     World,
     check,
-    extension,
     gen_random_model,
     save_model,
+    truth_set,
     validate_model,
     world_interval,
 )
@@ -185,12 +185,8 @@ def _revise_fixture() -> tuple[TLekModel, Atom, Atom]:
     w2 = World("w2", frozenset({divorced, pad}))
     base = TLekModel([w1, w2], [frozenset({"w1", "w2"})], {})
     fr = base.frame
-    fam = frozenset(
-        {
-            fr.mask(extension(base, "w1", married)),
-            fr.mask(extension(base, "w1", divorced)),
-        }
-    )
+    r_w1 = fr.cls[fr.index["w1"]]
+    fam = frozenset({truth_set(base, married) & r_w1, truth_set(base, divorced) & r_w1})
     return base.with_nbhd((fam, fam)), divorced, married
 
 

@@ -17,6 +17,7 @@ from tdlek.agent import (
     NoSuchBelief,
     ScenarioError,
     UnsupportedQuery,
+    WorkingMemory,
     infer_fixpoint,
     init,
     perceive,
@@ -172,29 +173,29 @@ def test_marriage_restructuring():
 def test_umbrella_chaining_work_is_linear(monkeypatch):
     # n point perceptions two apart, then one infer: each belief is joined
     # once per premise of its predicate, so the matching and coverage work
-    # stays linear in n (a rescan after every firing made it quadratic)
+    # stays linear in n (a rescan after every firing made it quadratic).
+    # The join matches beliefs with _match and finds covering beliefs
+    # with WorkingMemory.spanning; both are counted.
     n = 480
     st = init(UMBRELLA_RULES)
     for i in range(n):
         st = perceive(st, atom("rain", 2 * i, 2 * i), 2 * i)
-    calls = {"match_atom": 0, "subset": 0}
+    calls = {"_match": 0, "spanning": 0}
 
-    def counted(name):
-        original = getattr(tdlek.agent, name)
-
+    def counted(name, original):
         def wrapper(*args):
             calls[name] += 1
             return original(*args)
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(tdlek.agent, name, counted(name))
+    monkeypatch.setattr(tdlek.agent, "_match", counted("_match", tdlek.agent._match))
+    monkeypatch.setattr(WorkingMemory, "spanning", counted("spanning", WorkingMemory.spanning))
     out = infer_fixpoint(st)
     assert sum(isinstance(ev, Fired) for ev in out.trace) == n + 1
     assert len(out.wm) == 2 * n + 1
-    assert calls["match_atom"] <= 4 * n
-    assert calls["subset"] <= 8 * n
+    assert n <= calls["_match"] <= 4 * n
+    assert n <= calls["spanning"] <= 8 * n
 
 
 def test_fixpoint_without_applicable_rules():

@@ -1,8 +1,8 @@
 """Differential tests: the labelling checker against the clause-by-clause reference.
 
-Every check, extension and update is compared at every world of its
-model: first on everything the four property suites generate over many
-seeds, then on random static and dynamic formulas over random models with
+Every check, extension, truth set and update is compared at every world
+of its model: first on everything the four property suites generate over
+many seeds, then on random static and dynamic formulas over random models with
 and without full-span world intervals.  An update is compared by its
 delta, its model, each world's neighbourhood against the reference's
 world-id families, and the saved model text; and a count guard checks
@@ -64,9 +64,11 @@ class Recorder:
         self.compare(m, f)
         return dynamics.check_dynamic(m, wid, f)
 
-    def extension(self, m, wid, f):
+    def truth_set(self, m, f):
         self.compare(m, f)
-        return models.extension(m, wid, f)
+        got = models.truth_set(m, f)
+        assert m.frame.worlds_of(got) == {w for w in m.worlds if ref.check(m, w, f)}, str(f)
+        return got
 
     def apply(self, m, op):
         assert_same_update(m, op)
@@ -81,7 +83,7 @@ class Recorder:
 @pytest.fixture
 def recorder(monkeypatch):
     rec = Recorder()
-    for name in ("check", "check_dynamic", "extension", "apply", "wider_belief_exists"):
+    for name in ("check", "check_dynamic", "truth_set", "apply", "wider_belief_exists"):
         monkeypatch.setattr(suites, name, getattr(rec, name))
     return rec
 
@@ -105,6 +107,12 @@ def test_random_formulas_agree_with_reference(full_span):
             assert_agree(m, gen_static(rng, vocab, 10, 3))
             assert_agree(m, gen_dynamic_formula(rng, vocab, 10))
             assert_same_update(m, gen_mental_op(rng, vocab, 10))
+
+
+def test_revise_fixture_family_is_reference_extensions():
+    m, trigger, target = suites._revise_fixture()
+    want = frozenset({ref.extension(m, "w1", target), ref.extension(m, "w1", trigger)})
+    assert m.n_of("w1") == m.n_of("w2") == want
 
 
 def test_update_path_derives_no_world_sets(monkeypatch):

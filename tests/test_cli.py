@@ -50,6 +50,74 @@ def test_parse_survives_300_parentheses(capsys):
     assert (code, out, err) == (0, "p(1,1)\n", "")
 
 
+# ROADMAP item 2's depth probes, each past the parser's limits
+DEPTH_PROBES = {
+    "deep ~": "~" * 600 + "p(1,1)",
+    "long & chain": " & ".join(["p(1,1)"] * 600),
+    "nested B": "B(" * 400 + "p(1,1)" + ")" * 400,
+    "nested parentheses": "(" * 600 + "p(1,1)" + ")" * 600,
+    "long -> chain": " -> ".join(["p(1,1)"] * 5000),
+    "deep box": "box[0,9] " * 5000 + "p(1,1)",
+    "nested dynamic prefixes": "[and(" * 400 + "p(1,1),p(1,1))] " * 400 + "p(1,1)",
+}
+
+
+@pytest.mark.parametrize("probe", list(DEPTH_PROBES))
+def test_depth_probes_exit_2_with_a_message(capsys, tmp_path, probe):
+    text = DEPTH_PROBES[probe]
+    model = tmp_path / "m.tlek"
+    model.write_text("worlds:\n  w0: p(1,1)\nclasses:\n  w0\nnbhd:\n  w0: {w0}\n")
+    script = tmp_path / "s.scn"
+    script.write_text(f"query {text}\n")
+    rule = tmp_path / "r.scn"
+    rule.write_text(f"rule K({text} -> q(1,1))\n")
+    for argv in (
+        ["parse", text],
+        ["check", "-m", str(model), "-w", "w0", text],
+        ["reduce", text],
+        ["run", str(script)],
+        ["run", str(rule)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, (probe, argv[0])
+        assert "nested" in err and "Traceback" not in err, (probe, argv[0], err[:200])
+
+
+def test_depth_limits_are_exact(capsys, tmp_path):
+    from tdlek.formulas import MAX_DEPTH, MAX_PARENS
+
+    model = tmp_path / "m.tlek"
+    model.write_text("worlds:\n  w0: p(1,1)\nclasses:\n  w0\nnbhd:\n  w0: {w0}\n")
+    atom = "p(1,1)"
+    at_limit = {
+        "~" * MAX_DEPTH + atom: "~" * MAX_DEPTH + atom,
+        " & ".join([atom] * (MAX_DEPTH + 1)): " & ".join([atom] * (MAX_DEPTH + 1)),
+        "B(" * MAX_DEPTH + atom + ")" * MAX_DEPTH: "B(" * MAX_DEPTH + atom + ")" * MAX_DEPTH,
+        "(" * MAX_PARENS + atom + ")" * MAX_PARENS: atom,
+    }
+    for text, printed in at_limit.items():
+        code, out, err = run(capsys, "parse", text)
+        assert (code, err) == (0, "")
+        assert out == printed + "\n"
+        assert run(capsys, "reduce", text)[0] == 0
+        assert run(capsys, "check", "-m", str(model), "-w", "w0", text)[0] == 0
+    past = {
+        "~" * (MAX_DEPTH + 1) + atom: f"1:{MAX_DEPTH + 1}: formula nested deeper than {MAX_DEPTH} levels",
+        "B(" * (MAX_DEPTH + 1) + atom + ")" * (MAX_DEPTH + 1): (
+            f"1:{2 * MAX_DEPTH + 1}: formula nested deeper than {MAX_DEPTH} levels"
+        ),
+        # the connective that makes the chain one level too deep
+        " & ".join([atom] * (MAX_DEPTH + 2)): (
+            f"1:{9 * MAX_DEPTH + 8}: formula nested deeper than {MAX_DEPTH} levels"
+        ),
+        "(" * (MAX_PARENS + 1) + atom + ")" * (MAX_PARENS + 1): (
+            f"1:{MAX_PARENS + 1}: more than {MAX_PARENS} nested parentheses"
+        ),
+    }
+    for text, message in past.items():
+        assert run(capsys, "parse", text) == (2, "", f"parse error: {message}\n")
+
+
 def test_parse_error_exits_2(capsys):
     code, out, err = run(capsys, "parse", "p(5,2)")
     assert code == 2

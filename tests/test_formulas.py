@@ -96,6 +96,34 @@ def test_parse_error_carries_position_and_expectations():
     assert err.value.expected
 
 
+# input -> (message, line, col); the positions the character-stepping
+# lexer gave, which the one-pass lexer keeps
+STRAY_CHARACTERS = {
+    "p(1,2)\n  & $q(1,2)": ("stray character '$'", 2, 5),
+    "p(1,2) &\t\t@": ("stray character '@'", 1, 11),
+    "p(1,2)#": ("stray character '#'", 1, 7),
+    "\n\n\tp(1,2) \r\n !": ("stray character '!'", 4, 2),
+    "p(1,2) & q(1,\n2)\t?": ("stray character '?'", 2, 4),
+}
+
+
+@pytest.mark.parametrize("text", list(STRAY_CHARACTERS))
+def test_stray_character_position(text):
+    message, line, col = STRAY_CHARACTERS[text]
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse(text)
+    assert (str(err.value), err.value.line, err.value.col) == (f"{line}:{col}: {message}", line, col)
+
+
+def test_token_positions_after_newlines_and_tabs():
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse("\tp(1,2)\n\t\t&\tq(1,2) r")
+    assert (err.value.line, err.value.col) == (2, 12)
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse("p(1,2\n")  # the end of input sits after the last newline
+    assert (err.value.line, err.value.col, err.value.expected) == (2, 1, (")",))
+
+
 def test_parse_precedence_chain():
     f = parse("~a(1,1) & b(2,2) -> c(3,3) | d(4,4) <-> e(5,5)")
     want = Iff(
