@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from heapq import heappop, heappush
-from itertools import count
+from itertools import compress, count
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .intervals import (
@@ -172,7 +172,10 @@ class Pattern(NamedTuple):
 class RulePlan(NamedTuple):
     premises: tuple[Pattern, ...]
     conclusion: Pattern
-    times: frozenset[str]  # the rule's time variables
+    # per premise, whether the earlier premises bind all its variables, so
+    # that a join tests it by coverage, not by matching
+    covering: tuple[bool, ...]
+    variables: tuple[str, ...]  # time variables sorted, then object variables sorted
 
 
 def _value(te: tuple, binding: dict) -> Optional[TimePoint]:
@@ -254,29 +257,17 @@ class Rule:
     @cached_property
     def plan(self) -> RulePlan:
         """The rule compiled once for the join: its premises and conclusion
-        as patterns, and its time variables."""
-        times = frozenset(
-            te.var
-            for p in self.premises
-            for te in (p.atom.start, p.atom.end, *(p.box or ()))
-            if te.var is not None
-        )
-        return RulePlan(
-            tuple(Pattern.of(p.atom, p.box) for p in self.premises),
-            Pattern.of(self.conclusion),
-            times,
-        )
-
-    @cached_property
-    def covering(self) -> tuple[bool, ...]:
-        """Per premise, whether the earlier premises bind all its
-        variables, so that a join tests it by coverage, not by matching."""
-        flags, bound = [], set()
-        for p in self.premises:
-            names = free_vars(p.atom)
-            flags.append(names <= bound)
-            bound |= names
-        return tuple(flags)
+        as patterns, which premises are tested by coverage, and the order
+        of its variables in an agenda key."""
+        premises = tuple(Pattern.of(p.atom, p.box) for p in self.premises)
+        covering, times, objects = [], set(), set()
+        for p in premises:
+            names, args = {p.start[0], p.end[0]} - {None}, set(compress(p.args, p.is_var))
+            covering.append(names <= times and args <= objects)
+            times |= names
+            objects |= args
+        variables = tuple(sorted(times)) + tuple(sorted(objects))
+        return RulePlan(premises, Pattern.of(self.conclusion), tuple(covering), variables)
 
 
 def rule_from_formula(f: Formula) -> Rule:
@@ -328,25 +319,22 @@ def rule_from_formula(f: Formula) -> Rule:
 
 
 def _canonical_rule_key(rule: Rule) -> tuple:
-    """The rule's premise atoms with their box bounds, its conclusion and
-    polarity, with variables renamed in first-occurrence order."""
-    names: dict[str, str] = {}
+    """The rule's plan, with its variables renamed in first-occurrence
+    order (start, end, arguments, then box, premise by premise, then the
+    conclusion), and its polarity."""
+    names: dict[str, int] = {}
 
-    def rename(var: str) -> str:
-        return names.setdefault(var, f"V{len(names) + 1}")
+    def bound(te: tuple) -> tuple:
+        var, offset = te
+        return te if var is None else (names.setdefault(var, len(names)), offset)
 
-    def rename_te(te: TimeExpr) -> TimeExpr:
-        return te if te.var is None else TimeExpr(rename(te.var), te.offset)
+    def renamed(p: Pattern) -> tuple:
+        start, end = bound(p.start), bound(p.end)
+        args = tuple(names.setdefault(x, len(names)) if v else x for x, v in zip(p.args, p.is_var))
+        return p.pred, start, end, args, p.box and (bound(p.box[0]), bound(p.box[1]))
 
-    def rename_atom(a: Atom) -> Atom:
-        start, end = rename_te(a.start), rename_te(a.end)
-        return Atom(a.pred, start, end, tuple(rename(x) if is_var(x) else x for x in a.args))
-
-    premises = tuple(
-        (rename_atom(p.atom), p.box and (rename_te(p.box[0]), rename_te(p.box[1])))
-        for p in rule.premises
-    )
-    return premises, rename_atom(rule.conclusion), rule.positive
+    plan = rule.plan
+    return tuple(map(renamed, plan.premises)), renamed(plan.conclusion), rule.positive
 
 
 # ---------------------------------------------------------------------------
@@ -627,13 +615,12 @@ def perceive(st: AgentState, lit: Union[Formula, BeliefLit], at: TimePoint) -> A
     return replace(st, memory=memory, clock=at, trace=st.trace + tuple(events))
 
 
-def _binding_key(items: tuple, times: frozenset[str]):
-    """Sort key of a binding given as its (variable, value) pairs sorted by
-    variable, of a rule with these time variables: time values first, then
-    object values."""
-    tvals = tuple(kv for kv in items if kv[0] in times)
-    objs = tuple(kv for kv in items if kv[0] not in times)
-    return (tuple(v for _, v in tvals), tuple(v for _, v in objs), tvals + objs)
+def _binding_key(items: tuple, variables: tuple[str, ...]) -> tuple:
+    """Agenda key of a binding given as its (variable, value) pairs: its
+    values in the order of the rule's plan.variables, so time values first,
+    then object values."""
+    binding = dict(items)
+    return tuple(binding[x] for x in variables)
 
 
 def _candidate_bindings(
@@ -653,7 +640,7 @@ def _candidate_bindings(
     The join reads the rule's plan: a premise's bounds are evaluated under
     the binding, and a premise that this makes no atom ends the branch.
     """
-    premises, covering = rule.plan.premises, rule.covering
+    premises, covering = rule.plan.premises, rule.plan.covering
     preds = memory.preds
     supports: list[Optional[BeliefLit]] = [None] * len(premises)
     found: dict[tuple, tuple[BeliefLit, ...]] = {}
@@ -779,12 +766,12 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
     def refresh(ridx: int, rule: Rule) -> None:
         """Queue the rule's bindings that the beliefs added since use."""
         seeds, pending[ridx] = pending[ridx], []
-        times = rule.plan.times
+        variables = rule.plan.variables
         if rescan[ridx]:
             rescan[ridx] = False
             dormant[ridx] = {}
             agendas[ridx] = sorted(
-                (_binding_key(items, times), next(order), items, supports)
+                (_binding_key(items, variables), next(order), items, supports)
                 for items, supports in _candidate_bindings(memory, rule).items()
             )
             return
@@ -794,7 +781,7 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
                 if p.pred == b.atom.pred:
                     found.update(_candidate_bindings(memory, rule, b, at))
         for items, supports in found.items():
-            heappush(agendas[ridx], (_binding_key(items, times), next(order), items, supports))
+            heappush(agendas[ridx], (_binding_key(items, variables), next(order), items, supports))
 
     def fire_first() -> bool:
         """Fire the first instance that can fire; False at the fixpoint."""

@@ -2,7 +2,8 @@
 
 apply() labels each guard once over all worlds of the input model and
 rebuilds the neighbourhood masks from those truth sets, so the update
-is simultaneous across worlds; its outcome is memoised on the input model.
+is simultaneous across worlds; the truth sets, not the outcome, are
+memoised on the input model.
 This module also supplies the model checker's clause for prefixed
 formulas: update first, then label the body.  reduce_formula() rewrites
 dynamic prefixes away, innermost first: prefixes distribute over the
@@ -45,7 +46,7 @@ from .formulas import (
     print_mental_op,
     rebuild,
 )
-from .models import CLAUSES, TLekModel, check, label
+from .models import CLAUSES, TLekModel, check, label, truth_set
 
 
 class MalformedOp(ValueError):
@@ -136,19 +137,12 @@ def apply(m: TLekModel, op: MentalOp) -> OpOutcome:
     target restricted to the trigger's span and adds extensions for the
     residual sub-interval beliefs.  Worlds where the guard fails keep
     their neighbourhood unchanged.  Each guard is labelled once for all
-    worlds, and the outcome is memoised on the input model, so every
-    (model, op) pair is updated once.
+    worlds, and its truth set is memoised on the input model, so a
+    repeated update reads its labels from there and rebuilds only the
+    masks.
     """
-    memo = m._updates.get(op)
-    if memo is None:
-        _validate_op(op)
-        memo = m._updates[op] = _update(m, op)
-    updated, applied = memo
-    return OpOutcome(m if updated is None else updated, applied, m)
-
-
-def _truth(m: TLekModel, f: Formula) -> int:
-    return label(m, f)[1]
+    _validate_op(op)
+    return OpOutcome(*_update(m, op), m)
 
 
 def _effect(op: MentalOp) -> tuple[Optional[Formula], Formula]:
@@ -162,9 +156,9 @@ def _effect(op: MentalOp) -> tuple[Optional[Formula], Formula]:
     return And(Belief(op.premise), Knowledge(Implies(op.premise, op.conclusion))), op.conclusion
 
 
-def _update(m: TLekModel, op: MentalOp) -> tuple[Optional[TLekModel], bool]:
-    """(updated model, applied); None stands for m itself, which the memo
-    on m may not hold without a reference cycle."""
+def _update(m: TLekModel, op: MentalOp) -> tuple[TLekModel, bool]:
+    """(updated model, applied); the model is m itself when no
+    neighbourhood changed."""
     fr = m.frame
     fired = fr.fit(op_time(op))
     adds: list[Formula] = []
@@ -175,9 +169,9 @@ def _update(m: TLekModel, op: MentalOp) -> tuple[Optional[TLekModel], bool]:
             fired = 0
         else:
             fired &= (
-                _truth(m, Belief(op.trigger))
-                & _truth(m, Belief(op.target))
-                & _truth(m, Knowledge(Implies(op.trigger, Not(op.target))))
+                truth_set(m, Belief(op.trigger))
+                & truth_set(m, Belief(op.target))
+                & truth_set(m, Knowledge(Implies(op.trigger, Not(op.target))))
             )
             for i, wid in enumerate(fr.ids):
                 if fired >> i & 1 and wider_belief_exists(m, wid, op):
@@ -190,18 +184,18 @@ def _update(m: TLekModel, op: MentalOp) -> tuple[Optional[TLekModel], bool]:
     else:
         guard, gained = _effect(op)
         if guard is not None:
-            fired &= _truth(m, guard)
+            fired &= truth_set(m, guard)
         adds.append(gained)
     if not fired:
-        return None, False
-    add_masks = [_truth(m, f) for f in adds]
-    remove_masks = [_truth(m, f) for f in removes]
+        return m, False
+    add_masks = [truth_set(m, f) for f in adds]
+    remove_masks = [truth_set(m, f) for f in removes]
     nbhd = tuple(
         family.difference([x & cls for x in remove_masks]).union([x & cls for x in add_masks])
         if fired >> i & 1 else family
         for i, (cls, family) in enumerate(zip(fr.cls, m.nbhd))
     )
-    return (None if nbhd == m.nbhd else m.with_nbhd(nbhd)), True
+    return (m if nbhd == m.nbhd else m.with_nbhd(nbhd)), True
 
 
 def check_dynamic(m: TLekModel, wid: str, f: Formula) -> bool:

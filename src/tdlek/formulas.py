@@ -817,16 +817,10 @@ def _solve_time(te: TimeExpr, value: TimePoint, binding: dict) -> bool:
             return te.eval({te.var: binding[te.var]}) == value
         except BadInterval:
             return False
-    if value == INF:
-        candidate: TimePoint = INF
-    else:
-        candidate = value - te.offset
-        if candidate < 0:
-            return False
-    try:
-        if te.eval({te.var: candidate}) != value:
-            return False
-    except BadInterval:
+    # unbound: te evaluates to value under candidate, so only a candidate
+    # below 0 (value below the shift) fails
+    candidate = value if value == INF else value - te.offset
+    if candidate < 0:
         return False
     binding[te.var] = candidate
     return True

@@ -96,7 +96,7 @@ class TLekModel:
     """Immutable snapshot of a model: worlds, R-partition, neighbourhoods.
 
     Each N(w) is a family of masks over frame.ids (n_of gives world ids),
-    and the truth sets and update outcomes are memoised on the model.
+    and the truth sets are memoised on the model.
     """
 
     def __init__(
@@ -136,7 +136,6 @@ class TLekModel:
             families[fr.index[wid]] = frozenset(fr.mask(x) for x in fam)
         self.nbhd: tuple[frozenset[int], ...] = tuple(families)
         self._truths: dict[Formula, int] = {}  # filled by truth_set
-        self._updates: dict = {}  # mental op -> outcome, filled by dynamics.apply
 
     def r_of(self, wid: str) -> frozenset[str]:
         return self.class_of[wid]
@@ -150,7 +149,7 @@ class TLekModel:
         nothing is re-validated: nbhd must meet __init__'s checks."""
         out = object.__new__(TLekModel)
         out.worlds, out.classes, out.class_of = self.worlds, self.classes, self.class_of
-        out.frame, out.nbhd, out._truths, out._updates = self.frame, nbhd, {}, {}
+        out.frame, out.nbhd, out._truths = self.frame, nbhd, {}
         return out
 
     def __eq__(self, other) -> bool:

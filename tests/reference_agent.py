@@ -9,6 +9,10 @@ working memory, copying the fired set and the trace on each firing.  It
 is slow on purpose and shares with ``tdlek.agent`` only the belief, rule
 and trace types; it keeps its own state record and memory helpers.
 
+``_canonical_rule_key`` is ``K``-query identity as it was before it read
+the rule's plan: it rebuilds every premise and the conclusion as renamed,
+validated ``Atom``s and ``TimeExpr``s.
+
 ``to_model`` is the bridge to the semantic layer as it was before it
 trusted the beliefs: every atom goes through the validating ``Atom``
 constructor, the world through ``World``'s groundness test, and
@@ -29,7 +33,7 @@ from tdlek.agent import (
     Restructured,
     Rule,
 )
-from tdlek.formulas import Atom, match_atom, substitute
+from tdlek.formulas import Atom, is_var, match_atom, substitute
 from tdlek.intervals import (
     INF,
     BadInterval,
@@ -138,6 +142,28 @@ def replay(rules: tuple[Rule, ...], trace) -> State:
         elif isinstance(ev, Restructured):
             wm = (wm - {ev.removed}) | frozenset(ev.parts)
     return State(rules, wm, clock, tuple(trace))
+
+
+def _canonical_rule_key(rule: Rule) -> tuple:
+    """The rule's premise atoms with their box bounds, its conclusion and
+    polarity, with variables renamed in first-occurrence order."""
+    names: dict[str, str] = {}
+
+    def rename(var: str) -> str:
+        return names.setdefault(var, f"V{len(names) + 1}")
+
+    def rename_te(te: TimeExpr) -> TimeExpr:
+        return te if te.var is None else TimeExpr(rename(te.var), te.offset)
+
+    def rename_atom(a: Atom) -> Atom:
+        start, end = rename_te(a.start), rename_te(a.end)
+        return Atom(a.pred, start, end, tuple(rename(x) if is_var(x) else x for x in a.args))
+
+    premises = tuple(
+        (rename_atom(p.atom), p.box and (rename_te(p.box[0]), rename_te(p.box[1])))
+        for p in rule.premises
+    )
+    return premises, rename_atom(rule.conclusion), rule.positive
 
 
 def _binding_key(binding: dict):

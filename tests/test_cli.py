@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from tdlek.cli import main
+from tdlek.suites import SUITES, SuiteReport
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -167,6 +168,11 @@ def test_bad_box_bounds_exit_2(capsys, model_file, formula):
         assert err.startswith("parse error: ") and "Traceback" not in err
 
 
+def test_check_non_ground_formula_exits_2(capsys, model_file):
+    code, out, err = run(capsys, "check", "-m", model_file, "-w", "w0", "p(T,1)")
+    assert (code, out, err) == (2, "", "check needs a ground formula\n")
+
+
 def test_check_bad_world_exits_2(capsys, model_file):
     code, _, err = run(capsys, "check", "-m", model_file, "-w", "nope", "p(1,1)")
     assert code == 2
@@ -249,6 +255,22 @@ def test_run_scenario_error_exits_2(capsys, tmp_path):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize(
+    "script, message",
+    [
+        ("perceive p(1,1) @ x\n", "line 1: bad perception time 'x'"),
+        ("perceive p(1,1) @ 1\ninfer now\n", "line 2: infer takes no argument"),
+        ("query true\nexpect maybe\n", "line 2: expect needs true or false, got 'maybe'"),
+        ("query B(p(T,1))\n", "line 1: query needs a ground atom: B(p(T,1))"),
+    ],
+)
+def test_run_bad_directive_exits_2(capsys, tmp_path, script, message):
+    scn = tmp_path / "bad.scn"
+    scn.write_text(script)
+    code, out, err = run(capsys, "run", str(scn))
+    assert (code, out, err) == (2, "", f"scenario error: {message}\n")
+
+
 def test_run_scenario_not_utf8_exits_2(capsys, tmp_path):
     scn = tmp_path / "latin1.scn"
     scn.write_bytes("perceive caf\u00e9(1,1) @ 1\n".encode("latin-1"))
@@ -321,6 +343,16 @@ def test_rand_test_deterministic_output(capsys):
     first = run(capsys, *argv)
     second = run(capsys, *argv)
     assert first == second
+
+
+def test_rand_test_counterexample_exits_1(capsys, monkeypatch):
+    def failing(**_):
+        return SuiteReport("frame", total=1, failures=["a counterexample"])
+
+    monkeypatch.setitem(SUITES, "frame", failing)
+    code, out, err = run(capsys, "rand-test", "frame", "--count", "1")
+    assert (code, out) == (1, "frame: 0/1 ok\n")
+    assert err.startswith("1 counterexample(s); first:\n") and "a counterexample" in err
 
 
 def test_usage_error_exits_2(capsys):

@@ -9,9 +9,14 @@ conclusion instantiated from the plan.  The slow path is the oracle:
 meaning the instance is skipped.  The patterns have shifted variables
 (``T+k``, and ``T-k`` going below 0), repeated variables
 (``p(T,T,X,X)``), ground bounds, and ``inf`` in bindings and in beliefs.
+
+The plan also fixes a rule's identity for ``K`` queries and the order of
+its agenda; the reference agent's formula-level key and binding order
+are the oracles for those.
 """
 
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -24,10 +29,13 @@ from tdlek.agent import (
     MalformedRule,
     Pattern,
     WorkingMemory,
+    _binding_key,
     _bounds,
+    _canonical_rule_key,
     _candidate_bindings,
     _instance,
     _match,
+    query,
     run_scenario_file,
     rule_from_formula,
 )
@@ -176,15 +184,15 @@ def _random_rule(rng):
             continue
 
 
-def _random_memory(rng, rule) -> WorkingMemory:
+def _random_memory(rng, rule, bindings: int = 3) -> WorkingMemory:
     """Random beliefs of p, q and r, and the rule's premises under up to
-    three random bindings, so that many joins complete."""
+    the given number of random bindings, so that many joins complete."""
     memory = WorkingMemory()
     for _ in range(rng.randint(0, 10)):
         pred = rng.choice("pqr")
         atom = _ground(rng, rng.randint(0, 2))
         memory.insert(BeliefLit(Atom(pred, atom.start, atom.end, atom.args), rng.random() < 0.85))
-    for _ in range(rng.randint(0, 3)):
+    for _ in range(rng.randint(0, bindings)):
         binding = {var: rng.choice((0, 1, 2, 3, 4, INF)) for var in TIME_VARS}
         binding.update((var, rng.choice(OBJECTS)) for var in OBJ_VARS)
         for p in rule.premises:
@@ -268,3 +276,173 @@ def test_infer_fixpoint_calls_no_substitute_match_or_validation(monkeypatch, pat
     inside[0] = True
     parse("p(1,2)")
     assert calls["Atom.__post_init__"] == 1
+
+
+# ---------------------------------------------------------------------------
+# K-query identity and agenda order read the plan
+# ---------------------------------------------------------------------------
+
+
+def _te_text(te: tuple) -> str:
+    var, k = te
+    if var is None:
+        return "inf" if k == INF else str(k)
+    return var if k == 0 else f"{var}{k:+d}"
+
+
+def _atom_text(pred: str, start: tuple, end: tuple, args: tuple) -> str:
+    return f"{pred}({','.join([_te_text(start), _te_text(end), *args])})"
+
+
+def _rule_text(parts) -> str:
+    premises, conclusion, positive = parts
+    texts = [
+        ("" if box is None else f"box[{_te_text(box[0])},{_te_text(box[1])}] ") + _atom_text(*atom)
+        for box, *atom in premises
+    ]
+    return f"K({' & '.join(texts)} -> {'' if positive else '~'}{_atom_text(*conclusion)})"
+
+
+def _rule_parts(rng):
+    """A rule as (premises, conclusion, positive), each premise (box, pred,
+    start, end, args) and each bound a (var, offset) pair; the rules are
+    small enough that two drawn alike are common."""
+
+    def te() -> tuple:
+        if rng.random() < 0.2:
+            return None, rng.choice((0, 1, INF))
+        return rng.choice(TIME_VARS), rng.randint(0, 1)
+
+    def args() -> tuple:
+        return tuple(rng.choice(OBJ_VARS + OBJECTS[:1]) for _ in range(rng.randint(0, 1)))
+
+    premises = [
+        ((te(), te()) if rng.random() < 0.2 else None, rng.choice("pq"), te(), te(), args())
+        for _ in range(rng.randint(1, 2))
+    ]
+    return premises, ("s", te(), te(), args()), rng.random() < 0.8
+
+
+def _renamed(parts, names: dict):
+    """parts with each variable x renamed to names.get(x, x)."""
+
+    def te(bound):
+        var, k = bound
+        return (var if var is None else names.get(var, var)), k
+
+    def atom(pred, start, end, args):
+        return pred, te(start), te(end), tuple(names.get(x, x) for x in args)
+
+    premises, conclusion, positive = parts
+    return (
+        [(box and (te(box[0]), te(box[1])), *atom(*rest)) for box, *rest in premises],
+        atom(*conclusion),
+        positive,
+    )
+
+
+def _variant(rng, parts):
+    """A rule like parts: renamed (bijectively, or merging two variables),
+    premises swapped, one bound shifted, a box toggled, the polarity
+    flipped, or an independent draw."""
+    premises, conclusion, positive = parts
+    kind = rng.choice(("rename", "merge", "swap", "shift", "box", "polarity", "fresh"))
+    if kind == "rename":
+        fresh = rng.sample(("T", "U", "S1", "Tb"), 2), rng.sample(("X", "Y", "Z", "Xb"), 2)
+        return _renamed(parts, dict(zip(TIME_VARS + OBJ_VARS, fresh[0] + fresh[1])))
+    if kind == "merge":
+        return _renamed(parts, {"U": "T"} if rng.random() < 0.5 else {"Y": "X"})
+    if kind == "swap":
+        return premises[::-1], conclusion, positive
+    if kind == "shift":  # the end of an atom or of a box, if any
+        i = rng.randrange(len(premises) + 1)
+        box, pred, start, end, args = premises[i] if i < len(premises) else (None, *conclusion)
+        shift = lambda te: (te[0], te[1] if te == (None, INF) else te[1] + 1)
+        if box and rng.random() < 0.5:
+            box = box[0], shift(box[1])
+        else:
+            end = shift(end)
+        if i == len(premises):
+            return premises, (pred, start, end, args), positive
+        premises = premises[:i] + [(box, pred, start, end, args)] + premises[i + 1 :]
+        return premises, conclusion, positive
+    if kind == "box":
+        i = rng.randrange(len(premises))
+        box, *atom = premises[i]
+        box = None if box else ((None, 0), ("T", 0))
+        return premises[:i] + [(box, *atom)] + premises[i + 1 :], conclusion, positive
+    if kind == "polarity":
+        return premises, conclusion, not positive
+    return _rule_parts(rng)
+
+
+def _rule_or_none(parts):
+    try:
+        return rule_from_formula(parse(_rule_text(parts)))
+    except (FormulaSyntaxError, MalformedRule):
+        return None
+
+
+def test_canonical_rule_key_agrees_with_reference_on_equality():
+    """Two rules get equal plan keys exactly when the reference's renamed
+    atoms are equal: over renamings, merged variables, swapped premises,
+    shifted bounds, toggled boxes, flipped polarity and unrelated rules."""
+    rng = random.Random(17)
+    outcomes = {True: 0, False: 0}
+    for _ in range(4_000):
+        parts = _rule_parts(rng)
+        a, b = _rule_or_none(parts), _rule_or_none(_variant(rng, parts))
+        if a is None or b is None:
+            continue
+        want = ref._canonical_rule_key(a) == ref._canonical_rule_key(b)
+        assert (_canonical_rule_key(a) == _canonical_rule_key(b)) == want, (a.text, b.text)
+        outcomes[want] += 1
+    assert min(outcomes.values()) > 300, outcomes
+
+
+def test_agenda_key_orders_bindings_as_the_reference():
+    """Sorting a rule's candidate bindings by their values in the plan's
+    variable order gives the reference's order: time values, then object
+    values, each by variable name.  The object variables are renamed to
+    sort before the time variables, so that order is not the names'."""
+    rng = random.Random(16)
+    names = {"X": "A", "Y": "B"}
+    compared = 0
+    for _ in range(2_000):
+        rule = _random_rule(rng)
+        found = [
+            tuple(sorted((names.get(x, x), v) for x, v in items))
+            for items in _candidate_bindings(_random_memory(rng, rule, bindings=8), rule)
+        ]
+        rng.shuffle(found)
+        rule = rule_from_formula(parse(re.sub(r"\b[XY]\b", lambda m: names[m[0]], rule.text)))
+        key = lambda items: _binding_key(items, rule.plan.variables)
+        assert len(set(map(key, found))) == len(found), rule
+        want = sorted(found, key=lambda items: ref._binding_key(dict(items)))
+        assert sorted(found, key=key) == want, rule
+        compared += len(found) > 1
+    assert compared > 100
+
+
+def test_k_query_builds_no_atoms(monkeypatch):
+    """A K query compares the rules' plans, and so validates no atom."""
+    st = run_scenario_file(ROOT / "scenarios/umbrella.scn").state
+    formulas = {
+        "K(rain(T1,T2) -> take(T1,T2,umbrella))": True,
+        "K(rain(A,B) & take(A,B,umbrella) -> go(A+1,inf,shops))": True,
+        "K(rain(A,B) & take(A,B,umbrella) -> go(A+2,inf,shops))": False,
+        "~K(rain(T,U) -> take(T,U,coat)) & K(rain(U,T) -> take(U,T,umbrella))": True,
+    }
+    parsed = {parse(text): want for text, want in formulas.items()}
+    calls = [0]
+    original = Atom.__post_init__
+
+    def counted(self):
+        calls[0] += 1
+        original(self)
+
+    monkeypatch.setattr(Atom, "__post_init__", counted)
+    assert {f: query(st, f) for f in parsed} == parsed
+    assert calls[0] == 0
+    parse("p(1,2)")  # the counter does count
+    assert calls[0] == 1
