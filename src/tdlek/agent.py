@@ -176,6 +176,10 @@ class RulePlan(NamedTuple):
     # that a join tests it by coverage, not by matching
     covering: tuple[bool, ...]
     variables: tuple[str, ...]  # time variables sorted, then object variables sorted
+    # per covering premise whose start is a variable V plus a shift, when
+    # the premise that binds V first binds it by its own start: that
+    # premise's index, and its start's shift less this one's; else None
+    narrow: tuple[Optional[tuple[int, int]], ...]
 
 
 def _value(te: tuple, binding: dict) -> Optional[TimePoint]:
@@ -260,14 +264,22 @@ class Rule:
         as patterns, which premises are tested by coverage, and the order
         of its variables in an agenda key."""
         premises = tuple(Pattern.of(p.atom, p.box) for p in self.premises)
-        covering, times, objects = [], set(), set()
-        for p in premises:
+        covering, narrow, times, objects = [], [], {}, set()
+        for i, p in enumerate(premises):
             names, args = {p.start[0], p.end[0]} - {None}, set(compress(p.args, p.is_var))
-            covering.append(names <= times and args <= objects)
-            times |= names
+            covering.append(names <= times.keys() and args <= objects)
+            first = times.get(p.start[0]) if covering[-1] else None
+            if first is not None and premises[first].start[0] == p.start[0]:
+                narrow.append((first, premises[first].start[1] - p.start[1]))
+            else:
+                narrow.append(None)
+            for name in names:
+                times.setdefault(name, i)
             objects |= args
         variables = tuple(sorted(times)) + tuple(sorted(objects))
-        return RulePlan(premises, Pattern.of(self.conclusion), tuple(covering), variables)
+        return RulePlan(
+            premises, Pattern.of(self.conclusion), tuple(covering), variables, tuple(narrow)
+        )
 
 
 def rule_from_formula(f: Formula) -> Rule:
@@ -352,7 +364,7 @@ class Perceived:
 class Fired:
     rule_index: int
     rule: str
-    binding: tuple[tuple[str, Union[TimePoint, str]], ...]
+    binding: tuple[tuple[str, Union[TimePoint, str]], ...]  # sorted by variable
     conclusion: BeliefLit
 
 
@@ -378,29 +390,33 @@ def _json_time(t: TimePoint):
 
 
 def trace_records(trace: Sequence[TraceEvent]) -> list[dict]:
-    """Serializable record stream: a schema header then one record per event."""
+    """Serializable record stream: a schema header then one record per event.
+
+    Every record has its keys in sorted order, and so has a firing's
+    binding, whose pairs are sorted, so json.dumps writes them sorted
+    without sort_keys."""
     records: list[dict] = [{"schema_version": TRACE_SCHEMA_VERSION}]
     for ev in trace:
         if isinstance(ev, Perceived):
             records.append(
-                {"event": "perceived", "literal": str(ev.literal), "at": _json_time(ev.at)}
+                {"at": _json_time(ev.at), "event": "perceived", "literal": str(ev.literal)}
             )
         elif isinstance(ev, Fired):
             records.append(
                 {
-                    "event": "fired",
-                    "rule_index": ev.rule_index,
-                    "rule": ev.rule,
                     "binding": {k: _json_time(v) if is_time_point(v) else v for k, v in ev.binding},
                     "conclusion": str(ev.conclusion),
+                    "event": "fired",
+                    "rule": ev.rule,
+                    "rule_index": ev.rule_index,
                 }
             )
         elif isinstance(ev, Restructured):
             records.append(
                 {
                     "event": "restructured",
-                    "removed": str(ev.removed),
                     "parts": [str(p) for p in ev.parts],
+                    "removed": str(ev.removed),
                 }
             )
         elif isinstance(ev, Conjoined):
@@ -639,11 +655,23 @@ def _candidate_bindings(
 
     The join reads the rule's plan: a premise's bounds are evaluated under
     the binding, and a premise that this makes no atom ends the branch.
+    A seed tested by coverage supports only the bindings that put that
+    premise's start inside the seed; where the plan says which earlier
+    premise binds that start by its own, its beliefs are narrowed by
+    bisection to those whose start does that.
     """
     premises, covering = rule.plan.premises, rule.plan.covering
     preds = memory.preds
     supports: list[Optional[BeliefLit]] = [None] * len(premises)
     found: dict[tuple, tuple[BeliefLit, ...]] = {}
+    narrowed, least, most = -1, 0, INF
+    if seed is not None and rule.plan.narrow[at] is not None:
+        narrowed, shift = rule.plan.narrow[at]
+        least, most = _lo(seed) + shift, _hi(seed) + shift
+
+    def window(group: tuple[BeliefLit, ...]) -> tuple[BeliefLit, ...]:
+        """The beliefs of a sorted group that start in [least, most]."""
+        return group[bisect_left(group, least, key=_lo) : bisect_right(group, most, key=_lo)]
 
     def walk(i: int, binding: dict):
         if i == len(premises):
@@ -676,10 +704,17 @@ def _candidate_bindings(
             return
         # the positive beliefs p may match: its group when its arguments
         # are bound, narrowed by bisection to the belief with p's start or
-        # end when that is bound; otherwise every one of its predicate
+        # end when that is bound; otherwise every one of its predicate;
+        # at the premise narrowed for a covering seed, only those starting
+        # in the seed's window
         groups = preds.get(p.pred, {})
         if any(v and x not in binding for x, v in zip(p.args, p.is_var)):
-            candidates = [b for (_, positive), group in groups.items() if positive for b in group]
+            candidates = [
+                b
+                for (_, positive), group in groups.items()
+                if positive
+                for b in (window(group) if i == narrowed else group)
+            ]
         else:
             candidates = groups.get((args, True), ())
             if lo is not None:
@@ -688,6 +723,8 @@ def _candidate_bindings(
             elif hi is not None:
                 k = bisect_left(candidates, hi, key=_hi)
                 candidates = candidates[k : k + 1]
+            elif i == narrowed:
+                candidates = window(candidates)
         for b in candidates:
             m = _match(p, lo, hi, binding, b.atom)
             if m is not None:
@@ -1036,4 +1073,7 @@ def run_scenario_file(path, budget: int = 10_000) -> ScenarioResult:
 
 
 def trace_json_lines(trace: Sequence[TraceEvent]) -> str:
-    return "\n".join(json.dumps(rec, sort_keys=True) for rec in trace_records(trace)) + "\n"
+    """One JSON line per record, keys sorted.  json.dumps with its default
+    settings reuses one module-level encoder; sort_keys would build an
+    encoder per record."""
+    return "\n".join(map(json.dumps, trace_records(trace))) + "\n"

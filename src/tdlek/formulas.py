@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .intervals import (
     INF,
@@ -21,6 +21,7 @@ from .intervals import (
     Interval,
     TimeExpr,
     TimePoint,
+    _derived,
     difference,
     fmt_time,
     hull,
@@ -56,9 +57,9 @@ def is_var(name: str) -> bool:
 
 def _check_bounds(head: str, start: TimeExpr, end: TimeExpr, brackets: str = "()") -> None:
     """Ground bounds must form an interval: a finite start no later than the end."""
-    if start.is_ground() and start.offset == INF:
+    if start.var is None and start.offset == INF:
         raise BadInterval(f"{head}: start bound may not be inf")
-    if start.is_ground() and end.is_ground() and start.offset > end.offset:
+    if start.var is None and end.var is None and start.offset > end.offset:
         raise BadInterval(
             f"{head}{brackets[0]}{start},{end}{brackets[1]}: start exceeds end"
         )
@@ -393,48 +394,49 @@ _TOKEN = {cls: tok for table in (_PREFIX, _CONSTANT) for tok, cls in table.items
 # Lexer
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<NUM>\d+)
-  | (?P<NAME>[a-z][A-Za-z0-9_]*)
-  | (?P<VAR>[A-Z][A-Za-z0-9_]*)
-  | (?P<sym><->|->|[()\[\],+\-~&|])
-    """,
-    re.VERBOSE,
-)
+# One token.  re.split on it gives the text around the tokens too, which
+# must be whitespace; a character there that is not is a stray one.
+_TOKEN_RE = re.compile(r"(\d+|[a-z][A-Za-z0-9_]*|[A-Z][A-Za-z0-9_]*|<->|->|[()\[\],+\-~&|])")
+_BLANK_RE = re.compile(r"\s*")
+
+# A token's kind by its first character: NAME, VAR, NUM, or SYM for a
+# symbol, which its value names.  The one other first character a token
+# can have is a digit outside ASCII, which \d matches too: a NUM.
+_KIND = {
+    **dict.fromkeys("abcdefghijklmnopqrstuvwxyz", "NAME"),
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "VAR"),
+    **dict.fromkeys("0123456789", "NUM"),
+    **dict.fromkeys("()[],+-~&|<", "SYM"),
+}
 
 
-class _Tok(NamedTuple):
-    kind: str  # NAME VAR NUM or the symbol itself; EOF at the end
-    value: str
-    line: int
-    col: int
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """Line and column of an offset into text; a column counts the
+    characters since the last newline, and only a newline ends a line."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _lex(text: str) -> list[_Tok]:
-    """The tokens of text, in one pass of _TOKEN_RE; a gap between two
-    matches is a stray character.  A column counts the characters since
-    the last newline, so only whitespace tokens move the line."""
-    toks: list[_Tok] = []
-    line, bol = 1, 0  # bol: the offset where the current line begins
-    pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        start = m.start()
-        if start != pos:
-            break
-        pos = m.end()
-        kind = m.lastgroup
-        if kind != "ws":
-            lexeme = m.group()
-            toks.append(_Tok(lexeme if kind == "sym" else kind, lexeme, line, start - bol + 1))
-        elif "\n" in (blank := m.group()):
-            line += blank.count("\n")
-            bol = text.rindex("\n", start, pos) + 1
-    if pos < len(text):
-        raise FormulaSyntaxError(f"stray character {text[pos]!r}", line, pos - bol + 1)
-    toks.append(_Tok("EOF", "", line, pos - bol + 1))
-    return toks
+def _lex(text: str) -> tuple[list[str], list[str], list[str]]:
+    """The kinds and values of text's tokens, two parallel lists that end
+    with EOF (value ""), and text split around them: gap, token, gap, ...,
+    token, gap.  Token i starts where parts[: 2 * i + 1] ends, EOF at the
+    end of text; that offset is summed only for an error."""
+    parts = _TOKEN_RE.split(text)
+    values = parts[1::2]
+    gaps = parts[::2]
+    if _BLANK_RE.fullmatch("".join(gaps)) is None:
+        for k, gap in enumerate(gaps):
+            blank = _BLANK_RE.match(gap).end()
+            if blank < len(gap):
+                pos = len("".join(parts[: 2 * k])) + blank
+                raise FormulaSyntaxError(f"stray character {text[pos]!r}", *_position(text, pos))
+    try:
+        kinds = [_KIND[v[0]] for v in values]
+    except KeyError:  # a digit outside ASCII
+        kinds = [_KIND.get(v[0], "NUM") for v in values]
+    kinds.append("EOF")
+    values.append("")
+    return kinds, values, parts
 
 
 # ---------------------------------------------------------------------------
@@ -455,38 +457,38 @@ def _lex(text: str) -> list[_Tok]:
 MAX_DEPTH = 163
 MAX_PARENS = 491
 
+_SIGN = {"+": 1, "-": -1}
+_INF_LIT = TimeExpr.lit(INF)
+
 
 class _Parser:
+    """Reads the lexer's lists by index: token i is kinds[i], values[i].
+    A symbol is tested by its value, which no other kind of token has; a
+    token's offset, line and column are found only for an error."""
+
     def __init__(self, text: str):
-        self.toks = _lex(text)
-        self.pos = 0
-        self.open = 0  # levels open above the token being read
+        self.text = text
+        self.kinds, self.values, self.parts = _lex(text)
+        self.i = 0  # the token being read
+        self.open = 0  # levels open above it
         self.parens = 0  # parentheses open there
         self.height = 0  # depth of the part a parse method returned last
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
+    def error(self, message: str, i: int, expected: tuple[str, ...] = ()) -> FormulaSyntaxError:
+        offset = len("".join(self.parts[: 2 * i + 1]))
+        return FormulaSyntaxError(message, *_position(self.text, offset), expected)
 
-    def take(self) -> _Tok:
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
+    def fail(self, i: int, *expected: str):
+        """Raise at token i, which none of expected is."""
+        kind = self.kinds[i]
+        msg = "unexpected end of input" if kind == "EOF" else f"unexpected {self.values[i]!r}"
+        raise self.error(msg, i, expected)
 
-    def expect(self, kind: str, what: str = "") -> _Tok:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise FormulaSyntaxError(
-                f"unexpected {tok.value!r}" if tok.kind != "EOF" else "unexpected end of input",
-                tok.line,
-                tok.col,
-                expected=(what or kind,),
-            )
-        return self.take()
-
-    def fail(self, *expected: str):
-        tok = self.peek()
-        msg = f"unexpected {tok.value!r}" if tok.kind != "EOF" else "unexpected end of input"
-        raise FormulaSyntaxError(msg, tok.line, tok.col, expected=expected)
+    def expect(self, symbol: str) -> None:
+        i = self.i
+        if self.values[i] != symbol:
+            self.fail(i, symbol)
+        self.i = i + 1
 
     # The parse methods count levels as they go.  A method that returns a
     # part sets height to its depth; a level is entered before its parts
@@ -495,26 +497,27 @@ class _Parser:
     # calls that open a level or a parenthesis return before the parts are
     # parsed, so they add no nesting of their own.
 
-    def enter(self, tok: _Tok) -> None:
-        """Open the level of the node tok starts."""
+    def enter(self, i: int) -> None:
+        """Open the level of the node token i starts."""
         self.open += 1
-        self.bound(self.open, tok)
+        self.bound(self.open, i)
 
     def leave(self, height: int) -> None:
         """Close the level entered last, over parts of depth height."""
         self.open -= 1
         self.height = height + 1
 
-    def bound(self, depth: int, tok: _Tok) -> None:
-        """Fail at tok if it makes the formula deeper than MAX_DEPTH."""
+    def bound(self, depth: int, i: int) -> None:
+        """Fail at token i if it makes the formula deeper than MAX_DEPTH."""
         if depth > MAX_DEPTH:
-            raise FormulaSyntaxError(f"formula nested deeper than {MAX_DEPTH} levels", tok.line, tok.col)
+            raise self.error(f"formula nested deeper than {MAX_DEPTH} levels", i)
 
     def open_paren(self) -> None:
-        tok = self.take()
+        i = self.i
+        self.i = i + 1
         self.parens += 1
         if self.parens > MAX_PARENS:
-            raise FormulaSyntaxError(f"more than {MAX_PARENS} nested parentheses", tok.line, tok.col)
+            raise self.error(f"more than {MAX_PARENS} nested parentheses", i)
 
     def close_paren(self) -> None:
         self.parens -= 1
@@ -522,98 +525,100 @@ class _Parser:
 
     def formula(self) -> Formula:
         f = self.binary()
-        if self.peek().kind != "EOF":
-            self.fail("end of input", "binary operator")
+        if self.kinds[self.i] != "EOF":
+            self.fail(self.i, "end of input", "binary operator")
         return f
 
     def binary(self, min_level: int = 1) -> Formula:
         """The longest formula whose connectives bind at min_level or tighter."""
-        if self.peek().kind == "(":  # as in unary, but nested parentheses then take one call each
+        values = self.values
+        if values[self.i] == "(":  # as in unary, but nested parentheses then take one call each
             self.open_paren()
             f = self.binary()
             self.close_paren()
         else:
             f = self.unary()
         while True:
-            tok = self.peek()
-            entry = _BINARY.get(tok.kind)
+            i = self.i
+            entry = _BINARY.get(values[i])
             if entry is None or entry[1] < min_level:
                 return f
-            self.take()
+            self.i = i + 1
             cls, level, right = entry
             left = self.height
-            self.enter(tok)
+            self.enter(i)
             f = cls(f, self.binary(level if right else level + 1))
             self.leave(max(left, self.height))
-            self.bound(self.open + self.height, tok)
+            self.bound(self.open + self.height, i)
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.value in _PREFIX:
-            self.take()
-            self.enter(tok)
+        i = self.i
+        value = self.values[i]
+        if value in _PREFIX:
+            self.i = i + 1
+            self.enter(i)
             body = self.unary()
             self.leave(self.height)
-            return _PREFIX[tok.value](body)
-        if tok.value in _CONSTANT:
-            self.take()
+            return _PREFIX[value](body)
+        if value in _CONSTANT:
+            self.i = i + 1
             self.height = 0
-            return _CONSTANT[tok.value]()
-        if tok.value == "box":
-            self.take()
-            if self.peek().kind == "[":
+            return _CONSTANT[value]()
+        if value == "box":
+            self.i = i + 1
+            if self.values[i + 1] == "[":
                 lo, hi = self.interval_bounds()
             else:
-                lo, hi = TimeExpr.lit(0), TimeExpr.lit(INF)
-            self.enter(tok)
+                lo, hi = TimeExpr.lit(0), _INF_LIT
+            self.enter(i)
             body = self.unary()
             self.leave(self.height)
             try:
                 return Always(lo, hi, body)
             except BadInterval as exc:
-                raise FormulaSyntaxError(str(exc), tok.line, tok.col) from exc
-        if tok.kind == "[":
-            self.take()
-            self.enter(tok)
+                raise self.error(str(exc), i) from exc
+        if value == "[":
+            self.i = i + 1
+            self.enter(i)
             op = self.mental_op()
             height = self.height
             self.expect("]")
             body = self.unary()
             self.leave(max(height, self.height))
             return Dynamic(op, body)
-        if tok.kind == "(":
+        if value == "(":
             self.open_paren()
             f = self.binary()
             self.close_paren()
             return f
-        if tok.kind == "NAME" and tok.value not in RESERVED:
+        if self.kinds[i] == "NAME" and value not in RESERVED:
             return self.atom()
-        self.fail(*_PREFIX, "box", "[", "(", *_CONSTANT, "atom")
+        self.fail(i, *_PREFIX, "box", "[", "(", *_CONSTANT, "atom")
 
     def interval_bounds(self) -> tuple[TimeExpr, TimeExpr]:
         self.expect("[")
         lo = self.time_expr()
         self.expect(",")
         hi = self.time_expr()
-        tok = self.peek()
-        if tok.kind in ("]", ")"):
-            self.take()
-        else:
-            self.fail("]", ")")
+        i = self.i
+        if self.values[i] not in ("]", ")"):
+            self.fail(i, "]", ")")
+        self.i = i + 1
         return lo, hi
 
     def mental_op(self) -> MentalOp:
-        tok = self.peek()
-        self.enter(tok)
-        if tok.kind == "+":
-            self.take()
+        i = self.i
+        value = self.values[i]
+        self.enter(i)
+        if value == "+":
+            self.i = i + 1
             op = Learn(self.literal())
             self.leave(self.height)
             return op
-        if tok.kind != "NAME" or tok.value not in _MENTAL_OPS:
-            self.fail("+", *_MENTAL_OPS)
-        self.take()
-        cls, arg_parsers = _MENTAL_OPS[tok.value]
+        if self.kinds[i] != "NAME" or value not in _MENTAL_OPS:
+            self.fail(i, "+", *_MENTAL_OPS)
+        self.i = i + 1
+        cls, arg_parsers = _MENTAL_OPS[value]
         self.expect("(")
         args, height = [], 0
         for parse_arg in arg_parsers:
@@ -626,53 +631,74 @@ class _Parser:
         return cls(*args)
 
     def literal(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "~":
-            self.take()
-            self.enter(tok)
+        i = self.i
+        if self.values[i] == "~":
+            self.i = i + 1
+            self.enter(i)
             body = self.atom()
             self.leave(0)
             return Not(body)
         return self.atom()
 
     def atom(self) -> Atom:
-        tok = self.peek()
-        if tok.kind != "NAME" or tok.value in RESERVED:
-            self.fail("predicate name")
-        name = self.take()
-        self.expect("(")
+        """An atom, built without Atom.__post_init__: a NAME or VAR token
+        matches _NAME_RE or _VAR_RE, so only the reserved names and the
+        bounds are tested here.  A ground atom comes with its variables
+        and time memos seeded."""
+        kinds, values = self.kinds, self.values
+        at = self.i
+        pred = values[at]
+        if kinds[at] != "NAME" or pred in RESERVED:
+            self.fail(at, "predicate name")
+        if values[at + 1] != "(":
+            self.fail(at + 1, "(")
+        self.i = at + 2
         start = self.time_expr()
-        self.expect(",")
+        i = self.i
+        if values[i] != ",":
+            self.fail(i, ",")
+        self.i = i + 1
         end = self.time_expr()
+        i = self.i
         args = []
-        while self.peek().kind == ",":
-            self.take()
-            t = self.peek()
-            if t.kind not in ("NAME", "VAR"):
-                self.fail("constant", "variable")
-            args.append(self.take().value)
-        self.expect(")")
+        ground = start.var is None and end.var is None
+        while values[i] == ",":
+            kind = kinds[i + 1]
+            if kind != "NAME":
+                if kind != "VAR":
+                    self.fail(i + 1, "constant", "variable")
+                ground = False
+            args.append(values[i + 1])
+            i += 2
+        if values[i] != ")":
+            self.fail(i, ")")
+        self.i = i + 1
         self.height = 0
         try:
-            return Atom(name.value, start, end, tuple(args))
-        except (BadInterval, ValueError) as exc:
-            raise FormulaSyntaxError(str(exc), name.line, name.col) from exc
+            _check_bounds(pred, start, end)
+        except BadInterval as exc:
+            raise self.error(str(exc), at) from exc
+        if ground:
+            return _trusted_ground_atom(pred, _derived(start.offset, end.offset), tuple(args))
+        return _trusted_atom(pred, start, end, tuple(args))
 
     def time_expr(self) -> TimeExpr:
-        tok = self.peek()
-        if tok.kind == "NUM":
-            return TimeExpr.lit(int(self.take().value))
-        if tok.kind == "NAME" and tok.value == "inf":
-            self.take()
-            return TimeExpr.lit(INF)
-        if tok.kind == "VAR":
-            var = self.take().value
-            if self.peek().kind in ("+", "-"):
-                sign = 1 if self.take().kind == "+" else -1
-                num = self.expect("NUM", "number")
-                return TimeExpr.at(var, sign * int(num.value))
-            return TimeExpr.at(var)
-        self.fail("number", "inf", "time variable")
+        i = self.i
+        kind, value = self.kinds[i], self.values[i]
+        self.i = i + 1
+        if kind == "NUM":
+            return TimeExpr.lit(int(value))
+        if value == "inf":
+            return _INF_LIT
+        if kind == "VAR":
+            sign = _SIGN.get(self.values[i + 1])
+            if sign is None:
+                return TimeExpr.at(value)
+            if self.kinds[i + 2] != "NUM":
+                self.fail(i + 2, "number")
+            self.i = i + 3
+            return TimeExpr.at(value, sign * int(self.values[i + 2]))
+        self.fail(i, "number", "inf", "time variable")
 
 
 # Mental operations written name(arg,...): name -> (class, argument parsers).
@@ -692,8 +718,8 @@ def parse(text: str) -> Formula:
 def parse_atom(text: str) -> Atom:
     p = _Parser(text)
     a = p.atom()
-    if p.peek().kind != "EOF":
-        p.fail("end of input")
+    if p.kinds[p.i] != "EOF":
+        p.fail(p.i, "end of input")
     return a
 
 

@@ -198,6 +198,31 @@ def test_umbrella_chaining_work_is_linear(monkeypatch):
     assert n <= calls["spanning"] <= 8 * n
 
 
+@pytest.mark.parametrize("n", [120, 240, 480])
+def test_umbrella_incremental_infer_work_is_independent_of_memory(monkeypatch, n):
+    # A second infer after 20 more rains joins each new take belief, a
+    # seed tested by coverage at the second rule's take premise, with the
+    # rains inside it only: 20 matches per seed kind, whatever n (each
+    # new take walked all n + 20 rains before the join narrowed them).
+    st = init(UMBRELLA_RULES)
+    for i in range(n):
+        st = perceive(st, atom("rain", 2 * i, 2 * i), 2 * i)
+    st = infer_fixpoint(st)
+    for i in range(n, n + 20):
+        st = perceive(st, atom("rain", 2 * i, 2 * i), 2 * i)
+    calls = [0]
+    original = tdlek.agent._match
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(tdlek.agent, "_match", counted)
+    out = infer_fixpoint(st)
+    assert len(out.wm) == 2 * (n + 20) + 1
+    assert 20 <= calls[0] <= 60
+
+
 def test_fixpoint_without_applicable_rules():
     st = perceive(init(UMBRELLA_RULES), parse("sunny(1,1)"), 1)
     assert infer_fixpoint(st).wm == st.wm
