@@ -568,7 +568,8 @@ class _Chaining:
     and per rule its dormant instances, as agenda entries keyed by the
     conclusion's arguments.  At the fixpoint every other candidate binding
     is fired, or its conclusion cannot be instantiated, so the next call
-    need only join the beliefs added since."""
+    need only join the beliefs added since.  A call with no record it can
+    use joins from the empty store, WorkingMemory(), with none dormant."""
 
     rules: tuple[Rule, ...]
     fired: frozenset
@@ -640,18 +641,20 @@ def _binding_key(items: tuple, variables: tuple[str, ...]) -> tuple:
 
 
 def _candidate_bindings(
-    memory: WorkingMemory, rule: Rule, seed: Optional[BeliefLit] = None, at: int = -1
+    memory: WorkingMemory, rule: Rule, seed: BeliefLit, at: int
 ) -> dict[tuple, tuple[BeliefLit, ...]]:
-    """The complete premise bindings, each as its (variable, value) pairs
+    """The complete premise bindings that the held positive belief seed
+    supports at premise position at, each as its (variable, value) pairs
     sorted by variable, mapped to the beliefs that support its premises.
 
-    Variables bind by syntactic match against the positive beliefs of the
-    premise's predicate; a premise whose variables the earlier premises
-    all bind only needs a covering belief, which supports it.  Box
-    constraints are checked once the binding is complete.  Given a seed
-    belief, only the bindings it supports at premise position at: its
-    match there binds that premise's variables, or, for a premise tested
-    by coverage, its argument variables, before the walk starts.
+    The seed's match at that premise binds its variables, or, for a
+    premise tested by coverage, its argument variables, before the walk
+    starts.  The other variables bind by syntactic match against the
+    positive beliefs of the premise's predicate; a premise whose variables
+    the earlier premises all bind only needs a covering belief, which
+    supports it.  Box constraints are checked once the binding is
+    complete.  The union of these joins over every held positive belief
+    and every premise of its predicate is every complete binding.
 
     The join reads the rule's plan: a premise's bounds are evaluated under
     the binding, and a premise that this makes no atom ends the branch.
@@ -665,7 +668,7 @@ def _candidate_bindings(
     supports: list[Optional[BeliefLit]] = [None] * len(premises)
     found: dict[tuple, tuple[BeliefLit, ...]] = {}
     narrowed, least, most = -1, 0, INF
-    if seed is not None and rule.plan.narrow[at] is not None:
+    if rule.plan.narrow[at] is not None:
         narrowed, shift = rule.plan.narrow[at]
         least, most = _lo(seed) + shift, _hi(seed) + shift
 
@@ -731,9 +734,7 @@ def _candidate_bindings(
                 supports[i] = b
                 walk(i + 1, {**binding, **m})
 
-    if seed is None:
-        walk(0, {})
-    elif covering[at]:
+    if covering[at]:
         p = premises[at]
         if len(p.args) == len(seed.atom.args):
             binding: dict = {}
@@ -760,14 +761,16 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
     BudgetExhausted after the given number of firings.
 
     The scan is kept incrementally, and its firings are exactly those of a
-    full rescan.  Each rule has an agenda: a heap of candidate bindings in
+    naive scan.  Each rule has an agenda: a heap of candidate bindings in
     scan order, each with the beliefs supporting its premises.  When the
     scan reaches a rule, the beliefs added since are joined at the rule's
     premises of their predicate.  A popped binding whose support is no longer
     held is dropped; one that fired or whose positive conclusion is held
     is done for good; a dormant one waits until a belief joins its
     conclusion's group.  The state returned keeps the dormant instances,
-    so the next call on it joins only the beliefs added since.
+    so the next call on it joins only the beliefs added since.  A call
+    with no such record, or with other rules or fired set than its, starts
+    from the empty store: every held belief is added since.
     """
     rules = st.rules
     memory = st.memory.copy()
@@ -776,17 +779,16 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
     reads: dict[str, list[int]] = {}  # predicate -> rules with a premise of it
     denies: dict[str, list[int]] = {}  # predicate -> rules denying it
     for ridx, rule in enumerate(rules):
-        for pred in {p.atom.pred for p in rule.premises}:
+        for pred in {p.pred for p in rule.plan.premises}:
             reads.setdefault(pred, []).append(ridx)
         if not rule.positive:
-            denies.setdefault(rule.conclusion.pred, []).append(ridx)
+            denies.setdefault(rule.plan.conclusion.pred, []).append(ridx)
     kept = st.chaining
-    reuse = kept is not None and kept.rules is rules and kept.fired is st.fired
-    rescan = [not reuse] * len(rules)
-    if reuse:
+    if kept is not None and kept.rules is rules and kept.fired is st.fired:
+        since = kept.memory
         dormant = [{args: list(entries) for args, entries in d.items()} for d in kept.dormant]
     else:
-        dormant = [{} for _ in rules]
+        since, dormant = WorkingMemory(), [{} for _ in rules]
     agendas: list[list] = [[] for _ in rules]
     pending: list[list[BeliefLit]] = [[] for _ in rules]
     order = count()  # heap tie-break: the same binding may be queued twice
@@ -804,14 +806,6 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
         """Queue the rule's bindings that the beliefs added since use."""
         seeds, pending[ridx] = pending[ridx], []
         variables = rule.plan.variables
-        if rescan[ridx]:
-            rescan[ridx] = False
-            dormant[ridx] = {}
-            agendas[ridx] = sorted(
-                (_binding_key(items, variables), next(order), items, supports)
-                for items, supports in _candidate_bindings(memory, rule).items()
-            )
-            return
         found: dict[tuple, tuple] = {}
         for b in filter(memory.holds, seeds):
             for at, p in enumerate(rule.plan.premises):
@@ -824,19 +818,20 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
         """Fire the first instance that can fire; False at the fixpoint."""
         nonlocal firings
         for ridx, rule in enumerate(rules):
-            if rescan[ridx] or pending[ridx]:
+            if pending[ridx]:
                 refresh(ridx, rule)
             agenda = agendas[ridx]
+            conclusion = rule.plan.conclusion
             while agenda:
                 key, _, items, supports = heappop(agenda)
                 done = (ridx, items)
                 if done in fired or not all(map(memory.holds, supports)):
                     continue
-                instance = _instance(rule.plan.conclusion, dict(items))
+                instance = _instance(conclusion, dict(items))
                 if instance is None:
                     continue
                 lo, hi, args = instance
-                target = memory.spanning(rule.conclusion.pred, args, True, lo, hi)
+                target = memory.spanning(conclusion.pred, args, True, lo, hi)
                 if rule.positive:
                     if target is not None:
                         fired.add(done)
@@ -848,7 +843,7 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
                 if firings > budget:
                     raise BudgetExhausted(f"gave up after {budget} firings")
                 span = _derived(lo, hi)
-                lit = _make_lit(rule.conclusion.pred, args, rule.positive, span)
+                lit = _make_lit(conclusion.pred, args, rule.positive, span)
                 events.append(Fired(ridx, rule.text, items, lit))
                 if rule.positive:
                     added(memory.insert(lit))
@@ -861,9 +856,8 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
                 return True
         return False
 
-    if reuse:
-        for b in memory.added_since(kept.memory):
-            added(b)
+    for b in memory.added_since(since):
+        added(b)
     while fire_first():
         pass
     fired_now = frozenset(fired)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -221,6 +222,37 @@ def test_umbrella_incremental_infer_work_is_independent_of_memory(monkeypatch, n
     out = infer_fixpoint(st)
     assert len(out.wm) == 2 * (n + 20) + 1
     assert 20 <= calls[0] <= 60
+
+
+def test_umbrella_late_rule_infer_work_is_linear(monkeypatch):
+    # The first rule, infer, then the second rule added and infer again:
+    # the chaining record was made for other rules, so the last infer
+    # joins every held belief from the empty store.  Each rain is matched
+    # at both rules' rain premises and each take seeds the second rule,
+    # whose window holds its one rain: 3n matches, and a coverage test
+    # per rain and per conclusion.
+    n = 480
+    st = init(UMBRELLA_RULES[:1])
+    for i in range(n):
+        st = perceive(st, atom("rain", 2 * i, 2 * i), 2 * i)
+    st = infer_fixpoint(st)
+    st = replace(st, rules=st.rules + init(UMBRELLA_RULES[1:]).rules)
+    calls = {"_match": 0, "spanning": 0}
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(tdlek.agent, "_match", counted("_match", tdlek.agent._match))
+    monkeypatch.setattr(WorkingMemory, "spanning", counted("spanning", WorkingMemory.spanning))
+    out = infer_fixpoint(st)
+    assert [str(ev.conclusion) for ev in out.trace[len(st.trace) :]] == ["go(1,inf,shops)"]
+    assert len(out.wm) == 2 * n + 1
+    assert n <= calls["_match"] <= 4 * n
+    assert n <= calls["spanning"] <= 8 * n
 
 
 def test_fixpoint_without_applicable_rules():

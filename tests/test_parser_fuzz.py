@@ -9,8 +9,9 @@ read the memos a parsed atom comes with) or the same ``FormulaSyntaxError``
 match by type and message.  The inputs are the printed output of the
 ``randgen`` formulas and character insertions, deletions and swaps of the
 golden parse inputs, newlines included.  ``load_model`` on random text
-raises only ``ModelFormatError``, and parsing builds every atom without
-``Atom.__post_init__``.
+raises only ``ModelFormatError``, ``run_scenario`` on mutated and
+recombined scenario scripts raises only ``ScenarioError``, and parsing
+builds every atom without ``Atom.__post_init__``.
 """
 
 import json
@@ -20,6 +21,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 import reference_parser as ref
+from tdlek.agent import ScenarioError, run_scenario
 from tdlek.formulas import (
     Atom,
     FormulaSyntaxError,
@@ -141,6 +143,52 @@ def test_load_model_raises_only_model_format_error(lines, edits):
     try:
         load_model(mutate("\n".join(lines), edits))
     except ModelFormatError:
+        pass
+
+
+SCENARIO_TEXTS = [
+    path.read_text()
+    for path in sorted([*(ROOT / "scenarios").glob("*.scn"), *GOLDEN_DIR.glob("*.scn")])
+]
+# the scripts' lines by first word, so that rules, infers and queries are
+# drawn as often as the far more numerous perceptions
+SCENARIO_LINES: dict[str, list[str]] = {}
+for line in (line for text in SCENARIO_TEXTS for line in text.splitlines()):
+    SCENARIO_LINES.setdefault(line.partition(" ")[0], []).append(line)
+scenario_line = st.one_of(*map(st.sampled_from, SCENARIO_LINES.values()))
+
+
+def spliced(text: str, inserts) -> str:
+    """text with each (position, line) inserted among its lines."""
+    lines = text.splitlines()
+    for pos, line in inserts:
+        lines.insert(pos % (len(lines) + 1), line)
+    return "\n".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.builds(mutate, st.sampled_from(SCENARIO_TEXTS), st.lists(mutation, min_size=1, max_size=4))
+    | st.lists(scenario_line, max_size=30).map("\n".join)
+    | st.builds(
+        spliced,
+        st.sampled_from(SCENARIO_TEXTS),
+        st.lists(
+            st.tuples(st.integers(0, 10_000), st.sampled_from(SCENARIO_LINES["rule"])),
+            min_size=1,
+            max_size=4,
+        ),
+    ),
+    st.sampled_from((0, 1, 5, 10_000)),
+)
+def test_run_scenario_raises_only_scenario_error(text, budget):
+    """Scripts with character mutations, scripts recombined from their
+    lines, and scripts with rules spliced in.  In the last two a rule may
+    follow an infer, so that the next infer finds a chaining record made
+    for other rules."""
+    try:
+        run_scenario(text, budget=budget)
+    except ScenarioError:
         pass
 
 

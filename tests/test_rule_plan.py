@@ -203,52 +203,104 @@ def _random_memory(rng, rule, bindings: int = 3) -> WorkingMemory:
     return memory
 
 
-def test_candidate_bindings_agree_with_reference_join():
-    """The plan's join finds exactly the bindings of the reference join,
-    and the joins seeded at each held belief and premise find them too,
-    each supported by held beliefs."""
-    rng = random.Random(15)
-    found_some = 0
-    for _ in range(2_500):
-        rule = _random_rule(rng)
-        memory = _random_memory(rng, rule)
-        state = ref.State(rules=(rule,), wm=memory.beliefs())
-        want = {tuple(sorted(b.items())) for b in ref._candidate_bindings(state, rule)}
-        full = _candidate_bindings(memory, rule)
-        assert set(full) == want, rule
-        seeded = {}
-        for b in memory.beliefs():
-            if not b.positive:
-                continue
+SPREAD_TIMES = (INF, *range(0, 60, 3))
+
+
+def _spread_memory(rng, rule, bindings: int = 4) -> WorkingMemory:
+    """The rule's premises under up to the given number of random bindings
+    whose times are spread over 0-57 and inf, so that few instances merge;
+    a binding is redrawn, up to 10 times, until every premise
+    instantiates, so that the joins often complete."""
+    memory = WorkingMemory()
+    for _ in range(rng.randint(1, bindings)):
+        for _ in range(10):
+            binding = {var: rng.choice(SPREAD_TIMES) for var in TIME_VARS}
+            binding.update((var, rng.choice(OBJECTS)) for var in OBJ_VARS)
+            instances = [_instance(p, binding) for p in rule.plan.premises]
+            if None not in instances:
+                for p, (lo, hi, args) in zip(rule.plan.premises, instances):
+                    memory.insert(BeliefLit(Atom(p.pred, TimeExpr.lit(lo), TimeExpr.lit(hi), args)))
+                break
+        else:
+            break  # the premises seldom instantiate together
+    return memory
+
+
+def _reference_bindings(memory, rule) -> set:
+    """The reference join's bindings, each as its sorted pairs."""
+    state = ref.State(rules=(rule,), wm=memory.beliefs())
+    return {tuple(sorted(b.items())) for b in ref._candidate_bindings(state, rule)}
+
+
+def _seeded_joins(memory, rule):
+    """Each join seeded at a held positive belief and a premise of its
+    predicate, as (premise index, bindings found), as the chainer makes
+    them for a call that starts from the empty store."""
+    for b in sorted(memory.beliefs(), key=BeliefLit.key):
+        if b.positive:
             for at, p in enumerate(rule.plan.premises):
                 if p.pred == b.atom.pred:
-                    seeded.update(_candidate_bindings(memory, rule, b, at))
-        assert set(seeded) == want, rule
-        for supports in list(full.values()) + list(seeded.values()):
-            assert all(map(memory.holds, supports))
-        found_some += bool(want)
-    assert found_some > 300
+                    yield at, _candidate_bindings(memory, rule, b, at)
+
+
+def test_candidate_bindings_agree_with_reference_join():
+    """The joins seeded at each held belief and premise find together
+    exactly the bindings of the reference join, each supported by held
+    beliefs: at a premise matched, by its instance; at a premise tested
+    by coverage, by a belief spanning it.  Each rule is joined over two
+    memories: random beliefs with a few premise instances, and premise
+    instances spread apart, where far more multi-premise joins complete
+    (the second is drawn from its own stream)."""
+    rng, spread_rng = random.Random(15), random.Random(115)
+    found_some = {"random": 0, "spread": 0}  # rules with a binding
+    complete = {"random": 0, "spread": 0}  # multi-premise rules with a binding
+    narrowed = {"random": 0, "spread": 0}  # seeds at a narrowed premise with a binding
+    for _ in range(2_500):
+        rule = _random_rule(rng)
+        plan = rule.plan
+        memories = {"random": _random_memory(rng, rule), "spread": _spread_memory(spread_rng, rule)}
+        for shape, memory in memories.items():
+            want = _reference_bindings(memory, rule)
+            seeded = {}
+            for at, found in _seeded_joins(memory, rule):
+                seeded.update(found)
+                narrowed[shape] += plan.narrow[at] is not None and bool(found)
+            assert set(seeded) == want, rule
+            for items, supports in seeded.items():
+                assert all(map(memory.holds, supports))
+                for p, covers, b in zip(plan.premises, plan.covering, supports):
+                    lo, hi, args = _instance(p, dict(items))
+                    assert b.positive and (b.atom.pred, b.atom.args) == (p.pred, args), rule
+                    b_lo, b_hi = b.atom.start.offset, b.atom.end.offset
+                    assert (b_lo <= lo and hi <= b_hi) if covers else (b_lo, b_hi) == (lo, hi)
+            found_some[shape] += bool(want)
+            complete[shape] += len(plan.premises) > 1 and bool(want)
+    assert found_some["random"] > 300, found_some
+    # the floors that the random memories alone miss
+    assert complete["spread"] > 400, complete
+    assert narrowed["spread"] > 140, narrowed
 
 
 def test_seeded_joins_find_exactly_the_bindings_their_seed_supports():
     """A join seeded at a belief and premise finds the complete bindings
     under which that premise's instance is the belief, or, for a premise
     tested by coverage, lies inside it with its arguments: those of the
-    full join, whatever the seed's narrowing of an earlier premise skips."""
+    reference join, whatever the seed's narrowing of an earlier premise
+    skips."""
     rng = random.Random(16)
     narrowed = 0
     for _ in range(1_500):
         rule = _random_rule(rng)
         memory = _random_memory(rng, rule)
         for _ in range(rng.randint(0, 6)):  # instances far apart, so that few merge
-            binding = {var: rng.choice((INF, *range(0, 60, 3))) for var in TIME_VARS}
+            binding = {var: rng.choice(SPREAD_TIMES) for var in TIME_VARS}
             binding.update((var, rng.choice(OBJECTS)) for var in OBJ_VARS)
             for p in rule.premises:
                 try:
                     memory.insert(BeliefLit(substitute(p.atom, binding)))
                 except BadInterval:
                     pass
-        full = _candidate_bindings(memory, rule)
+        full = _reference_bindings(memory, rule)
         plan = rule.plan
         for b in memory.beliefs():
             if not b.positive:
@@ -451,10 +503,11 @@ def test_agenda_key_orders_bindings_as_the_reference():
     compared = 0
     for _ in range(2_000):
         rule = _random_rule(rng)
-        found = [
-            tuple(sorted((names.get(x, x), v) for x, v in items))
-            for items in _candidate_bindings(_random_memory(rng, rule, bindings=8), rule)
-        ]
+        memory = _random_memory(rng, rule, bindings=8)
+        bindings = {}
+        for _, found in _seeded_joins(memory, rule):
+            bindings.update(found)
+        found = [tuple(sorted((names.get(x, x), v) for x, v in items)) for items in bindings]
         rng.shuffle(found)
         rule = rule_from_formula(parse(re.sub(r"\b[XY]\b", lambda m: names[m[0]], rule.text)))
         key = lambda items: _binding_key(items, rule.plan.variables)
