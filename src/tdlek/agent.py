@@ -565,16 +565,17 @@ class WorkingMemory:
 class _Chaining:
     """What infer_fixpoint leaves for the next call on the state it
     returns: the rules and fired set it ran with, the store it ended on,
-    and per rule its dormant instances, as agenda entries keyed by the
-    conclusion's arguments.  At the fixpoint every other candidate binding
-    is fired, or its conclusion cannot be instantiated, so the next call
-    need only join the beliefs added since.  A call with no record it can
-    use joins from the empty store, WorkingMemory(), with none dormant."""
+    and its dormant instances, as agenda entries keyed by the group
+    (pred, args) of their conclusion.  At the fixpoint every other
+    candidate binding is fired, or its conclusion cannot be instantiated,
+    so the next call need only join the beliefs added since.  A call with
+    no record it can use joins from the empty store, WorkingMemory(), with
+    none dormant.  The next call edits a copy of dormant, lists included."""
 
     rules: tuple[Rule, ...]
     fired: frozenset
     memory: WorkingMemory
-    dormant: tuple[dict[tuple, list[tuple]], ...]
+    dormant: dict[tuple, list[tuple]]
 
 
 @dataclass(frozen=True)
@@ -760,113 +761,92 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
     span lies inside it; otherwise the instance stays dormant.  Raises
     BudgetExhausted after the given number of firings.
 
-    The scan is kept incrementally, and its firings are exactly those of a
-    naive scan.  Each rule has an agenda: a heap of candidate bindings in
-    scan order, each with the beliefs supporting its premises.  When the
-    scan reaches a rule, the beliefs added since are joined at the rule's
-    premises of their predicate.  A popped binding whose support is no longer
-    held is dropped; one that fired or whose positive conclusion is held
-    is done for good; a dormant one waits until a belief joins its
-    conclusion's group.  The state returned keeps the dormant instances,
-    so the next call on it joins only the beliefs added since.  A call
-    with no such record, or with other rules or fired set than its, starts
-    from the empty store: every held belief is added since.
+    The scan is kept as one agenda, and its firings are exactly those of a
+    naive scan.  The agenda is a heap of candidate bindings ordered by rule
+    index, then binding, each with the beliefs supporting its premises.  A
+    positive belief is joined when it is added, at every premise of its
+    predicate, and the bindings found are pushed.  A popped binding whose
+    support is no longer held is dropped; one that fired or whose positive
+    conclusion is held is done for good; a dormant one waits under its
+    conclusion's group (pred, args) until a belief joins that group.  A
+    binding whose supports are all held was found when the last of them
+    was added, so the least one on the heap is the naive scan's next
+    firing.  The state returned keeps the dormant instances, so the next
+    call on it joins only the beliefs added since.  A call with no such
+    record, or with other rules or fired set than its, starts from the
+    empty store: every held belief is added since.
     """
     rules = st.rules
     memory = st.memory.copy()
     fired = set(st.fired)
     events: list[TraceEvent] = []
-    reads: dict[str, list[int]] = {}  # predicate -> rules with a premise of it
-    denies: dict[str, list[int]] = {}  # predicate -> rules denying it
+    reads: dict[str, list[tuple[int, int]]] = {}  # predicate -> (rule, premise) pairs
     for ridx, rule in enumerate(rules):
-        for pred in {p.pred for p in rule.plan.premises}:
-            reads.setdefault(pred, []).append(ridx)
-        if not rule.positive:
-            denies.setdefault(rule.plan.conclusion.pred, []).append(ridx)
+        for at, p in enumerate(rule.plan.premises):
+            reads.setdefault(p.pred, []).append((ridx, at))
     kept = st.chaining
     if kept is not None and kept.rules is rules and kept.fired is st.fired:
         since = kept.memory
-        dormant = [{args: list(entries) for args, entries in d.items()} for d in kept.dormant]
+        dormant = {group: list(entries) for group, entries in kept.dormant.items()}
     else:
-        since, dormant = WorkingMemory(), [{} for _ in rules]
-    agendas: list[list] = [[] for _ in rules]
-    pending: list[list[BeliefLit]] = [[] for _ in rules]
+        since, dormant = WorkingMemory(), {}
+    agenda: list[tuple] = []
     order = count()  # heap tie-break: the same binding may be queued twice
     firings = 0
 
     def added(b: BeliefLit) -> None:
-        """Note a positive belief added to the store."""
-        for ridx in reads.get(b.atom.pred, ()):
-            pending[ridx].append(b)
-        for ridx in denies.get(b.atom.pred, ()):
-            for key, items, supports in dormant[ridx].pop(b.atom.args, ()):
-                heappush(agendas[ridx], (key, next(order), items, supports))
-
-    def refresh(ridx: int, rule: Rule) -> None:
-        """Queue the rule's bindings that the beliefs added since use."""
-        seeds, pending[ridx] = pending[ridx], []
-        variables = rule.plan.variables
-        found: dict[tuple, tuple] = {}
-        for b in filter(memory.holds, seeds):
-            for at, p in enumerate(rule.plan.premises):
-                if p.pred == b.atom.pred:
-                    found.update(_candidate_bindings(memory, rule, b, at))
-        for items, supports in found.items():
-            heappush(agendas[ridx], (_binding_key(items, variables), next(order), items, supports))
-
-    def fire_first() -> bool:
-        """Fire the first instance that can fire; False at the fixpoint."""
-        nonlocal firings
-        for ridx, rule in enumerate(rules):
-            if pending[ridx]:
-                refresh(ridx, rule)
-            agenda = agendas[ridx]
-            conclusion = rule.plan.conclusion
-            while agenda:
-                key, _, items, supports = heappop(agenda)
-                done = (ridx, items)
-                if done in fired or not all(map(memory.holds, supports)):
-                    continue
-                instance = _instance(conclusion, dict(items))
-                if instance is None:
-                    continue
-                lo, hi, args = instance
-                target = memory.spanning(conclusion.pred, args, True, lo, hi)
-                if rule.positive:
-                    if target is not None:
-                        fired.add(done)
-                        continue
-                elif target is None:
-                    dormant[ridx].setdefault(args, []).append((key, items, supports))
-                    continue
-                firings += 1
-                if firings > budget:
-                    raise BudgetExhausted(f"gave up after {budget} firings")
-                span = _derived(lo, hi)
-                lit = _make_lit(conclusion.pred, args, rule.positive, span)
-                events.append(Fired(ridx, rule.text, items, lit))
-                if rule.positive:
-                    added(memory.insert(lit))
-                else:
-                    event = memory.restructure(target, span)
-                    events.append(event)
-                    for part in event.parts:
-                        added(part)
-                fired.add(done)
-                return True
-        return False
+        """Queue the bindings a positive belief added to the store supports,
+        and the instances dormant on its group."""
+        for ridx, at in reads.get(b.atom.pred, ()):
+            rule = rules[ridx]
+            for items, supports in _candidate_bindings(memory, rule, b, at).items():
+                key = _binding_key(items, rule.plan.variables)
+                heappush(agenda, (ridx, key, next(order), items, supports))
+        for ridx, key, items, supports in dormant.pop((b.atom.pred, b.atom.args), ()):
+            heappush(agenda, (ridx, key, next(order), items, supports))
 
     for b in memory.added_since(since):
         added(b)
-    while fire_first():
-        pass
+    while agenda:
+        ridx, key, _, items, supports = heappop(agenda)
+        done = (ridx, items)
+        if done in fired or not all(map(memory.holds, supports)):
+            continue
+        rule = rules[ridx]
+        conclusion = rule.plan.conclusion
+        instance = _instance(conclusion, dict(items))
+        if instance is None:
+            continue
+        lo, hi, args = instance
+        target = memory.spanning(conclusion.pred, args, True, lo, hi)
+        if rule.positive:
+            if target is not None:
+                fired.add(done)
+                continue
+        elif target is None:
+            dormant.setdefault((conclusion.pred, args), []).append((ridx, key, items, supports))
+            continue
+        firings += 1
+        if firings > budget:
+            raise BudgetExhausted(f"gave up after {budget} firings")
+        span = _derived(lo, hi)
+        lit = _make_lit(conclusion.pred, args, rule.positive, span)
+        events.append(Fired(ridx, rule.text, items, lit))
+        if rule.positive:
+            added(memory.insert(lit))
+        else:
+            event = memory.restructure(target, span)
+            events.append(event)
+            for part in event.parts:
+                added(part)
+        fired.add(done)
     fired_now = frozenset(fired)
     return replace(
         st,
         memory=memory,
         trace=st.trace + tuple(events),
         fired=fired_now,
-        chaining=_Chaining(rules, fired_now, memory, tuple(dormant)),
+        chaining=_Chaining(rules, fired_now, memory, dormant),
     )
 
 

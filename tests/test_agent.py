@@ -420,6 +420,23 @@ def test_operations_leave_their_input_state_unchanged():
     ]
 
 
+def test_infer_leaves_the_chaining_record_it_reads_unchanged():
+    # The second infer makes a second dormant instance of the conclusion
+    # group d(_, _, a), whose first instance the first state's record
+    # holds: it must add it to its own copy of that group's list, since
+    # a sibling state derived from the first reads the same record.
+    group = ("d", ("a",))
+    first = infer_fixpoint(perceive(init(["K(m(T,T,X) -> ~d(T,T,X))"]), parse("m(2,2,a)"), 2))
+    before = {key: list(entries) for key, entries in first.chaining.dormant.items()}
+    assert list(before) == [group] and len(before[group]) == 1
+    second = infer_fixpoint(perceive(first, parse("m(5,5,a)"), 5))
+    assert len(second.chaining.dormant[group]) == 2
+    assert first.chaining.dormant == before
+    sibling = infer_fixpoint(perceive(first, parse("m(7,7,b)"), 7))
+    assert sorted(sibling.chaining.dormant) == [group, ("d", ("b",))]
+    assert len(sibling.chaining.dormant[group]) == 1
+
+
 # ---------------------------------------------------------------------------
 # query
 # ---------------------------------------------------------------------------

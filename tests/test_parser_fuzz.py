@@ -10,18 +10,23 @@ match by type and message.  The inputs are the printed output of the
 ``randgen`` formulas and character insertions, deletions and swaps of the
 golden parse inputs, newlines included.  ``load_model`` on random text
 raises only ``ModelFormatError``, ``run_scenario`` on mutated and
-recombined scenario scripts raises only ``ScenarioError``, and parsing
-builds every atom without ``Atom.__post_init__``.
+recombined scenario scripts raises only ``ScenarioError``, ``cli.main``
+on argv built from its subcommands and options exits 0, 1 or 2 without a
+traceback, and parsing builds every atom without ``Atom.__post_init__``.
 """
 
+import contextlib
+import io
 import json
 import random
+import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_parser as ref
 from tdlek.agent import ScenarioError, run_scenario
+from tdlek.cli import main
 from tdlek.formulas import (
     Atom,
     FormulaSyntaxError,
@@ -33,8 +38,9 @@ from tdlek.formulas import (
     time_of,
 )
 from tdlek.intervals import TimeExpr
-from tdlek.models import ModelFormatError, load_model
-from tdlek.randgen import gen_free_formula
+from tdlek.models import ModelFormatError, gen_random_model, load_model, save_model
+from tdlek.randgen import gen_dynamic_formula, gen_free_formula, gen_static, model_vocab
+from tdlek.suites import SUITES
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = ROOT / "tests" / "golden"
@@ -166,6 +172,29 @@ def spliced(text: str, inserts) -> str:
     return "\n".join(lines)
 
 
+def rule_after_first_infer(text: str, which: int) -> str:
+    """text with its rule line rules[which] moved to just after its first
+    infer and followed by another infer, which therefore finds a chaining
+    record made for other rules."""
+    lines = text.splitlines()
+    rules = [i for i, line in enumerate(lines) if line.partition(" ")[0] == "rule"]
+    moved = lines.pop(rules[which])
+    at = next(i for i, line in enumerate(lines) if line.partition(" ")[0] == "infer")
+    lines[at + 1 : at + 1] = [moved, "infer"]
+    return "\n".join(lines)
+
+
+def examples(*cases):
+    """Each case, a tuple of arguments, as an explicit hypothesis example."""
+
+    def decorate(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+
+    return decorate
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.builds(mutate, st.sampled_from(SCENARIO_TEXTS), st.lists(mutation, min_size=1, max_size=4))
@@ -181,15 +210,125 @@ def spliced(text: str, inserts) -> str:
     ),
     st.sampled_from((0, 1, 5, 10_000)),
 )
+@examples(
+    *((rule_after_first_infer(text, which), 10_000) for text in SCENARIO_TEXTS for which in (0, -1))
+)
 def test_run_scenario_raises_only_scenario_error(text, budget):
     """Scripts with character mutations, scripts recombined from their
     lines, and scripts with rules spliced in.  In the last two a rule may
     follow an infer, so that the next infer finds a chaining record made
-    for other rules."""
+    for other rules; the explicit examples, every script with its first or
+    its last rule moved after its first infer, always reach that infer."""
     try:
         run_scenario(text, budget=budget)
     except ScenarioError:
         pass
+
+
+def mostly(common, rare):
+    """A strategy drawing from common three times in four, else from rare,
+    so that most argv get past the usage checks.  Rare is the largest
+    integer's, since Hypothesis draws the least one more often."""
+    return st.integers(0, 3).flatmap(lambda k: rare if k == 3 else common)
+
+
+edits = mostly(st.just([]), st.lists(mutation, min_size=1, max_size=2))
+# File arguments, made in a fresh directory for each example: ("text", s)
+# and ("bytes", b) are files of that content, ("dir",) a directory,
+# ("missing",) a path in a directory that does not exist, and ("new",) a
+# path not yet made in one that does.
+NOT_UTF8 = ("bytes", b"worlds:\n  w0: p(1,1)\xff\xfe\nrule \xc3(\n")
+bad_file = st.sampled_from((NOT_UTF8, ("dir",), ("missing",), ("new",)))
+scenario_file = mostly(
+    st.builds(lambda text, e: ("text", mutate(text, e)), st.sampled_from(SCENARIO_TEXTS), edits),
+    bad_file,
+)
+trace_file = mostly(st.just(("new",)), st.sampled_from((("dir",), ("missing",))))
+number = st.integers(0, 3).map(str)
+# a stray token; after an option it takes the place of the option's value
+STRAY = ("-h", "--bogus", "-", "", "--", "p(1,1)", "-1", "x", "1.5", "٣")
+stray = mostly(st.just(()), st.sampled_from(STRAY).map(lambda t: (t,)))
+
+
+@st.composite
+def model_and_formula(draw) -> tuple[str, list[str], str]:
+    """A random model's saved text and world ids, and a printed formula,
+    static or dynamic over that model's atoms, or free with or without
+    variables; the text and the formula are sometimes mutated."""
+    m = gen_random_model(draw(st.integers(0, 10_000)), max_worlds=3, horizon=8)
+    rng = random.Random(draw(st.integers(0, 10_000_000)))
+    kind = draw(st.sampled_from(("static", "dynamic", "free", "ground")))
+    if kind == "static":
+        f = gen_static(rng, model_vocab(m), 8)
+    elif kind == "dynamic":
+        f = gen_dynamic_formula(rng, model_vocab(m), 8)
+    else:
+        f = gen_free_formula(rng, depth=3, allow_vars=kind == "free")
+    formula = mutate(print_formula(f), draw(edits))
+    return mutate(save_model(m), draw(edits)), sorted(m.worlds), formula
+
+
+@st.composite
+def cli_argv(draw) -> list:
+    """argv for one subcommand: its arguments and options in a random
+    order, each kept nine times in ten, and sometimes a stray token.
+    rand-test always gets a --count of at most 3, and the suite's name
+    with it, so no run is large."""
+    command = draw(st.sampled_from(("parse", "check", "reduce", "run", "rand-test")))
+    model_text, worlds, formula = draw(model_and_formula())
+    if command == "parse":
+        chunks = [[formula], ["--dump"]]
+    elif command == "reduce":
+        chunks = [[formula]]
+    elif command == "check":
+        model = draw(mostly(st.just(("text", model_text)), bad_file))
+        world = draw(mostly(st.sampled_from(worlds), st.text(ALPHABET, max_size=4)))
+        chunks = [
+            [draw(st.sampled_from(("-m", "--model"))), model],
+            [draw(st.sampled_from(("-w", "--world"))), world],
+            [formula],
+        ]
+    elif command == "run":
+        chunks = [[draw(scenario_file)], ["--trace", draw(trace_file)]]
+    else:
+        suite = draw(mostly(st.sampled_from(sorted(SUITES)), st.text(ALPHABET, max_size=4)))
+        chunks = [[suite, "--count", draw(number)]] + [
+            [option, draw(number)]
+            for option in ("--seed", "--max-worlds", "--max-predicates", "--horizon")
+        ]
+    chunks = [c for c in draw(st.permutations(chunks)) if draw(st.integers(0, 9)) < 9]
+    argv = [command] + [token for chunk in chunks for token in chunk]
+    for token in draw(stray):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+def made(arg, directory: Path, i: int) -> str:
+    """The argument itself, or the path of the file argument it names."""
+    if isinstance(arg, str):
+        return arg
+    path = directory / f"arg{i}"
+    if arg[0] == "text":
+        path.write_text(arg[1], encoding="utf-8")
+    elif arg[0] == "bytes":
+        path.write_bytes(arg[1])
+    elif arg[0] == "dir":
+        path.mkdir()
+    elif arg[0] == "missing":
+        path = directory / "missing" / f"arg{i}"
+    return str(path)
+
+
+@settings(max_examples=120, deadline=None)
+@given(cli_argv())
+def test_cli_main_exits_0_1_or_2_without_traceback(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        args = [made(arg, Path(tmp), i) for i, arg in enumerate(argv)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+    assert code in (0, 1, 2), (args, code)
+    assert "Traceback" not in err.getvalue(), (args, err.getvalue())
 
 
 def _scenario_formulas() -> list[str]:
