@@ -767,8 +767,8 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
     positive belief is joined when it is added, at every premise of its
     predicate, and the bindings found are pushed.  A popped binding whose
     support is no longer held is dropped; one that fired or whose positive
-    conclusion is held is done for good; a dormant one waits under its
-    conclusion's group (pred, args) until a belief joins that group.  A
+    conclusion is held is done for good; a dormant one waits, once, under
+    its conclusion's group (pred, args) until a belief joins that group.  A
     binding whose supports are all held was found when the last of them
     was added, so the least one on the heap is the naive scan's next
     firing.  The state returned keeps the dormant instances, so the next
@@ -824,7 +824,9 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
                 fired.add(done)
                 continue
         elif target is None:
-            dormant.setdefault((conclusion.pred, args), []).append((ridx, key, items, supports))
+            waiting = dormant.setdefault((conclusion.pred, args), [])
+            if (ridx, key, items, supports) not in waiting:  # a cold join can find it twice
+                waiting.append((ridx, key, items, supports))
             continue
         firings += 1
         if firings > budget:

@@ -2,8 +2,7 @@
 
 apply() labels each guard once over all worlds of the input model and
 rebuilds the neighbourhood masks from those truth sets, so the update
-is simultaneous across worlds; the truth sets, not the outcome, are
-memoised on the input model.
+is simultaneous across worlds.
 This module also supplies the model checker's clause for prefixed
 formulas: update first, then label the body.  reduce_formula() rewrites
 dynamic prefixes away, innermost first: prefixes distribute over the
@@ -137,9 +136,8 @@ def apply(m: TLekModel, op: MentalOp) -> OpOutcome:
     target restricted to the trigger's span and adds extensions for the
     residual sub-interval beliefs.  Worlds where the guard fails keep
     their neighbourhood unchanged.  Each guard is labelled once for all
-    worlds, and its truth set is memoised on the input model, so a
-    repeated update reads its labels from there and rebuilds only the
-    masks.
+    worlds on every call; nothing is memoised, so a repeated update
+    labels its guards again.
     """
     _validate_op(op)
     return OpOutcome(*_update(m, op), m)

@@ -10,8 +10,8 @@ The checker labels bottom-up: each subformula gets its time and its truth
 set, a bitmask over the sorted world ids, from its children's in one pass.
 N is kept as masks too.  World intervals, class masks and the worlds
 holding each atom are computed once per frame, which the models derived
-by an update share, and a formula's truth set is memoised on the model,
-so checking it at every world costs one pass.
+by an update share.  Each call labels its formula afresh, so a caller
+asking about one formula at many worlds takes its truth set once.
 """
 
 from __future__ import annotations
@@ -95,8 +95,7 @@ def world_interval(w: World) -> Interval:
 class TLekModel:
     """Immutable snapshot of a model: worlds, R-partition, neighbourhoods.
 
-    Each N(w) is a family of masks over frame.ids (n_of gives world ids),
-    and the truth sets are memoised on the model.
+    Each N(w) is a family of masks over frame.ids (n_of gives world ids).
     """
 
     def __init__(
@@ -135,7 +134,6 @@ class TLekModel:
                 raise ValueError(f"neighbourhood of {wid} mentions unknown world {min(unknown)}")
             families[fr.index[wid]] = frozenset(fr.mask(x) for x in fam)
         self.nbhd: tuple[frozenset[int], ...] = tuple(families)
-        self._truths: dict[Formula, int] = {}  # filled by truth_set
 
     def r_of(self, wid: str) -> frozenset[str]:
         return self.class_of[wid]
@@ -149,7 +147,7 @@ class TLekModel:
         nothing is re-validated: nbhd must meet __init__'s checks."""
         out = object.__new__(TLekModel)
         out.worlds, out.classes, out.class_of = self.worlds, self.classes, self.class_of
-        out.frame, out.nbhd, out._truths = self.frame, nbhd, {}
+        out.frame, out.nbhd = self.frame, nbhd
         return out
 
     def __eq__(self, other) -> bool:
@@ -251,16 +249,14 @@ def label(m: TLekModel, f: Formula) -> tuple[Optional[Interval], int]:
 def truth_set(m: TLekModel, f: Formula) -> int:
     """Worlds where a ground formula holds, as a mask over m.frame.ids.
 
-    Memoised on the model, so checking one formula at every world labels
-    it once.  A formula with a variable raises NonGround and is not memoised.
+    Labels f on every call, so to ask about one formula at many worlds,
+    take its truth set once and read world wid's bit at m.frame.index[wid].
+    A formula with a variable raises NonGround.
     """
-    mask = m._truths.get(f)
-    if mask is None:
-        try:
-            mask = m._truths[f] = label(m, f)[1]
-        except NonGround:
-            raise NonGround(f"check needs a ground formula: {print_formula(f)}") from None
-    return mask
+    try:
+        return label(m, f)[1]
+    except NonGround:
+        raise NonGround(f"check needs a ground formula: {print_formula(f)}") from None
 
 
 def extension(m: TLekModel, wid: str, f: Formula) -> frozenset[str]:
@@ -270,7 +266,9 @@ def extension(m: TLekModel, wid: str, f: Formula) -> frozenset[str]:
 
 
 def check(m: TLekModel, wid: str, f: Formula) -> bool:
-    """Truth at a world; every clause carries its timing side condition."""
+    """Truth at a world; every clause carries its timing side condition.
+    Each call labels f at every world: to ask about one formula at many
+    worlds, call truth_set, extension or valid_in_model once instead."""
     return bool(truth_set(m, f) >> m.frame.index[wid] & 1)
 
 

@@ -437,6 +437,22 @@ def test_infer_leaves_the_chaining_record_it_reads_unchanged():
     assert len(sibling.chaining.dormant[group]) == 1
 
 
+def test_infer_keeps_each_dormant_instance_once():
+    # With its last rule moved to just after its first infer, mixed.scn's
+    # next infer reads a chaining record made for other rules, so it joins
+    # from the empty store and finds a negative rule's binding once per
+    # premise whose predicate holds beliefs: each copy that finds no belief
+    # to restructure must wait under its group once, not once per copy.
+    lines = (Path(__file__).resolve().parent / "golden" / "mixed.scn").read_text().splitlines()
+    rules = [i for i, line in enumerate(lines) if line.startswith("rule ")]
+    moved = lines.pop(rules[-1])
+    lines.insert(lines.index("infer") + 1, moved)
+    dormant = run_scenario("\n".join(lines)).state.chaining.dormant
+    instances = [(ridx, items) for entries in dormant.values() for ridx, _, items, _ in entries]
+    assert len(instances) == 4
+    assert len(set(instances)) == len(instances)
+
+
 # ---------------------------------------------------------------------------
 # query
 # ---------------------------------------------------------------------------

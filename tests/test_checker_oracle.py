@@ -5,11 +5,13 @@ of its model: first on everything the four property suites generate over
 many seeds, then on random static and dynamic formulas over random models with
 and without full-span world intervals.  An update is compared by its
 delta, its model, each world's neighbourhood against the reference's
-world-id families, and the saved model text; and a count guard checks
-that the update path builds no world-id set.
+world-id families, and the saved model text.  Count guards check that
+the update path builds no world-id set, and that axioms-lek and
+reduction-oracle label each formula they check once per model.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -95,6 +97,46 @@ def test_suites_agree_with_reference(recorder):
         assert suites.property1_suite(suites.property1_models(2, seed), seed, per_model=3).ok
         assert suites.reduction_oracle_suite(4, seed).ok
     assert recorder.calls > 1000
+
+
+def test_suites_label_each_checked_formula_once_per_model(monkeypatch):
+    """axioms-lek and reduction-oracle take one truth set per formula they
+    check and read every world's bit from it: checking world by world
+    would label the formula once per world."""
+    labelled, generated = Counter(), []
+    depth = 0
+    label = models.label
+
+    def counted_label(m, f):  # counts labellings, not their subformulas
+        nonlocal depth
+        labelled[id(m)] += depth == 0
+        depth += 1
+        try:
+            return label(m, f)
+        finally:
+            depth -= 1
+
+    def generate(*args, **kwargs):
+        nonlocal depth
+        depth += 1  # the generator's own truth sets are not the suite's checks
+        try:
+            generated.append(models.gen_random_model(*args, **kwargs))
+        finally:
+            depth -= 1
+        return generated[-1]
+
+    monkeypatch.setattr(models, "label", counted_label)
+    monkeypatch.setattr(suites, "gen_random_model", generate)
+    report = suites.lek_axioms_suite(40, seed=5)
+    assert report.ok and [labelled[id(m)] for m in generated] == [5] * 40
+    assert sum(len(cls) > 1 for m in generated for cls in m.classes) > 10
+    generated.clear()
+    labelled.clear()
+    report = suites.reduction_oracle_suite(40, seed=5)
+    checked = report.total - report.stats["unreduced"]
+    assert report.ok and checked > 30
+    assert sorted(labelled[id(m)] for m in generated) == [0] * (40 - checked) + [2] * checked
+    assert sum(len(m.worlds) > 1 for m in generated) > 20
 
 
 @pytest.mark.parametrize("full_span", [False, True])
