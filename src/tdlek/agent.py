@@ -281,6 +281,12 @@ class Rule:
             premises, Pattern.of(self.conclusion), tuple(covering), variables, tuple(narrow)
         )
 
+    @cached_property
+    def key(self) -> tuple:
+        """The rule's identity for K queries, up to variable renaming
+        (_canonical_rule_key), computed once."""
+        return _canonical_rule_key(self)
+
 
 def rule_from_formula(f: Formula) -> Rule:
     """Turn K(premises -> conclusion) into a fireable rule.
@@ -380,7 +386,10 @@ class Conjoined:
     right: str
 
 
-TraceEvent = Union[Perceived, Fired, Restructured, Conjoined]
+# Written with |, not typing.Union: typing caches its subscriptions for the
+# life of the process, so a Union of these classes would keep this copy of
+# the package alive after a re-import.
+TraceEvent = Perceived | Fired | Restructured | Conjoined
 
 TRACE_SCHEMA_VERSION = 1
 
@@ -887,10 +896,10 @@ def query(st: AgentState, f: Formula) -> bool:
         return st.memory.covered(f.body, True)
     if isinstance(f, Knowledge):
         try:
-            wanted = _canonical_rule_key(rule_from_formula(f))
+            wanted = rule_from_formula(f).key
         except MalformedRule as exc:
             raise UnsupportedQuery(f"K supports rules only: {print_formula(f)}") from exc
-        return any(_canonical_rule_key(r) == wanted for r in st.rules)
+        return any(r.key == wanted for r in st.rules)
     if isinstance(f, Not):
         return not query(st, f.body)
     if isinstance(f, And):

@@ -8,7 +8,7 @@ streams.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from collections.abc import Sequence
 
 from .intervals import INF, TimeExpr
 from .formulas import (
@@ -31,6 +31,9 @@ from .formulas import (
 )
 from .models import TLekModel
 
+# The collections.abc generic, not typing.Sequence: typing caches its
+# subscriptions for the life of the process, so typing.Sequence[Atom] would
+# keep this copy of the package alive after a re-import.
 Vocab = Sequence[Atom]
 
 # Node kinds per generator, as (roll bound, class): one draw of

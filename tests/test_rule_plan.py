@@ -39,7 +39,7 @@ from tdlek.agent import (
     run_scenario_file,
     rule_from_formula,
 )
-from tdlek.formulas import Atom, FormulaSyntaxError, match_atom, parse, substitute
+from tdlek.formulas import Atom, FormulaSyntaxError, match_atom, parse, print_formula, substitute
 from tdlek.intervals import INF, BadInterval, TimeExpr
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -540,3 +540,18 @@ def test_k_query_builds_no_atoms(monkeypatch):
     assert calls[0] == 0
     Atom("p", TimeExpr.lit(1), TimeExpr.lit(2))  # the counter does count
     assert calls[0] == 1
+
+
+def test_k_query_renames_each_held_rule_once(monkeypatch):
+    """A held rule's K-query key is computed once and kept on the rule, so
+    a second K query renames only the rule it asks about."""
+    st = run_scenario_file(ROOT / "scenarios/umbrella.scn").state
+    assert len(st.rules) > 1
+    keyed = []
+    monkeypatch.setattr(tdlek.agent, "_canonical_rule_key",
+                        lambda rule: keyed.append(rule) or _canonical_rule_key(rule))
+    f = parse("K(rain(A,B) & take(A,B,umbrella) -> go(A+2,inf,shops))")
+    assert not query(st, f)
+    keyed.clear()
+    assert not query(st, f)
+    assert [rule.text for rule in keyed] == [print_formula(f)]
