@@ -1052,9 +1052,9 @@ def run_scenario(text: str, budget: int = 10_000) -> ScenarioResult:
     return result
 
 
-def run_scenario_file(path, budget: int = 10_000) -> ScenarioResult:
+def run_scenario_file(path) -> ScenarioResult:
     with open(path, "r", encoding="utf-8") as fh:
-        return run_scenario(fh.read(), budget=budget)
+        return run_scenario(fh.read())
 
 
 def trace_json_lines(trace: Sequence[TraceEvent]) -> str:

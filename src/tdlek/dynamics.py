@@ -1,8 +1,10 @@
 """Mental operations as model transformers, and prefix elimination.
 
-apply() labels each guard once over all worlds of the input model and
-rebuilds the neighbourhood masks from those truth sets, so the update
-is simultaneous across worlds.
+Each of the four operations (+, and, inf, rev) is one effect: a guard, the
+formulas whose extensions it gains and those it loses.  apply() labels
+the guard once over all worlds of the input model and rebuilds the
+neighbourhood masks from those truth sets, so the update is simultaneous
+across worlds.
 This module also supplies the model checker's clause for prefixed
 formulas: update first, then label the body.  reduce_formula() rewrites
 dynamic prefixes away, innermost first: prefixes distribute over the
@@ -23,6 +25,7 @@ from .formulas import (
     And,
     Atom,
     Belief,
+    Bot,
     Conj,
     Dynamic,
     Formula,
@@ -42,7 +45,6 @@ from .formulas import (
     literal_parts,
     op_time,
     print_formula,
-    print_mental_op,
     rebuild,
 )
 from .models import CLAUSES, TLekModel, check, label, truth_set
@@ -93,7 +95,7 @@ def _validate_op(op: MentalOp) -> None:
     elif not isinstance(op, Conj):
         raise MalformedOp(f"unknown mental operation {op!r}")
     if not is_ground(op):
-        raise NonGround(f"mental operation is not ground: {print_mental_op(op)}")
+        raise NonGround(f"mental operation is not ground: {print_formula(op)}")
 
 
 def wider_belief_exists(m: TLekModel, wid: str, op: Revise) -> bool:
@@ -128,13 +130,15 @@ def residual_atoms(op: Revise) -> list[Atom]:
 
 
 def apply(m: TLekModel, op: MentalOp) -> OpOutcome:
-    """Update the neighbourhoods per the operation's case analysis.
+    """Update the neighbourhoods per the operation's effect (see _effect).
 
-    Learn adds the literal's extension where its time fits the world
-    interval.  Conj and Infer add their conclusion's extension where the
-    belief/knowledge guard holds.  Revise removes the extension of the
-    target restricted to the trigger's span and adds extensions for the
-    residual sub-interval beliefs.  Worlds where the guard fails keep
+    All four operations take one path.  At each world whose interval fits
+    the operation's time and where its guard holds, the neighbourhood
+    loses the extensions of what the operation loses and gains those of
+    what it gains: Learn gains the literal's extension, Conj and Infer
+    their conclusion's, and Revise, where no wider target belief exists
+    either, loses the target restricted to the trigger's span and gains
+    the residual sub-interval beliefs.  Worlds where the guard fails keep
     their neighbourhood unchanged.  Each guard is labelled once for all
     worlds on every call; nothing is memoised, so a repeated update
     labels its guards again.
@@ -143,15 +147,27 @@ def apply(m: TLekModel, op: MentalOp) -> OpOutcome:
     return OpOutcome(*_update(m, op), m)
 
 
-def _effect(op: MentalOp) -> tuple[Optional[Formula], Formula]:
-    """(guard, gained formula) of a Learn, Conj or Infer: where the guard
-    holds, or everywhere when it is None, the operation adds the gained
-    formula's extension to the neighbourhood."""
+def _effect(op: MentalOp) -> tuple[Optional[Formula], list[Formula], list[Formula]]:
+    """(guard, gained, lost) of any of the four operations: where the
+    guard holds, or everywhere when it is None, the operation removes each
+    lost formula's extension from the neighbourhood and adds each gained
+    one's.  A revision whose trigger and target do not overlap has the
+    guard false."""
     if isinstance(op, Learn):
-        return None, op.literal
+        return None, [op.literal], []
     if isinstance(op, Conj):
-        return And(Belief(op.left), Belief(op.right)), And(op.left, op.right)
-    return And(Belief(op.premise), Knowledge(Implies(op.premise, op.conclusion))), op.conclusion
+        return And(Belief(op.left), Belief(op.right)), [And(op.left, op.right)], []
+    if isinstance(op, Revise):
+        trigger, target = op.trigger, op.target
+        overlap = intersect(trigger.interval(), target.interval())
+        if overlap.is_empty():
+            return Bot(), [], []
+        cut = overlap.parts[0]
+        guard = And(Belief(trigger), And(Belief(target), Knowledge(Implies(trigger, Not(target)))))
+        lost = Atom(target.pred, TimeExpr.lit(cut.lo), TimeExpr.lit(cut.hi), target.args)
+        return guard, residual_atoms(op), [lost]
+    guard = And(Belief(op.premise), Knowledge(Implies(op.premise, op.conclusion)))
+    return guard, [op.conclusion], []
 
 
 def _update(m: TLekModel, op: MentalOp) -> tuple[TLekModel, bool]:
@@ -159,35 +175,17 @@ def _update(m: TLekModel, op: MentalOp) -> tuple[TLekModel, bool]:
     neighbourhood changed."""
     fr = m.frame
     fired = fr.fit(op_time(op))
-    adds: list[Formula] = []
-    removes: list[Formula] = []
+    guard, gained, lost = _effect(op)
+    if guard is not None:
+        fired &= truth_set(m, guard)
     if isinstance(op, Revise):
-        overlap = intersect(op.trigger.interval(), op.target.interval())
-        if overlap.is_empty():
-            fired = 0
-        else:
-            fired &= (
-                truth_set(m, Belief(op.trigger))
-                & truth_set(m, Belief(op.target))
-                & truth_set(m, Knowledge(Implies(op.trigger, Not(op.target))))
-            )
-            for i, wid in enumerate(fr.ids):
-                if fired >> i & 1 and wider_belief_exists(m, wid, op):
-                    fired &= ~(1 << i)
-            cut = overlap.parts[0]
-            removes.append(
-                Atom(op.target.pred, TimeExpr.lit(cut.lo), TimeExpr.lit(cut.hi), op.target.args)
-            )
-            adds.extend(residual_atoms(op))
-    else:
-        guard, gained = _effect(op)
-        if guard is not None:
-            fired &= truth_set(m, guard)
-        adds.append(gained)
+        for i, wid in enumerate(fr.ids):
+            if fired >> i & 1 and wider_belief_exists(m, wid, op):
+                fired &= ~(1 << i)
     if not fired:
         return m, False
-    add_masks = [truth_set(m, f) for f in adds]
-    remove_masks = [truth_set(m, f) for f in removes]
+    add_masks = [truth_set(m, f) for f in gained]
+    remove_masks = [truth_set(m, f) for f in lost]
     nbhd = tuple(
         family.difference([x & cls for x in remove_masks]).union([x & cls for x in add_masks])
         if fired >> i & 1 else family
@@ -242,15 +240,15 @@ def _push(op: MentalOp, body: Formula) -> Formula:
         pushed = _push(op, body.body)
         if isinstance(op, Revise):
             raise UnreducibleShape(
-                f"[{print_mental_op(op)}] on a belief: revision both removes and adds "
+                f"[{print_formula(op)}] on a belief: revision both removes and adds "
                 "neighbourhood elements, so no static equivalent exists"
             )
-        guard, gained = _effect(op)
+        guard, (gained,), _ = _effect(op)
         equiv = Knowledge(Iff(pushed, gained))
         return Or(Belief(pushed), equiv if guard is None else And(guard, equiv))
     if isinstance(body, Always):
         raise UnreducibleShape(
-            f"[{print_mental_op(op)}] on box{'' if body.is_default_interval() else '[...]'}: "
+            f"[{print_formula(op)}] on box{'' if body.is_default_interval() else '[...]'}: "
             "no reduction rule covers a prefixed box"
         )
     if isinstance(body, Dynamic):

@@ -82,6 +82,7 @@ class Node:
 
     __slots__ = ()
     _values = None  # node -> its field values as a tuple; set per class by _node
+    _timed = None  # the _parts whose hull is the node's time, where not all are
     _memo_hash = None
     _memo_free = None
     _memo_time = _UNSET
@@ -97,6 +98,9 @@ class Node:
         # Rebuilt through the constructor, so no memo leaves the process:
         # a hash is only valid under the hash seed it was computed with.
         return type(self), self._values(self)
+
+    def __str__(self) -> str:
+        return print_formula(self)
 
 
 _MEMOS = tuple(name for name in vars(Node) if name.startswith("_memo_"))
@@ -130,21 +134,17 @@ class Formula(Node):
     Each node class names, in its _parts tuple, the fields that hold
     sub-formulas or mental operations; children() and rebuild() walk a
     node through them, so a traversal spells out only its special cases.
+    A node whose time is not the hull of all its parts names, in _timed,
+    the parts whose hull it is.
     """
 
     __slots__ = ()
 
-    def __str__(self) -> str:
-        return print_formula(self)
-
 
 class MentalOp(Node):
-    """Base of the mental operations; _parts as for Formula."""
+    """Base of the mental operations; _parts and _timed as for Formula."""
 
     __slots__ = ()
-
-    def __str__(self) -> str:
-        return print_mental_op(self)
 
 
 @_node
@@ -329,6 +329,7 @@ class Infer(MentalOp):
     """inf(f,a): one inference step from belief f and rule K(f -> a)."""
 
     _parts = ("premise", "conclusion")
+    _timed = ("conclusion",)
 
     premise: Formula
     conclusion: Atom
@@ -347,6 +348,7 @@ class Revise(MentalOp):
 @_node
 class Dynamic(Formula):
     _parts = ("op", "body")
+    _timed = ("op",)
 
     op: MentalOp
     body: Formula
@@ -707,7 +709,7 @@ _MENTAL_OPS = {
     "inf": (Infer, (_Parser.binary, _Parser.atom)),
     "rev": (Revise, (_Parser.atom, _Parser.atom)),
 }
-_OP_NAMES = {cls: name for name, (cls, _) in _MENTAL_OPS.items()}
+_TOKEN.update((cls, name) for name, (cls, _) in _MENTAL_OPS.items())  # printed name(arg,...)
 
 
 def parse(text: str) -> Formula:
@@ -733,16 +735,7 @@ def _interval_suffix(lo: TimeExpr, hi: TimeExpr) -> str:
     return f"[{lo},{hi}{closer}"
 
 
-def print_mental_op(op: MentalOp) -> str:
-    if isinstance(op, Learn):
-        return "+" + _pf(op.literal, _UNARY)
-    name = _OP_NAMES.get(type(op))
-    if name is None:
-        raise TypeError(f"unknown mental operation {op!r}")
-    return f"{name}({','.join(_pf(arg, 0) for arg in children(op))})"
-
-
-def _pf(f: Formula, required: int) -> str:
+def _pf(f: Node, required: int) -> str:
     if isinstance(f, Atom):
         parts = [str(f.start), str(f.end), *f.args]
         return f"{f.pred}({','.join(parts)})"
@@ -754,19 +747,22 @@ def _pf(f: Formula, required: int) -> str:
         return f"({s})" if level < required else s
     if isinstance(f, Not):
         return "~" + _pf(f.body, _UNARY)
-    tok = _TOKEN.get(type(f))  # B, K, true, false
+    tok = _TOKEN.get(type(f))  # B, K, true, false, and, inf, rev
     if tok is not None:
-        return f"{tok}({_pf(f.body, 0)})" if f._parts else tok
+        return f"{tok}({','.join([_pf(c, 0) for c in children(f)])})" if f._parts else tok
     if isinstance(f, Always):
         head = "box" if f.is_default_interval() else "box" + _interval_suffix(f.start, f.end)
         return f"{head}({_pf(f.body, 0)})"
     if isinstance(f, Dynamic):
-        return f"[{print_mental_op(f.op)}] " + _pf(f.body, _UNARY)
+        return f"[{_pf(f.op, 0)}] " + _pf(f.body, _UNARY)
+    if isinstance(f, Learn):
+        return "+" + _pf(f.literal, _UNARY)
     raise TypeError(f"unknown formula node {f!r}")
 
 
-def print_formula(f: Formula) -> str:
-    """Render a formula so that parse(print_formula(f)) == f."""
+def print_formula(f: Node) -> str:
+    """Render a formula so that parse(print_formula(f)) == f, or a mental
+    operation as it stands inside a dynamic prefix's brackets."""
     return _pf(f, 0)
 
 
@@ -892,32 +888,15 @@ def merge_times(a: Optional[Interval], b: Optional[Interval]) -> Optional[Interv
     return hull(a, b)
 
 
-def op_time(op: MentalOp) -> Optional[Interval]:
-    """Interval a ground mental operation speaks about; memoised on op."""
-    t = op._memo_time
-    if t is _UNSET:
-        if isinstance(op, Learn):
-            t = _time(op.literal)
-        elif isinstance(op, Conj):
-            t = merge_times(_time(op.left), _time(op.right))
-        elif isinstance(op, Infer):
-            t = _time(op.conclusion)
-        elif isinstance(op, Revise):
-            t = difference(op.target.interval(), op.trigger.interval()).hull()
-            if t is None:
-                t = op.target.interval()
-        else:
-            raise TypeError(f"unknown mental operation {op!r}")
-        object.__setattr__(op, "_memo_time", t)
-    return t
+def time_of(f: Node) -> Optional[Interval]:
+    """Interval a ground formula or mental operation speaks about; None for
+    the timeless true/false.
 
-
-def time_of(f: Formula) -> Optional[Interval]:
-    """Interval a ground formula speaks about; None for the timeless true/false.
-
-    Atoms carry their own bounds, connectives take the hull of their parts,
-    B and K are transparent, box reports its label, and dynamic prefixes
-    report their operation's interval.
+    Atoms carry their own bounds and box reports its label.  Every other
+    node takes the hull of its parts, so B and K are transparent, except
+    that a dynamic prefix reports its operation's interval, inf(f,a) its
+    conclusion's, and rev(p,q) the hull of what p leaves of q, or q's own
+    interval where p leaves nothing.
     """
     vs = free_vars(f)
     if vs:
@@ -925,17 +904,25 @@ def time_of(f: Formula) -> Optional[Interval]:
     return _time(f)
 
 
-def _time(f: Formula) -> Optional[Interval]:
+def op_time(op: MentalOp) -> Optional[Interval]:
+    """Interval a ground mental operation speaks about: its time_of."""
+    return _time(op)
+
+
+def _time(f: Node) -> Optional[Interval]:
     """time_of without the groundness test; memoised on f."""
     t = f._memo_time
     if t is _UNSET:
         if isinstance(f, (Atom, Always)):
             return f.interval()
-        if isinstance(f, Dynamic):
-            t = op_time(f.op)
+        if isinstance(f, Revise):
+            target = f.target.interval()
+            t = difference(target, f.trigger.interval()).hull()
+            if t is None:
+                t = target
         else:
             t = None
-            for name in f._parts:
+            for name in f._timed or f._parts:
                 t = merge_times(t, _time(getattr(f, name)))
         object.__setattr__(f, "_memo_time", t)
     return t

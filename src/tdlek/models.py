@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .intervals import INF, Interval, TimeExpr, TimePoint
+from .intervals import INF, Interval, TimeExpr, TimePoint, _derived
 from .formulas import (
     Always,
     And,
@@ -53,22 +53,28 @@ class World:
 
     id: str
     atoms: frozenset[Atom]
-    # I(w) when the builder knew it without scanning the atoms (not a field)
+    # I(w) of a world with atoms, found when it is built (not a field)
     _interval = None
 
     def __post_init__(self):
         if not self.id or any(ch.isspace() or ch in "{}:," for ch in self.id):
             raise ValueError(f"bad world id {self.id!r}")
+        lo, hi = INF, 0
         for a in self.atoms:
             if not a.is_ground():
                 raise NonGround(f"world {self.id}: atom {a} is not ground")
+            if a.start.offset < lo:
+                lo = a.start.offset
+            if a.end.offset > hi:
+                hi = a.end.offset
+        if self.atoms:
+            object.__setattr__(self, "_interval", _derived(int(lo), hi))
 
 
 def _trusted_world(wid: str, atoms: frozenset[Atom], interval: Optional[Interval]) -> World:
     """World wid (a valid id) over ground atoms whose interval I(w) the
     builder already knows (None for no atoms): built without
-    __post_init__, whose checks such a world always passes, and carrying
-    interval for world_interval."""
+    __post_init__, whose checks and scan such a world does not need."""
     w = object.__new__(World)
     object.__setattr__(w, "id", wid)
     object.__setattr__(w, "atoms", atoms)
@@ -80,16 +86,12 @@ def world_interval(w: World) -> Interval:
     """Derived interval: minimum start to supremum end of the valuation.
 
     An empty valuation gets the designated interval [0,inf), which makes
-    the timing side conditions vacuously permissive there.  A world built
-    by _trusted_world carries its interval, so its atoms are not scanned.
+    the timing side conditions vacuously permissive there.  Every world
+    carries its interval from when it was built, so no call scans atoms.
     """
     if not w.atoms:
         return Interval(0, INF)
-    if w._interval is not None:
-        return w._interval
-    lo = min(int(a.start.offset) for a in w.atoms)
-    hi = max(a.end.offset for a in w.atoms)
-    return Interval(lo, hi)
+    return w._interval
 
 
 class TLekModel:

@@ -50,7 +50,7 @@ from .dynamics import (
     residual_atoms,
     wider_belief_exists,
 )
-from .randgen import gen_dynamic_formula, gen_literal, gen_mental_op, gen_static, model_vocab
+from .randgen import gen_dynamic_formula, gen_literal, gen_mental_op, gen_vocab_atom, model_vocab
 
 
 @dataclass
@@ -231,9 +231,7 @@ def property1_suite(models: list[TLekModel], seed: int = 0, per_model: int = 6) 
                     applied["conj"] += 1
             for _ in range(per_model):
                 a = gen_literal(rng, vocab, horizon)
-                c = gen_static(rng, vocab, horizon, 0)
-                if not isinstance(c, Atom):
-                    continue
+                c = gen_vocab_atom(rng, vocab, horizon)
                 if not (fits(time_of(a), iv) and fits(time_of(c), iv)):
                     continue
                 report.total += 1

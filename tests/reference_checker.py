@@ -1,9 +1,13 @@
 """Clause-by-clause reference model checker and update, for differential tests.
 
 A direct transcription of the truth clauses: one recursive walk per world,
-the world interval recomputed at every node, the time of every subformula
-taken from ``time_of``, and ``apply`` evaluating its guards world by world.
-It is slow on purpose and shares no code with the labelling checker in
+the world interval recomputed from the atoms at every node
+(``world_interval_ref``), the time of each clause's subformulas taken
+from ``time_of``, and ``apply`` evaluating its guards world by world.
+``apply`` and ``check_dynamic`` take the times of mental operations and
+prefixed bodies from ``time_of_ref``, a fresh walk, so a memoised time
+that depends on which caller asked first shows as a disagreement.  It is
+slow on purpose and shares no code with the labelling checker in
 ``tdlek.models`` beyond the formula and model data types.  Also here:
 ``validate_model`` on the world-id families; ``normalize_sugar``, the
 desugaring oracle of the time-function and checker tests; and the
@@ -40,13 +44,19 @@ from tdlek.formulas import (
     fits,
     is_ground,
     is_var,
-    op_time,
     print_formula,
     rebuild,
     time_of,
 )
-from tdlek.intervals import Interval, TimeExpr, difference, hull, intersect, subset
-from tdlek.models import TLekModel, world_interval
+from tdlek.intervals import INF, Interval, TimeExpr, difference, hull, intersect, subset
+from tdlek.models import TLekModel, World
+
+
+def world_interval_ref(w: World) -> Interval:
+    """I(w) by a scan of the atoms: [0,inf) for none."""
+    if not w.atoms:
+        return Interval(0, INF)
+    return Interval(min(int(a.start.offset) for a in w.atoms), max(a.end.offset for a in w.atoms))
 
 
 def extension(m: TLekModel, wid: str, f: Formula) -> frozenset[str]:
@@ -63,7 +73,7 @@ def check(m: TLekModel, wid: str, f: Formula) -> bool:
 
 def _check(m: TLekModel, wid: str, f: Formula) -> bool:
     world = m.worlds[wid]
-    iv = world_interval(world)
+    iv = world_interval_ref(world)
     if isinstance(f, Atom):
         return f in world.atoms and fits(time_of(f), iv)
     if isinstance(f, Top):
@@ -118,8 +128,8 @@ def _check(m: TLekModel, wid: str, f: Formula) -> bool:
 def check_dynamic(m: TLekModel, wid: str, f: Dynamic) -> bool:
     """Update first, then check the body, whose time must fit I(w)."""
     outcome_model = apply(m, f.op)[0]
-    iv = world_interval(m.worlds[wid])
-    return check(outcome_model, wid, f.body) and fits(time_of(f.body), iv)
+    iv = world_interval_ref(m.worlds[wid])
+    return check(outcome_model, wid, f.body) and fits(time_of_ref(f.body), iv)
 
 
 def wider_belief_exists(m: TLekModel, wid: str, op: Revise) -> bool:
@@ -152,19 +162,19 @@ def apply(m: TLekModel, op: MentalOp) -> tuple[TLekModel, bool, dict, dict]:
     delta: dict = {}
     applied = False
     for wid in sorted(m.worlds):
-        iv = world_interval(m.worlds[wid])
+        iv = world_interval_ref(m.worlds[wid])
         adds: list[frozenset[str]] = []
         removes: list[frozenset[str]] = []
         fired = False
         if isinstance(op, Learn):
-            if fits(time_of(op.literal), iv):
+            if fits(time_of_ref(op.literal), iv):
                 fired = True
                 adds.append(extension(m, wid, op.literal))
         elif isinstance(op, Conj):
             if (
                 check(m, wid, Belief(op.left))
                 and check(m, wid, Belief(op.right))
-                and fits(op_time(op), iv)
+                and fits(time_of_ref(op), iv)
             ):
                 fired = True
                 adds.append(extension(m, wid, And(op.left, op.right)))
@@ -172,7 +182,7 @@ def apply(m: TLekModel, op: MentalOp) -> tuple[TLekModel, bool, dict, dict]:
             if (
                 check(m, wid, Belief(op.premise))
                 and check(m, wid, Knowledge(Implies(op.premise, op.conclusion)))
-                and fits(op_time(op), iv)
+                and fits(time_of_ref(op), iv)
             ):
                 fired = True
                 adds.append(extension(m, wid, op.conclusion))
@@ -183,7 +193,7 @@ def apply(m: TLekModel, op: MentalOp) -> tuple[TLekModel, bool, dict, dict]:
                 and check(m, wid, Belief(op.trigger))
                 and check(m, wid, Belief(op.target))
                 and check(m, wid, Knowledge(Implies(op.trigger, Not(op.target))))
-                and fits(op_time(op), iv)
+                and fits(time_of_ref(op), iv)
                 and not wider_belief_exists(m, wid, op)
             )
             if guard:

@@ -21,6 +21,7 @@ from tdlek.formulas import (
     Revise,
     parse,
     print_formula,
+    time_of,
 )
 from tdlek.models import TLekModel, World, check, extension, gen_random_model, validate_model
 from tdlek.dynamics import (
@@ -235,6 +236,15 @@ def test_check_dynamic_timing_gate():
     m = TLekModel([w1], [frozenset({"w1"})], {})
     # body speaks about [0,2] which does not fit the world interval [5,9]
     assert not check_dynamic(m, "w1", parse("[+p(5,9)] q(0,2)"))
+    # inf(f,a) speaks about its conclusion's time [5,6] alone, which fits
+    # I(w0) = [5,6], whether or not time_of was asked about it first
+    w0 = World("w0", frozenset({atom("q", 5, 6)}))
+    m0 = TLekModel([w0], [frozenset({"w0"})], {})
+    for time_first in (False, True):
+        f = parse("~[inf(p(1,2),q(5,6))] false")
+        if time_first:
+            time_of(f.body.op)  # memoised on the operation before check reads it
+        assert check(m0, "w0", f)
 
 
 def test_dynamic_prefix_transparent_on_atoms():

@@ -37,7 +37,8 @@ from tdlek.formulas import (
     substitute,
     time_of,
 )
-from tdlek.randgen import gen_free_formula
+from tdlek.models import gen_random_model
+from tdlek.randgen import gen_free_formula, gen_mental_op, model_vocab
 
 from reference_checker import normalize_sugar
 
@@ -193,6 +194,10 @@ def test_print_minimal_parens():
 def test_round_trip_random_asts(seed):
     f = gen_free_formula(random.Random(seed), depth=6)
     assert parse(print_formula(f)) == f
+    # an operation prints as it stands inside a prefix's brackets
+    op = gen_mental_op(random.Random(seed), model_vocab(gen_random_model(seed)), 10)
+    assert print_formula(op) == str(op)
+    assert parse(f"[{op}] true").op == op
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,13 @@ from hypothesis import given, strategies as st
 from tdlek import intervals
 from tdlek.formulas import (
     Atom,
-    Formula,
+    MentalOp,
     NonGround,
     children,
     free_vars,
     is_ground,
     is_var,
+    op_time,
     parse,
     rebuild,
     substitute,
@@ -72,13 +73,18 @@ def random_formulas(seed: int):
 
 
 def assert_facts_match_reference(f) -> None:
-    for n in nodes(f):
+    """Every node's facts against the fresh walks, children first: so a
+    mental operation is timed by time_of before its prefix reads that
+    memo, and a time that depends on which caller asked first differs."""
+    for n in reversed(nodes(f)):
         assert hash(n) == hash(tuple(getattr(n, x.name) for x in dataclasses.fields(n)))
         assert hash(n) == hash_ref(n)
         assert free_vars(n) == free_vars_ref(n)
         assert is_ground(n) == (not free_vars_ref(n))
-        if isinstance(n, Formula) and not free_vars_ref(n):
+        if not free_vars_ref(n):
             assert time_of(n) == time_of_ref(n)
+            if isinstance(n, MentalOp):
+                assert op_time(n) == time_of_ref(n)
 
 
 @pytest.mark.parametrize("seed", range(60))
