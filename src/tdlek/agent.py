@@ -457,18 +457,33 @@ class WorkingMemory:
     copy() and puts the copy in the new state.  Copies share the groups
     that neither edited, so comparing groups by identity finds what an
     edit changed.
+
+    A store also knows its lineage: the snapshot it descends from, a new
+    store or the last rebase() of it or of a store it was copied from,
+    and the predicates edited since then.  Two stores of one lineage
+    differ only in the predicates either of them edited.
     """
 
-    __slots__ = ("preds",)
+    __slots__ = ("preds", "_lineage", "_edited")
 
     def __init__(self):
         self.preds: dict[str, dict[tuple, tuple[BeliefLit, ...]]] = {}
+        self._lineage = object()  # the snapshot's token
+        self._edited: set[str] = set()
 
     def copy(self) -> WorkingMemory:
-        """A store to edit: both dict levels are copied, the groups shared."""
-        new = WorkingMemory()
+        """A store to edit: both dict levels are copied, the groups shared,
+        and the lineage kept."""
+        new = _new(WorkingMemory)
         new.preds = {pred: dict(groups) for pred, groups in self.preds.items()}
+        new._lineage = self._lineage
+        new._edited = set(self._edited)
         return new
+
+    def rebase(self) -> None:
+        """Start a new lineage at this store as it stands."""
+        self._lineage = object()
+        self._edited = set()
 
     def beliefs(self) -> frozenset[BeliefLit]:
         return frozenset(
@@ -515,14 +530,16 @@ class WorkingMemory:
 
     def _put(self, lit: BeliefLit, group: tuple[BeliefLit, ...]) -> None:
         """Make group the beliefs of lit's group."""
-        groups = self.preds.setdefault(lit.atom.pred, {})
+        pred = lit.atom.pred
+        self._edited.add(pred)
+        groups = self.preds.setdefault(pred, {})
         key = (lit.atom.args, lit.positive)
         if group:
             groups[key] = group
         else:
             groups.pop(key, None)
             if not groups:
-                del self.preds[lit.atom.pred]
+                del self.preds[pred]
 
     def swap(self, old: BeliefLit, parts: Sequence[BeliefLit]) -> None:
         """Replace the held belief old by parts: sorted beliefs inside it."""
@@ -561,8 +578,14 @@ class WorkingMemory:
 
     def added_since(self, old: WorkingMemory) -> Iterator[BeliefLit]:
         """The positive beliefs held here but not in old, an earlier
-        version of this store; only the groups not shared are compared."""
-        for pred, groups in self.preds.items():
+        version of this store; only the groups not shared are compared,
+        and between two stores of one lineage, only the groups of the
+        predicates either edited."""
+        preds = self.preds.items()
+        if self._lineage is old._lineage:
+            edited = self._edited | old._edited
+            preds = [(pred, groups) for pred, groups in preds if pred in edited]
+        for pred, groups in preds:
             before = old.preds.get(pred, {})
             for key, group in groups.items():
                 if key[1] and group is not (prior := before.get(key)):
@@ -573,15 +596,18 @@ class WorkingMemory:
 @dataclass(frozen=True, eq=False)
 class _Chaining:
     """What infer_fixpoint leaves for the next call on the state it
-    returns: the rules and fired set it ran with, the store it ended on,
-    and its dormant instances, as agenda entries keyed by the group
+    returns: the rules and fired set it ran with, which (rule, premise)
+    pairs read each predicate, the store it ended on, which starts a new
+    lineage, and its dormant instances, as agenda entries keyed by the group
     (pred, args) of their conclusion.  At the fixpoint every other
     candidate binding is fired, or its conclusion cannot be instantiated,
     so the next call need only join the beliefs added since.  A call with
     no record it can use joins from the empty store, WorkingMemory(), with
-    none dormant.  The next call edits a copy of dormant, lists included."""
+    none dormant.  The next call edits a copy of dormant, and copies a
+    list before it adds to it."""
 
     rules: tuple[Rule, ...]
+    reads: dict[str, list[tuple[int, int]]]
     fired: frozenset
     memory: WorkingMemory
     dormant: dict[tuple, list[tuple]]
@@ -624,13 +650,22 @@ def init(rules: Iterable[Union[Rule, Formula, str]]) -> AgentState:
 def perceive(st: AgentState, lit: Union[Formula, BeliefLit], at: TimePoint) -> AgentState:
     """Record a perception as a belief, restructuring any directly
     contradicted opposite-polarity belief first; the clock moves to at."""
+    memory = st.memory.copy()
+    events: list[TraceEvent] = []
+    _perceive(memory, events, st.clock, lit, at)
+    return AgentState(st.rules, memory, at, st.trace + tuple(events), st.fired, st.chaining)
+
+
+def _perceive(
+    memory: WorkingMemory, events: list, clock: TimePoint, lit: Union[Formula, BeliefLit], at: TimePoint
+) -> None:
+    """The perception step of perceive(), on a store it edits in place
+    and an event list it appends to, at the given clock."""
     belief = _as_literal(lit)
     if not (is_time_point(at) and at != INF):
         raise ValueError(f"perception time must be a finite natural, got {at!r}")
-    if at < st.clock:
-        raise ValueError(f"perception at {fmt_time(at)} is before the clock {fmt_time(st.clock)}")
-    memory = st.memory.copy()
-    events: list[TraceEvent] = []
+    if at < clock:
+        raise ValueError(f"perception at {fmt_time(at)} is before the clock {fmt_time(clock)}")
     span = belief.interval()
     opposite = memory.group(belief.atom, not belief.positive)
     for other in opposite[
@@ -639,7 +674,6 @@ def perceive(st: AgentState, lit: Union[Formula, BeliefLit], at: TimePoint) -> A
         events.append(memory.restructure(other, span))
     memory.insert(belief)
     events.append(Perceived(belief, at))
-    return replace(st, memory=memory, clock=at, trace=st.trace + tuple(events))
 
 
 def _binding_key(items: tuple, variables: tuple[str, ...]) -> tuple:
@@ -781,24 +815,29 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
     binding whose supports are all held was found when the last of them
     was added, so the least one on the heap is the naive scan's next
     firing.  The state returned keeps the dormant instances, so the next
-    call on it joins only the beliefs added since.  A call with no such
-    record, or with other rules or fired set than its, starts from the
-    empty store: every held belief is added since.
+    call on it joins only the beliefs added since, which it looks for in
+    the predicates edited since.  A call with no such record, or with
+    other rules or fired set than its, starts from the empty store: every
+    held belief is added since.
     """
     rules = st.rules
     memory = st.memory.copy()
-    fired = set(st.fired)
+    fired = st.fired
+    fresh: set = set()  # instances done in this call
     events: list[TraceEvent] = []
-    reads: dict[str, list[tuple[int, int]]] = {}  # predicate -> (rule, premise) pairs
-    for ridx, rule in enumerate(rules):
-        for at, p in enumerate(rule.plan.premises):
-            reads.setdefault(p.pred, []).append((ridx, at))
     kept = st.chaining
-    if kept is not None and kept.rules is rules and kept.fired is st.fired:
-        since = kept.memory
-        dormant = {group: list(entries) for group, entries in kept.dormant.items()}
+    if kept is not None and kept.rules is rules:
+        reads = kept.reads
     else:
-        since, dormant = WorkingMemory(), {}
+        reads = {}  # predicate -> (rule, premise) pairs
+        for ridx, rule in enumerate(rules):
+            for at, p in enumerate(rule.plan.premises):
+                reads.setdefault(p.pred, []).append((ridx, at))
+    if kept is not None and kept.rules is rules and kept.fired is fired:
+        since, shared = kept.memory, kept.dormant
+    else:
+        since, shared = WorkingMemory(), {}
+    dormant = dict(shared)  # a list still shared is copied before it grows
     agenda: list[tuple] = []
     order = count()  # heap tie-break: the same binding may be queued twice
     firings = 0
@@ -819,7 +858,7 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
     while agenda:
         ridx, key, _, items, supports = heappop(agenda)
         done = (ridx, items)
-        if done in fired or not all(map(memory.holds, supports)):
+        if done in fired or done in fresh or not all(map(memory.holds, supports)):
             continue
         rule = rules[ridx]
         conclusion = rule.plan.conclusion
@@ -830,12 +869,15 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
         target = memory.spanning(conclusion.pred, args, True, lo, hi)
         if rule.positive:
             if target is not None:
-                fired.add(done)
+                fresh.add(done)
                 continue
         elif target is None:
-            waiting = dormant.setdefault((conclusion.pred, args), [])
-            if (ridx, key, items, supports) not in waiting:  # a cold join can find it twice
-                waiting.append((ridx, key, items, supports))
+            group, entry = (conclusion.pred, args), (ridx, key, items, supports)
+            waiting = dormant.get(group)
+            if waiting is None or waiting is shared.get(group):
+                waiting = dormant[group] = list(waiting or ())
+            if entry not in waiting:  # a cold join can find it twice
+                waiting.append(entry)
             continue
         firings += 1
         if firings > budget:
@@ -850,14 +892,13 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
             events.append(event)
             for part in event.parts:
                 added(part)
-        fired.add(done)
-    fired_now = frozenset(fired)
-    return replace(
-        st,
-        memory=memory,
-        trace=st.trace + tuple(events),
-        fired=fired_now,
-        chaining=_Chaining(rules, fired_now, memory, dormant),
+        fresh.add(done)
+    if fresh:
+        fired = fired | fresh
+    memory.rebase()
+    return AgentState(
+        rules, memory, st.clock, st.trace + tuple(events), fired,
+        _Chaining(rules, reads, fired, memory, dormant),
     )
 
 
@@ -888,24 +929,29 @@ def query(st: AgentState, f: Formula) -> bool:
     """Belief-base entailment: B over ground atoms uses interval coverage,
     K over a rule checks long-term membership up to variable renaming,
     booleans combine as usual."""
+    return _query(st.memory, st.rules, f)
+
+
+def _query(memory: WorkingMemory, rules: tuple[Rule, ...], f: Formula) -> bool:
+    """query() on a store and rules."""
     if isinstance(f, Belief):
         if not isinstance(f.body, Atom):
             raise UnsupportedQuery(f"B supports ground atoms only: {print_formula(f)}")
         if not f.body.is_ground():
             raise NonGround(f"query needs a ground atom: {print_formula(f)}")
-        return st.memory.covered(f.body, True)
+        return memory.covered(f.body, True)
     if isinstance(f, Knowledge):
         try:
             wanted = rule_from_formula(f).key
         except MalformedRule as exc:
             raise UnsupportedQuery(f"K supports rules only: {print_formula(f)}") from exc
-        return any(r.key == wanted for r in st.rules)
+        return any(r.key == wanted for r in rules)
     if isinstance(f, Not):
-        return not query(st, f.body)
+        return not _query(memory, rules, f.body)
     if isinstance(f, And):
-        return query(st, f.left) and query(st, f.right)
+        return _query(memory, rules, f.left) and _query(memory, rules, f.right)
     if isinstance(f, Or):
-        return query(st, f.left) or query(st, f.right)
+        return _query(memory, rules, f.left) or _query(memory, rules, f.right)
     if isinstance(f, Top):
         return True
     if isinstance(f, Bot):
@@ -1004,8 +1050,19 @@ def run_scenario(text: str, budget: int = 10_000) -> ScenarioResult:
     Directives: rule F / perceive LIT @ T / infer / query F / expect BOOL.
     Blank lines and # comments are ignored.  expect applies to the latest
     query; mismatches are collected, not raised.
+
+    The result is what the calls perceive, infer_fixpoint and query give
+    line by line, at what each line changes: perceptions edit one live
+    store and gather their events, query lines read that store, and each
+    infer line builds one state, calls infer_fixpoint on it and carries
+    on from a copy of the store it returns.
     """
-    state = init([])
+    state = init([])  # the last state built: its trace, fired set and chaining record
+    rules, memory, clock, events = state.rules, WorkingMemory(), state.clock, []
+
+    def current() -> AgentState:
+        return AgentState(rules, memory, clock, state.trace + tuple(events), state.fired, state.chaining)
+
     result = ScenarioResult(state)
     last_query: Optional[tuple[int, str, bool]] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -1016,8 +1073,7 @@ def run_scenario(text: str, budget: int = 10_000) -> ScenarioResult:
         rest = rest.strip()
         try:
             if word == "rule":
-                rule = rule_from_formula(parse(rest))
-                state = replace(state, rules=state.rules + (rule,))
+                rules += (rule_from_formula(parse(rest)),)
             elif word == "perceive":
                 lit_text, sep, at_text = rest.partition("@")
                 if not sep:
@@ -1025,13 +1081,15 @@ def run_scenario(text: str, budget: int = 10_000) -> ScenarioResult:
                 at_text = at_text.strip()
                 if not at_text.isdigit():
                     raise ScenarioError(f"bad perception time {at_text!r}", lineno)
-                state = perceive(state, parse(lit_text.strip()), int(at_text))
+                _perceive(memory, events, clock, parse(lit_text.strip()), int(at_text))
+                clock = int(at_text)
             elif word == "infer":
                 if rest:
                     raise ScenarioError("infer takes no argument", lineno)
-                state = infer_fixpoint(state, budget=budget)
+                state = infer_fixpoint(current(), budget=budget)
+                memory, events = state.memory.copy(), []
             elif word == "query":
-                value = query(state, parse(rest))
+                value = _query(memory, rules, parse(rest))
                 last_query = (lineno, rest, value)
                 result.queries.append(last_query)
             elif word == "expect":
@@ -1048,7 +1106,7 @@ def run_scenario(text: str, budget: int = 10_000) -> ScenarioResult:
             raise
         except (FormulaSyntaxError, MalformedRule, ValueError, RuntimeError) as exc:
             raise ScenarioError(str(exc), lineno) from exc
-    result.state = state
+    result.state = current()
     return result
 
 

@@ -31,9 +31,9 @@ from .formulas import (
     Formula,
     Iff,
     Implies,
-    Infer,
     Knowledge,
     Learn,
+    MalformedOp,
     MentalOp,
     Node,
     NonGround,
@@ -42,16 +42,11 @@ from .formulas import (
     Revise,
     children,
     is_ground,
-    literal_parts,
     op_time,
     print_formula,
     rebuild,
 )
 from .models import CLAUSES, TLekModel, check, label, truth_set
-
-
-class MalformedOp(ValueError):
-    """A mental operation whose payload breaks its shape constraints."""
 
 
 class UnreducibleShape(ValueError):
@@ -83,17 +78,7 @@ class OpOutcome:
 
 
 def _validate_op(op: MentalOp) -> None:
-    if isinstance(op, Learn):
-        if literal_parts(op.literal) is None:
-            raise MalformedOp(f"+ needs an atom or negated atom, got {print_formula(op.literal)}")
-    elif isinstance(op, Infer):
-        if not isinstance(op.conclusion, Atom):
-            raise MalformedOp("inf needs a ground atom conclusion")
-    elif isinstance(op, Revise):
-        if not (isinstance(op.trigger, Atom) and isinstance(op.target, Atom)):
-            raise MalformedOp("rev needs two ground atoms")
-    elif not isinstance(op, Conj):
-        raise MalformedOp(f"unknown mental operation {op!r}")
+    """Shapes are checked when an operation is built; apply needs it ground."""
     if not is_ground(op):
         raise NonGround(f"mental operation is not ground: {print_formula(op)}")
 

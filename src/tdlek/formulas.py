@@ -45,6 +45,10 @@ class NonGround(ValueError):
     """A ground formula was required but variables remain."""
 
 
+class MalformedOp(ValueError):
+    """A mental operation whose payload breaks its shape constraints."""
+
+
 RESERVED = {"box", "true", "false", "inf", "and", "rev"}
 
 _NAME_RE = re.compile(r"^[a-z][A-Za-z0-9_]*$")
@@ -313,6 +317,10 @@ class Learn(MentalOp):
 
     literal: Formula
 
+    def __post_init__(self):
+        if literal_parts(self.literal) is None:
+            raise MalformedOp(f"+ needs an atom or negated atom, got {print_formula(self.literal)}")
+
 
 @_node
 class Conj(MentalOp):
@@ -334,6 +342,10 @@ class Infer(MentalOp):
     premise: Formula
     conclusion: Atom
 
+    def __post_init__(self):
+        if not isinstance(self.conclusion, Atom):
+            raise MalformedOp("inf needs an atom conclusion")
+
 
 @_node
 class Revise(MentalOp):
@@ -343,6 +355,10 @@ class Revise(MentalOp):
 
     trigger: Atom
     target: Atom
+
+    def __post_init__(self):
+        if not (isinstance(self.trigger, Atom) and isinstance(self.target, Atom)):
+            raise MalformedOp("rev needs two atoms")
 
 
 @_node

@@ -224,6 +224,35 @@ def test_umbrella_incremental_infer_work_is_independent_of_memory(monkeypatch, n
     assert 20 <= calls[0] <= 60
 
 
+@pytest.mark.parametrize("others", [10, 160])
+def test_incremental_infer_compares_only_the_edited_predicates(others):
+    # 20 rains perceived after an infer, in a store that also holds two
+    # groups of each of the other predicates: the next infer compares the
+    # store with its chaining record's by looking up only rain's group,
+    # the one predicate edited since, however many others there are.
+    k = 20
+    st = init(UMBRELLA_RULES)
+    for j in range(others):
+        for obj in ("a", "b"):
+            st = perceive(st, atom(f"o{j}", 0, 0, obj), 0)
+    st = infer_fixpoint(perceive(st, atom("rain", 0, 0), 0))
+    for i in range(1, k + 1):
+        st = perceive(st, atom("rain", 2 * i, 2 * i), 2 * i)
+    looked_up = [0]
+
+    class Counting(dict):
+        def get(self, *args):
+            looked_up[0] += 1
+            return super().get(*args)
+
+    old = st.chaining.memory
+    old.preds = {pred: Counting(groups) for pred, groups in old.preds.items()}
+    out = infer_fixpoint(st)
+    assert looked_up[0] == 1
+    assert len(out.wm) == len(st.wm) + k
+    assert query(out, parse(f"B(take({2 * k},{2 * k},umbrella))"))
+
+
 def test_umbrella_late_rule_infer_work_is_linear(monkeypatch):
     # The first rule, infer, then the second rule added and infer again:
     # the chaining record was made for other rules, so the last infer

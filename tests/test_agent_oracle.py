@@ -33,12 +33,15 @@ from tdlek.agent import (
     BudgetExhausted,
     Fired,
     Restructured,
+    ScenarioError,
     infer_fixpoint,
     init,
     perceive,
+    query,
     replay,
     revise,
     rule_from_formula,
+    run_scenario,
     trace_json_lines,
 )
 from tdlek.formulas import Not, parse
@@ -320,3 +323,95 @@ def test_scenario_scripts_agree_with_reference(name):
         for line in (SCENARIO_DIR / name).read_text().splitlines()
     ]
     assert run_both([line for line in lines if line], budget=10_000, seed=0)["firings"] > 0
+
+
+# ---------------------------------------------------------------------------
+# run_scenario against the same script driven step by step
+# ---------------------------------------------------------------------------
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def with_queries(lines: list[str], seed: int) -> list[str]:
+    """The script with B, K and boolean queries inserted at random places,
+    before and after infer lines, so some read beliefs perceived since the
+    last infer."""
+    rng = random.Random(seed)
+    out = list(lines)
+    for _ in range(6):
+        pred, obj = rng.choice(PREDS), rng.choice(OBJECTS)
+        lo = rng.randint(0, 12)
+        text = f"B({pred}({lo},{rng.choice((lo, lo + 2, 'inf'))},{obj}))"
+        roll = rng.random()
+        if roll < 0.2:
+            text = f"~{text} | K(p(T,T,X) -> q(T,T,X))"
+        elif roll < 0.4:
+            text = f"{text} & B({rng.choice(PREDS)}({lo},{lo},{obj}))"
+        out.insert(rng.randint(0, len(out)), f"query {text}")
+    return out
+
+
+def run_in_steps(text: str, budget: int):
+    """The script through init, perceive, infer_fixpoint and query, one call
+    per line: (final state, query answers as run_scenario lists them, the
+    line of the infer that exhausted the budget or None)."""
+    st = init([])
+    answers = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        word, _, rest = line.partition(" ")
+        rest = rest.strip()
+        if word == "rule":
+            st = replace(st, rules=st.rules + (rule_from_formula(parse(rest)),))
+        elif word == "perceive":
+            lit, _, at = rest.partition("@")
+            st = perceive(st, parse(lit.strip()), int(at))
+        elif word == "infer":
+            try:
+                st = infer_fixpoint(st, budget=budget)
+            except BudgetExhausted:
+                return st, answers, lineno
+        elif word == "query":
+            answers.append((lineno, rest, query(st, parse(rest))))
+    return st, answers, None
+
+
+def assert_runner_matches_steps(text: str, budget: int) -> bool:
+    """run_scenario gives the state and answers of the step-by-step run, or
+    fails at the same line; returns whether the budget ran out."""
+    want, answers, exhausted = run_in_steps(text, budget)
+    if exhausted is not None:
+        with pytest.raises(ScenarioError) as err:
+            run_scenario(text, budget=budget)
+        assert err.value.line == exhausted
+        assert isinstance(err.value.__cause__, BudgetExhausted)
+        return True
+    got = run_scenario(text, budget=budget)
+    assert trace_json_lines(got.state.trace) == trace_json_lines(want.trace)
+    assert got.state.render_wm() == want.render_wm()
+    assert got.state.fired == want.fired
+    assert got.queries == answers
+    assert got.state == want
+    return False
+
+
+def test_runner_matches_step_by_step_calls_on_random_scripts():
+    exhausted = queries = 0
+    for seed in range(0, 250, 2):
+        lines = random_script(seed)
+        if seed in LATE_SEEDS:
+            lines = with_late_rules(lines, seed)
+        text = "\n".join(with_queries(lines, seed))
+        exhausted += assert_runner_matches_steps(text, budget=40)
+        queries += text.count("\nquery ")
+    assert exhausted > 0 and queries > 500
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SCENARIO_DIR.glob("*.scn")) + sorted(GOLDEN_DIR.glob("*.scn")), ids=lambda p: p.name
+)
+def test_runner_matches_step_by_step_calls_on_scenario_files(path):
+    text = path.read_text(encoding="utf-8")
+    assert not assert_runner_matches_steps(text, budget=10_000)
+    assert assert_runner_matches_steps(text, budget=0)
+    assert_runner_matches_steps(text, budget=2)

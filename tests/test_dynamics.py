@@ -98,6 +98,27 @@ def test_learn_rejects_non_literal():
         apply(m, Learn(parse("p(T,T)")))
 
 
+def test_malformed_operations_are_rejected_when_built():
+    # Built in code past the parser, each of these once got further: time_of
+    # of the revision raised AttributeError, str of the learning printed
+    # text that parse rejects, and reduce_formula rewrote the prefix that
+    # check and apply refuse.
+    p, q = atom("p", 1, 2), atom("q", 5, 6)
+    with pytest.raises(MalformedOp, match="rev needs two atoms"):
+        time_of(Revise(Not(p), p))
+    with pytest.raises(MalformedOp, match=r"\+ needs an atom or negated atom"):
+        str(Learn(And(p, p)))
+    with pytest.raises(MalformedOp):
+        reduce_formula(Dynamic(Learn(And(p, q)), Belief(q)))
+    with pytest.raises(MalformedOp, match="inf needs an atom conclusion"):
+        Infer(p, Not(q))
+    with pytest.raises(MalformedOp):
+        Revise(p, Not(q))
+    # the shapes the parser builds are unchanged
+    assert str(Learn(Not(p))) == "+~p(1,2)"
+    assert parse("[rev(p(1,2),q(0,9))] true").op == Revise(p, atom("q", 0, 9))
+
+
 # ---------------------------------------------------------------------------
 # apply: Infer and Conj
 # ---------------------------------------------------------------------------
