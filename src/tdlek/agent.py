@@ -250,6 +250,9 @@ def _match(p: Pattern, lo, hi, binding: dict, atom: Atom) -> Optional[dict]:
 
 @dataclass(frozen=True)
 class Rule:
+    """A long-term rule.  Its plan, K-query key and per-premise joins are
+    built on first use and kept on the rule; a pickled rule has none."""
+
     premises: tuple[Premise, ...]
     conclusion: Atom
     positive: bool
@@ -286,6 +289,17 @@ class Rule:
         """The rule's identity for K queries, up to variable renaming
         (_canonical_rule_key), computed once."""
         return _canonical_rule_key(self)
+
+    @cached_property
+    def joins(self) -> tuple:
+        """Per premise, the join of _candidate_bindings for a seed at that
+        premise, compiled from the plan on first use (_compile_join)."""
+        return tuple(_compile_join(self.plan, at) for at in range(len(self.premises)))
+
+    def __reduce__(self):
+        # Rebuilt through the constructor: the compiled joins are closures,
+        # which do not pickle, and the plan, key and joins are built again.
+        return Rule, (self.premises, self.conclusion, self.positive, self.text)
 
 
 def rule_from_formula(f: Formula) -> Rule:
@@ -552,17 +566,19 @@ class WorkingMemory:
     def insert(self, lit: BeliefLit) -> Optional[BeliefLit]:
         """Add lit: the run of its group that overlaps it or is adjacent
         to it is replaced by their hull with it.  Return the belief added,
-        or None when a held belief already spans lit."""
+        lit itself when there is no such run, or None when a held belief
+        already spans lit."""
         span = lit.interval()
         group = self.group(lit.atom, lit.positive)
         i = bisect_left(group, span.lo - 1, key=_hi)
         j = bisect_right(group, span.hi + 1, key=_lo)
         if j - i == 1 and _lo(group[i]) <= span.lo and span.hi <= _hi(group[i]):
             return None
-        merged = reduce(hull, (b.interval() for b in group[i:j]), span)
-        added = _make_lit(lit.atom.pred, lit.atom.args, lit.positive, merged)
-        self._put(lit, group[:i] + (added,) + group[j:])
-        return added
+        if i < j:  # lit merges with the run
+            merged = reduce(hull, (b.interval() for b in group[i:j]), span)
+            lit = _make_lit(lit.atom.pred, lit.atom.args, lit.positive, merged)
+        self._put(lit, group[:i] + (lit,) + group[j:])
+        return lit
 
     def restructure(self, target: BeliefLit, denied: Interval) -> Restructured:
         """Replace target by its parts outside the denied span."""
@@ -676,23 +692,17 @@ def _perceive(
     events.append(Perceived(belief, at))
 
 
-def _binding_key(items: tuple, variables: tuple[str, ...]) -> tuple:
-    """Agenda key of a binding given as its (variable, value) pairs: its
-    values in the order of the rule's plan.variables, so time values first,
-    then object values."""
-    binding = dict(items)
-    return tuple(binding[x] for x in variables)
-
-
-def _candidate_bindings(
-    memory: WorkingMemory, rule: Rule, seed: BeliefLit, at: int
-) -> dict[tuple, tuple[BeliefLit, ...]]:
+def _candidate_bindings(memory: WorkingMemory, rule: Rule, seed: BeliefLit, at: int) -> list[tuple]:
     """The complete premise bindings that the held positive belief seed
-    supports at premise position at, each as its (variable, value) pairs
-    sorted by variable, mapped to the beliefs that support its premises.
+    supports at premise position at, each as (key, items, supports,
+    instance): its values in the order of the rule's plan.variables (time
+    values first, then object values), which order the agenda; its
+    (variable, value) pairs sorted by variable; the beliefs that support
+    its premises; and the conclusion's instance under it (_instance),
+    None where that is no atom.
 
     The seed's match at that premise binds its variables, or, for a
-    premise tested by coverage, its argument variables, before the walk
+    premise tested by coverage, its argument variables, before the join
     starts.  The other variables bind by syntactic match against the
     positive beliefs of the premise's predicate; a premise whose variables
     the earlier premises all bind only needs a covering belief, which
@@ -700,98 +710,129 @@ def _candidate_bindings(
     complete.  The union of these joins over every held positive belief
     and every premise of its predicate is every complete binding.
 
-    The join reads the rule's plan: a premise's bounds are evaluated under
-    the binding, and a premise that this makes no atom ends the branch.
-    A seed tested by coverage supports only the bindings that put that
-    premise's start inside the seed; where the plan says which earlier
-    premise binds that start by its own, its beliefs are narrowed by
-    bisection to those whose start does that.
+    The join is the rule's, compiled for that premise on first use
+    (Rule.joins).  A premise's bounds are evaluated under the binding, and
+    a premise that this makes no atom ends the branch.  A seed tested by
+    coverage supports only the bindings that put that premise's start
+    inside the seed; where the plan says which earlier premise binds that
+    start by its own, its beliefs are narrowed by bisection to those whose
+    start does that.
     """
-    premises, covering = rule.plan.premises, rule.plan.covering
-    preds = memory.preds
-    supports: list[Optional[BeliefLit]] = [None] * len(premises)
-    found: dict[tuple, tuple[BeliefLit, ...]] = {}
-    narrowed, least, most = -1, 0, INF
-    if rule.plan.narrow[at] is not None:
-        narrowed, shift = rule.plan.narrow[at]
-        least, most = _lo(seed) + shift, _hi(seed) + shift
+    return rule.joins[at](memory, seed)
 
-    def window(group: tuple[BeliefLit, ...]) -> tuple[BeliefLit, ...]:
-        """The beliefs of a sorted group that start in [least, most]."""
-        return group[bisect_left(group, least, key=_lo) : bisect_right(group, most, key=_lo)]
 
-    def walk(i: int, binding: dict):
-        if i == len(premises):
-            for p in premises:
-                if p.box:
-                    lo, hi = _value(p.box[0], binding), _value(p.box[1], binding)
-                    if not (0 <= lo <= _value(p.start, binding) and _value(p.end, binding) <= hi):
-                        return
-            found[tuple(sorted(binding.items()))] = tuple(supports)
-            return
-        if i == at and not covering[i]:
-            supports[i] = seed
-            walk(i + 1, binding)
-            return
+def _compile_join(plan: RulePlan, at: int):
+    """The join of _candidate_bindings for a seed at premise at, as a
+    function of (memory, seed).  Which variables are bound before each
+    premise is fixed by the plan and at, so each premise's step is built
+    as one kind: none for a seed matched at its own premise; a coverage
+    test, by the seed or through spanning; or a match against the positive
+    beliefs of one lookup: the group of its arguments bisected at its
+    bound start or end, or to the seed's window at the narrowed premise,
+    or the whole group, and while an argument is unbound, every positive
+    belief of its predicate (in the window at the narrowed premise).  The
+    last step checks the boxes and emits each binding."""
+    premises, covering, variables = plan.premises, plan.covering, plan.variables
+    order, conclusion, n = sorted(variables), plan.conclusion, len(premises)
+    boxes = [p for p in premises if p.box]
+    narrowed, shift = plan.narrow[at] or (None, 0)
+
+    def window(group: tuple[BeliefLit, ...], seed: BeliefLit) -> tuple[BeliefLit, ...]:
+        lo, hi = _lo(seed) + shift, _hi(seed) + shift
+        return group[bisect_left(group, lo, key=_lo) : bisect_right(group, hi, key=_lo)]
+
+    def build(i: int, bound: set, nxt):
         p = premises[i]
-        bounds = _bounds(p, binding)
-        if bounds is None:
-            return
-        lo, hi = bounds
-        args = tuple(binding.get(x, x) if v else x for x, v in zip(p.args, p.is_var))
+        if i == at:  # a seed tested by coverage
+            def step(memory, binding, supports, out):
+                bounds, seed = _bounds(p, binding), supports[at]
+                if bounds is not None and _lo(seed) <= bounds[0] and bounds[1] <= _hi(seed):
+                    nxt(memory, binding, supports, out)
+            return step
         if covering[i]:
-            if i != at:
-                supports[i] = memory.spanning(p.pred, args, True, lo, hi)
-            elif _lo(seed) <= lo and hi <= _hi(seed):
-                supports[i] = seed
-            else:
-                return
-            if supports[i] is not None:
-                walk(i + 1, binding)
-            return
-        # the positive beliefs p may match: its group when its arguments
-        # are bound, narrowed by bisection to the belief with p's start or
-        # end when that is bound; otherwise every one of its predicate;
-        # at the premise narrowed for a covering seed, only those starting
-        # in the seed's window
-        groups = preds.get(p.pred, {})
-        if any(v and x not in binding for x, v in zip(p.args, p.is_var)):
-            candidates = [
-                b
-                for (_, positive), group in groups.items()
-                if positive
-                for b in (window(group) if i == narrowed else group)
-            ]
-        else:
-            candidates = groups.get((args, True), ())
-            if lo is not None:
-                k = bisect_left(candidates, lo, key=_lo)
-                candidates = candidates[k : k + 1]
-            elif hi is not None:
-                k = bisect_left(candidates, hi, key=_hi)
-                candidates = candidates[k : k + 1]
-            elif i == narrowed:
-                candidates = window(candidates)
-        for b in candidates:
-            m = _match(p, lo, hi, binding, b.atom)
-            if m is not None:
-                supports[i] = b
-                walk(i + 1, {**binding, **m})
+            def step(memory, binding, supports, out):
+                bounds = _bounds(p, binding)
+                if bounds is not None:
+                    args = tuple(map(binding.get, p.args, p.args))
+                    supports[i] = memory.spanning(p.pred, args, True, *bounds)
+                    if supports[i] is not None:
+                        nxt(memory, binding, supports, out)
+            return step
 
-    if covering[at]:
-        p = premises[at]
-        if len(p.args) == len(seed.atom.args):
+        def group(memory, binding) -> tuple[BeliefLit, ...]:
+            args = tuple(map(binding.get, p.args, p.args))
+            return memory.preds.get(p.pred, {}).get((args, True), ())
+
+        if not set(compress(p.args, p.is_var)) <= bound:
+            def lookup(memory, binding, bounds, seed):
+                groups = memory.preds.get(p.pred, {}).items()
+                return [b for (_, positive), g in groups if positive
+                        for b in (window(g, seed) if i == narrowed else g)]
+        elif p.start[0] in bound or p.end[0] in bound:
+            side, key = (0, _lo) if p.start[0] in bound else (1, _hi)
+            def lookup(memory, binding, bounds, seed):
+                g = group(memory, binding)
+                k = bisect_left(g, bounds[side], key=key)
+                return g[k : k + 1]
+        elif i == narrowed:
+            lookup = lambda memory, binding, bounds, seed: window(group(memory, binding), seed)
+        else:
+            lookup = lambda memory, binding, bounds, seed: group(memory, binding)
+
+        def step(memory, binding, supports, out):
+            bounds = _bounds(p, binding)
+            if bounds is not None:
+                for b in lookup(memory, binding, bounds, supports[at]):
+                    m = _match(p, *bounds, binding, b.atom)
+                    if m is not None:
+                        supports[i] = b
+                        nxt(memory, {**binding, **m}, supports, out)
+        return step
+
+    def emit(memory, binding, supports, out):
+        for p in boxes:
+            lo, hi = _value(p.box[0], binding), _value(p.box[1], binding)
+            if not (0 <= lo <= _value(p.start, binding) and _value(p.end, binding) <= hi):
+                return
+        get = binding.__getitem__
+        out.append((tuple(map(get, variables)), tuple(zip(order, map(get, order))),
+                    tuple(supports), _instance(conclusion, binding)))
+
+    seed_p = premises[at]
+    bound = {None, *compress(seed_p.args, seed_p.is_var)}
+    if not covering[at]:
+        bound |= {seed_p.start[0], seed_p.end[0]}
+    before = []
+    for p in premises:
+        before.append(set(bound))
+        bound |= {p.start[0], p.end[0], *compress(p.args, p.is_var)}
+    step = emit
+    for i in reversed(range(n)):
+        if i != at or covering[at]:
+            step = build(i, before[i], step)
+    if covering[at]:  # the seed binds the premise's argument variables only
+        def start(atom: Atom) -> Optional[dict]:
+            if len(atom.args) != len(seed_p.args):
+                return None
             binding: dict = {}
-            for x, v, a in zip(p.args, p.is_var, seed.atom.args):
+            for x, v, a in zip(seed_p.args, seed_p.is_var, atom.args):
                 if (binding.setdefault(x, a) if v else x) != a:
-                    return found
-            walk(0, binding)
+                    return None
+            return binding
     else:
-        p = premises[at]
-        m = _match(p, _value(p.start, {}), _value(p.end, {}), {}, seed.atom)
-        if m is not None:
-            walk(0, m)
-    return found
+        lo, hi = _value(seed_p.start, {}), _value(seed_p.end, {})
+        start = lambda atom: _match(seed_p, lo, hi, {}, atom)
+
+    def join(memory: WorkingMemory, seed: BeliefLit) -> list[tuple]:
+        out: list[tuple] = []
+        binding = start(seed.atom)
+        if binding is not None:
+            supports: list[Optional[BeliefLit]] = [None] * n
+            supports[at] = seed
+            step(memory, binding, supports, out)
+        return out
+
+    return join
 
 
 def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
@@ -806,19 +847,21 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
 
     The scan is kept as one agenda, and its firings are exactly those of a
     naive scan.  The agenda is a heap of candidate bindings ordered by rule
-    index, then binding, each with the beliefs supporting its premises.  A
-    positive belief is joined when it is added, at every premise of its
-    predicate, and the bindings found are pushed.  A popped binding whose
-    support is no longer held is dropped; one that fired or whose positive
-    conclusion is held is done for good; a dormant one waits, once, under
-    its conclusion's group (pred, args) until a belief joins that group.  A
-    binding whose supports are all held was found when the last of them
-    was added, so the least one on the heap is the naive scan's next
-    firing.  The state returned keeps the dormant instances, so the next
-    call on it joins only the beliefs added since, which it looks for in
-    the predicates edited since.  A call with no such record, or with
-    other rules or fired set than its, starts from the empty store: every
-    held belief is added since.
+    index, then binding, each with the beliefs supporting its premises and
+    its conclusion's instance.  A positive belief is joined when it is
+    added, at every premise of its predicate, and the bindings found are
+    pushed, but for those whose conclusion is no atom, which a naive scan
+    passes over.  A popped binding whose support is no longer held is
+    dropped; one that fired or whose positive conclusion is held is done
+    for good; a dormant one waits, once, under its conclusion's group
+    (pred, args) until a belief joins that group.  A binding whose
+    supports are all held was found when the last of them was added, so
+    the least one on the heap is the naive scan's next firing.  The state
+    returned keeps the dormant instances, so the next call on it joins
+    only the beliefs added since, which it looks for in the predicates
+    edited since.  A call with no such record, or with other rules or
+    fired set than its, starts from the empty store: every held belief is
+    added since.
     """
     rules = st.rules
     memory = st.memory.copy()
@@ -846,25 +889,21 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
         """Queue the bindings a positive belief added to the store supports,
         and the instances dormant on its group."""
         for ridx, at in reads.get(b.atom.pred, ()):
-            rule = rules[ridx]
-            for items, supports in _candidate_bindings(memory, rule, b, at).items():
-                key = _binding_key(items, rule.plan.variables)
-                heappush(agenda, (ridx, key, next(order), items, supports))
-        for ridx, key, items, supports in dormant.pop((b.atom.pred, b.atom.args), ()):
-            heappush(agenda, (ridx, key, next(order), items, supports))
+            for key, items, supports, instance in _candidate_bindings(memory, rules[ridx], b, at):
+                if instance is not None:
+                    heappush(agenda, (ridx, key, next(order), items, supports, instance))
+        for ridx, key, items, supports, instance in dormant.pop((b.atom.pred, b.atom.args), ()):
+            heappush(agenda, (ridx, key, next(order), items, supports, instance))
 
     for b in memory.added_since(since):
         added(b)
     while agenda:
-        ridx, key, _, items, supports = heappop(agenda)
+        ridx, key, _, items, supports, instance = heappop(agenda)
         done = (ridx, items)
         if done in fired or done in fresh or not all(map(memory.holds, supports)):
             continue
         rule = rules[ridx]
         conclusion = rule.plan.conclusion
-        instance = _instance(conclusion, dict(items))
-        if instance is None:
-            continue
         lo, hi, args = instance
         target = memory.spanning(conclusion.pred, args, True, lo, hi)
         if rule.positive:
@@ -872,7 +911,7 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
                 fresh.add(done)
                 continue
         elif target is None:
-            group, entry = (conclusion.pred, args), (ridx, key, items, supports)
+            group, entry = (conclusion.pred, args), (ridx, key, items, supports, instance)
             waiting = dormant.get(group)
             if waiting is None or waiting is shared.get(group):
                 waiting = dormant[group] = list(waiting or ())

@@ -1,7 +1,11 @@
 """Working-memory engine: perception, chaining, restructuring, scenarios."""
 
+import gc
 import itertools
 import json
+import pickle
+import weakref
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,12 +17,14 @@ from tdlek.formulas import Atom, parse
 from tdlek.models import check, validate_model
 from tdlek.agent import (
     BudgetExhausted,
+    Conjoined,
     Fired,
     MalformedRule,
     NoSuchBelief,
     ScenarioError,
     UnsupportedQuery,
     WorkingMemory,
+    conjoin,
     infer_fixpoint,
     init,
     perceive,
@@ -27,6 +33,7 @@ from tdlek.agent import (
     revise,
     rule_from_formula,
     run_scenario,
+    run_scenario_file,
     to_model,
     trace_records,
 )
@@ -284,6 +291,72 @@ def test_umbrella_late_rule_infer_work_is_linear(monkeypatch):
     assert n <= calls["spanning"] <= 8 * n
 
 
+GEN110 = Path(__file__).resolve().parent / "golden" / "gen110.scn"
+
+
+def test_firings_keep_the_literal_they_make(monkeypatch):
+    # A firing makes its conclusion once, and the store holds that very
+    # literal when nothing merges with it; a perception is held as given.
+    # gen110 made 400 literals while insert rebuilt each one it stored.
+    calls = [0]
+    original = tdlek.agent._make_lit
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(tdlek.agent, "_make_lit", counted)
+    assert run_scenario_file(GEN110).ok
+    assert 0 < calls[0] <= 160
+
+
+def test_each_rule_compiles_each_premise_join_once(monkeypatch):
+    # Rule.joins compiles one join per premise, on first use, and keeps it
+    # on the rule, not in a cache: a second run of the same script parses
+    # new rules, which compile their joins again.
+    compiled = []
+    original = tdlek.agent._compile_join
+    monkeypatch.setattr(
+        tdlek.agent, "_compile_join", lambda plan, at: compiled.append((plan, at)) or original(plan, at)
+    )
+    runs = []
+    for _ in range(2):
+        compiled.clear()
+        rules = run_scenario_file(GEN110).state.rules
+        counts = Counter((id(plan), at) for plan, at in compiled)
+        assert set(counts.values()) == {1}
+        assert set(counts) == {(id(r.plan), at) for r in rules for at in range(len(r.premises))}
+        runs.append(len(compiled))
+    assert runs[0] == runs[1] > len(rules)
+
+
+def test_a_dropped_rule_is_freed_with_its_joins():
+    st = infer_fixpoint(perceive(init(UMBRELLA_RULES), parse("rain(2,2)"), 2))
+    assert all("joins" in vars(r) for r in st.rules)  # compiled by the infer
+    refs = [weakref.ref(r) for r in st.rules]
+    del st
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
+def test_chained_rules_and_states_pickle():
+    # The compiled joins are closures, which do not pickle: a rule pickles
+    # without them and compiles them again when a join needs them.
+    st = infer_fixpoint(perceive(init(UMBRELLA_RULES), parse("rain(2,2)"), 2))
+    rule = st.rules[1]
+    assert "joins" in vars(rule)
+    copy = pickle.loads(pickle.dumps(rule))
+    assert copy == rule and copy.plan == rule.plan and copy.key == rule.key
+    loaded = pickle.loads(pickle.dumps(st))
+    assert loaded == st and loaded.chaining.rules is loaded.rules
+
+    def more(s):
+        return infer_fixpoint(perceive(s, parse("rain(5,6)"), 5))
+
+    assert more(loaded).trace == more(st).trace
+    assert len(more(st).trace) > len(st.trace) + 1
+
+
 def test_fixpoint_without_applicable_rules():
     st = perceive(init(UMBRELLA_RULES), parse("sunny(1,1)"), 1)
     assert infer_fixpoint(st).wm == st.wm
@@ -477,7 +550,7 @@ def test_infer_keeps_each_dormant_instance_once():
     moved = lines.pop(rules[-1])
     lines.insert(lines.index("infer") + 1, moved)
     dormant = run_scenario("\n".join(lines)).state.chaining.dormant
-    instances = [(ridx, items) for entries in dormant.values() for ridx, _, items, _ in entries]
+    instances = [(ridx, items) for entries in dormant.values() for ridx, _, items, *_ in entries]
     assert len(instances) == 4
     assert len(set(instances)) == len(instances)
 
@@ -574,6 +647,19 @@ def test_trace_replay_reproduces_memory():
     rebuilt = replay(MARRIAGE_RULES, st.trace)
     assert rebuilt.wm == st.wm
     assert rebuilt.render_wm() == st.render_wm()
+
+
+def test_replay_passes_over_conjoined_and_rejects_unknown_events():
+    st = infer_fixpoint(perceive(init(UMBRELLA_RULES), parse("rain(2,2)"), 2))
+    st = conjoin(st, parse("rain(2,2)"), parse("take(2,2,umbrella)"))
+    assert isinstance(st.trace[-1], Conjoined)
+    rebuilt = replay(UMBRELLA_RULES, st.trace)
+    assert rebuilt.wm == st.wm and rebuilt.trace == st.trace
+    for bad in (object(), "perceived"):
+        with pytest.raises(TypeError):
+            replay(UMBRELLA_RULES, st.trace + (bad,))
+        with pytest.raises(TypeError):
+            trace_records(st.trace + (bad,))
 
 
 def test_trace_records_schema():

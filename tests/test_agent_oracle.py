@@ -19,6 +19,12 @@ So the runs also change that state between two calls in every way a
 caller can: a rule appended after some ``infer``s, an ``infer`` on a
 ``replay``ed state, an ``infer`` right after a ``revise``, and a second
 ``infer`` with nothing in between.
+
+The store keeps a literal it is given when nothing merges with it, so a
+held belief can be the very object a caller passed in, and the store
+tells held beliefs apart by identity.  So the runs also perceive again
+the same ``BeliefLit`` object, after a restructure or a merge took it out
+of the store.
 """
 
 import random
@@ -231,14 +237,18 @@ def run_both(lines: list[str], budget: int, seed: int) -> dict:
     A second stream, so that the first one's revisions stay as they were,
     adds the calls that change what a kept agenda sees: an infer right
     after some revisions, and after some infers another infer or a replay
-    of the trace."""
+    of the trace.  A third, after some perceptions, perceives again at the
+    clock a literal object perceived before that the store no longer
+    holds, which it then holds itself when nothing merges with it."""
     st = init([])
     want = ref.State()
     assert_same = SameStates()
     rng = random.Random(seed)
     twist = random.Random(-1 - seed)
+    again = random.Random(seed + 10_000)
+    perceived: list[BeliefLit] = []  # the literal objects passed to perceive
     seen = {"infers": 0, "firings": 0, "restructured": 0, "exhausted": 0, "revised": 0,
-            "replayed": 0, "late rules": 0}
+            "replayed": 0, "late rules": 0, "kept again": 0}
 
     def infer() -> bool:
         """Infer in both; False when both exhausted the budget."""
@@ -263,10 +273,17 @@ def run_both(lines: list[str], budget: int, seed: int) -> dict:
             st = replace(st, rules=st.rules + (rule,))
             want = replace(want, rules=want.rules + (rule,))
         elif word == "perceive":
-            lit, _, at = rest.partition("@")
-            st = perceive(st, parse(lit.strip()), int(at))
-            want = ref.perceive(want, literal(parse(lit.strip())), int(at))
+            text, _, at = rest.partition("@")
+            lit = literal(parse(text.strip()))
+            st, want = perceive(st, lit, int(at)), ref.perceive(want, lit, int(at))
             assert_same(st, want)
+            perceived.append(lit)
+            gone = [b for b in perceived if not st.memory.holds(b)]
+            if gone and again.random() < 0.5:
+                lit = again.choice(gone)
+                st, want = perceive(st, lit, st.clock), ref.perceive(want, lit, want.clock)
+                assert_same(st, want)
+                seen["kept again"] += st.memory.holds(lit)
             pair = revision(rng, st) if rng.random() < 0.15 else None
             if pair is not None:
                 st, want = revise(st, *pair), ref.revise(want, *pair)
@@ -308,6 +325,7 @@ def test_random_scripts_agree_with_reference():
     assert totals["revised"] > 100
     assert totals["exhausted"] > 0
     assert totals["replayed"] > 50
+    assert totals["kept again"] > 80
 
 
 def test_rules_added_after_infer_agree_with_reference():

@@ -29,7 +29,6 @@ from tdlek.agent import (
     MalformedRule,
     Pattern,
     WorkingMemory,
-    _binding_key,
     _bounds,
     _canonical_rule_key,
     _candidate_bindings,
@@ -235,12 +234,14 @@ def _reference_bindings(memory, rule) -> set:
 def _seeded_joins(memory, rule):
     """Each join seeded at a held positive belief and a premise of its
     predicate, as (premise index, bindings found), as the chainer makes
-    them for a call that starts from the empty store."""
+    them for a call that starts from the empty store; the bindings found
+    map each binding's sorted pairs to its (agenda key, supports)."""
     for b in sorted(memory.beliefs(), key=BeliefLit.key):
         if b.positive:
             for at, p in enumerate(rule.plan.premises):
                 if p.pred == b.atom.pred:
-                    yield at, _candidate_bindings(memory, rule, b, at)
+                    found = _candidate_bindings(memory, rule, b, at)
+                    yield at, {items: (key, supports) for key, items, supports, _ in found}
 
 
 def test_candidate_bindings_agree_with_reference_join():
@@ -266,7 +267,7 @@ def test_candidate_bindings_agree_with_reference_join():
                 seeded.update(found)
                 narrowed[shape] += plan.narrow[at] is not None and bool(found)
             assert set(seeded) == want, rule
-            for items, supports in seeded.items():
+            for items, (_, supports) in seeded.items():
                 assert all(map(memory.holds, supports))
                 for p, covers, b in zip(plan.premises, plan.covering, supports):
                     lo, hi, args = _instance(p, dict(items))
@@ -318,9 +319,33 @@ def test_seeded_joins_find_exactly_the_bindings_their_seed_supports():
                         supported = (i_lo, i_hi, i_args) == (lo, hi, args)
                     if supported:
                         want.add(items)
-                assert set(_candidate_bindings(memory, rule, b, at)) == want, (rule, b, at)
+                found = _candidate_bindings(memory, rule, b, at)
+                assert {items for _, items, _, _ in found} == want, (rule, b, at)
                 narrowed += plan.narrow[at] is not None and bool(want)
     assert narrowed > 40
+
+
+def test_joins_emit_each_binding_with_its_key_and_instance():
+    """Each binding a join emits comes with its agenda key, its values in
+    the plan's variable order, and its conclusion's instance, None where
+    the conclusion makes no atom: what the chainer would otherwise build
+    from the binding's pairs when it pops the binding."""
+    rng = random.Random(18)
+    emitted = {"instance": 0, "no atom": 0}
+    for _ in range(1_000):
+        rule = _random_rule(rng)
+        memory = _spread_memory(rng, rule)
+        for b in memory.beliefs():
+            for at, p in enumerate(rule.plan.premises):
+                if not b.positive or p.pred != b.atom.pred:
+                    continue
+                for key, items, _, instance in _candidate_bindings(memory, rule, b, at):
+                    binding = dict(items)
+                    assert items == tuple(sorted(binding.items()))
+                    assert key == tuple(binding[x] for x in rule.plan.variables)
+                    assert instance == _instance(rule.plan.conclusion, binding)
+                    emitted["no atom" if instance is None else "instance"] += 1
+    assert min(emitted.values()) > 300, emitted
 
 
 # ---------------------------------------------------------------------------
@@ -494,23 +519,25 @@ def test_canonical_rule_key_agrees_with_reference_on_equality():
 
 
 def test_agenda_key_orders_bindings_as_the_reference():
-    """Sorting a rule's candidate bindings by their values in the plan's
-    variable order gives the reference's order: time values, then object
-    values, each by variable name.  The object variables are renamed to
-    sort before the time variables, so that order is not the names'."""
+    """Sorting a rule's candidate bindings by the agenda keys their joins
+    emit, their values in the plan's variable order, gives the reference's
+    order: time values, then object values, each by variable name.  The
+    object variables are renamed to sort before the time variables, so
+    that order is not the names'; the renamed rule is joined over the
+    memory drawn for the rule."""
     rng = random.Random(16)
     names = {"X": "A", "Y": "B"}
     compared = 0
     for _ in range(2_000):
         rule = _random_rule(rng)
         memory = _random_memory(rng, rule, bindings=8)
-        bindings = {}
-        for _, found in _seeded_joins(memory, rule):
-            bindings.update(found)
-        found = [tuple(sorted((names.get(x, x), v) for x, v in items)) for items in bindings]
-        rng.shuffle(found)
         rule = rule_from_formula(parse(re.sub(r"\b[XY]\b", lambda m: names[m[0]], rule.text)))
-        key = lambda items: _binding_key(items, rule.plan.variables)
+        keys = {}
+        for _, found in _seeded_joins(memory, rule):
+            keys.update((items, key) for items, (key, _) in found.items())
+        found = list(keys)
+        rng.shuffle(found)
+        key = keys.get
         assert len(set(map(key, found))) == len(found), rule
         want = sorted(found, key=lambda items: ref._binding_key(dict(items)))
         assert sorted(found, key=key) == want, rule

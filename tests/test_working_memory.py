@@ -107,13 +107,18 @@ class StoreMachine(RuleBasedStateMachine):
         pts = self.models[i].setdefault(group, set())
         new = points(*span)
         covered = new <= pts
+        # the points that a held belief overlapping or adjacent to the span has
+        near = pts & points(max(span[0] - 1, 0), span[1] if span[1] == INF else span[1] + 1)
         pts |= new
-        added = self.stores[i].insert(literal(*group, *span))
+        lit = literal(*group, *span)
+        added = self.stores[i].insert(lit)
         if covered:
             assert added is None
         else:
             (run,) = [r for r in runs(pts) if r[0] <= span[0] and points(*r) >= new]
             assert shape(added) == (*group, *run)
+            assert (added is lit) == (not near)
+            assert self.stores[i].holds(added)
 
     @rule(data=st.data(), denied=bounds)
     def restructure(self, data, denied):
@@ -166,6 +171,24 @@ class StoreMachine(RuleBasedStateMachine):
                 assert {shape(b) for b in got} >= {
                     shape(b) for b in new.beliefs() if b.positive and shape(b) not in values
                 }
+
+
+def test_insert_keeps_the_literal_it_is_given_when_nothing_merges():
+    """insert holds the literal it is given when no held belief of its
+    group overlaps it or is adjacent to it, and otherwise a new hull, even
+    one equal to the literal."""
+    store = WorkingMemory()
+    first, apart = literal("p", (), True, 2, 3), literal("p", (), True, 6, 6)
+    for lit in (first, apart, literal("p", ("a",), True, 3, 4)):
+        assert store.insert(lit) is lit and store.holds(lit)
+    touching = literal("p", (), True, 4, 5)
+    hull = store.insert(touching)
+    assert hull is not touching and shape(hull) == ("p", (), True, 2, 6)
+    assert store.holds(hull) and not store.holds(first) and not store.holds(touching)
+    around = literal("p", ("a",), True, 2, 5)
+    wider = store.insert(around)
+    assert wider is not around and wider == around and store.holds(wider)
+    assert store.insert(literal("p", (), True, 3, 3)) is None
 
 
 StoreMachine.TestCase.settings = settings(max_examples=40, stateful_step_count=25, deadline=None)
