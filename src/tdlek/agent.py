@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from heapq import heappop, heappush
 from itertools import compress, count
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .intervals import (
@@ -408,45 +409,56 @@ TraceEvent = Perceived | Fired | Restructured | Conjoined
 TRACE_SCHEMA_VERSION = 1
 
 
-def _json_time(t: TimePoint):
-    return "inf" if t == INF else t
+def _json_time(t: TimePoint) -> str:
+    return '"inf"' if t == INF else str(t)
+
+
+def trace_json_lines(trace: Sequence[TraceEvent]) -> str:
+    """The trace as JSON lines: a schema header, then one line per event.
+
+    Each line is written straight from its event, keys in sorted order (a
+    firing's binding in its pairs' order, sorted by variable), with the
+    separators, string quoting (json.encoder.encode_basestring_ascii) and
+    numbers json.dumps gives with its default settings; a time point inf
+    is the string "inf"."""
+    lines = [f'{{"schema_version": {TRACE_SCHEMA_VERSION}}}']
+    append = lines.append
+    for ev in trace:
+        if isinstance(ev, Perceived):
+            append(
+                f'{{"at": {_json_time(ev.at)}, "event": "perceived", '
+                f'"literal": {_quote(str(ev.literal))}}}'
+            )
+        elif isinstance(ev, Fired):
+            binding = ", ".join(
+                f"{_quote(k)}: {_json_time(v) if is_time_point(v) else _quote(v)}"
+                for k, v in ev.binding
+            )
+            append(
+                f'{{"binding": {{{binding}}}, "conclusion": {_quote(str(ev.conclusion))}, '
+                f'"event": "fired", "rule": {_quote(ev.rule)}, "rule_index": {ev.rule_index}}}'
+            )
+        elif isinstance(ev, Restructured):
+            parts = ", ".join(_quote(str(p)) for p in ev.parts)
+            append(
+                f'{{"event": "restructured", "parts": [{parts}], '
+                f'"removed": {_quote(str(ev.removed))}}}'
+            )
+        elif isinstance(ev, Conjoined):
+            append(
+                f'{{"event": "conjoined", "left": {_quote(ev.left)}, '
+                f'"right": {_quote(ev.right)}}}'
+            )
+        else:
+            raise TypeError(f"unknown trace event {ev!r}")
+    append("")
+    return "\n".join(lines)
 
 
 def trace_records(trace: Sequence[TraceEvent]) -> list[dict]:
-    """Serializable record stream: a schema header then one record per event.
-
-    Every record has its keys in sorted order, and so has a firing's
-    binding, whose pairs are sorted, so json.dumps writes them sorted
-    without sort_keys."""
-    records: list[dict] = [{"schema_version": TRACE_SCHEMA_VERSION}]
-    for ev in trace:
-        if isinstance(ev, Perceived):
-            records.append(
-                {"at": _json_time(ev.at), "event": "perceived", "literal": str(ev.literal)}
-            )
-        elif isinstance(ev, Fired):
-            records.append(
-                {
-                    "binding": {k: _json_time(v) if is_time_point(v) else v for k, v in ev.binding},
-                    "conclusion": str(ev.conclusion),
-                    "event": "fired",
-                    "rule": ev.rule,
-                    "rule_index": ev.rule_index,
-                }
-            )
-        elif isinstance(ev, Restructured):
-            records.append(
-                {
-                    "event": "restructured",
-                    "parts": [str(p) for p in ev.parts],
-                    "removed": str(ev.removed),
-                }
-            )
-        elif isinstance(ev, Conjoined):
-            records.append({"event": "conjoined", "left": ev.left, "right": ev.right})
-        else:
-            raise TypeError(f"unknown trace event {ev!r}")
-    return records
+    """The records of trace_json_lines, parsed: a schema header then one
+    dict per event."""
+    return list(map(json.loads, trace_json_lines(trace).splitlines()))
 
 
 # ---------------------------------------------------------------------------
@@ -981,10 +993,15 @@ def _query(memory: WorkingMemory, rules: tuple[Rule, ...], f: Formula) -> bool:
         return memory.covered(f.body, True)
     if isinstance(f, Knowledge):
         try:
-            wanted = rule_from_formula(f).key
+            asked = rule_from_formula(f)
         except MalformedRule as exc:
             raise UnsupportedQuery(f"K supports rules only: {print_formula(f)}") from exc
-        return any(r.key == wanted for r in rules)
+        # the key holds the conclusion's predicate and polarity, so only
+        # the rules that share them are keyed
+        wanted, pred, positive = asked.key, asked.conclusion.pred, asked.positive
+        return any(
+            r.key == wanted for r in rules if r.conclusion.pred == pred and r.positive == positive
+        )
     if isinstance(f, Not):
         return not _query(memory, rules, f.body)
     if isinstance(f, And):
@@ -1153,9 +1170,3 @@ def run_scenario_file(path) -> ScenarioResult:
     with open(path, "r", encoding="utf-8") as fh:
         return run_scenario(fh.read())
 
-
-def trace_json_lines(trace: Sequence[TraceEvent]) -> str:
-    """One JSON line per record, keys sorted.  json.dumps with its default
-    settings reuses one module-level encoder; sort_keys would build an
-    encoder per record."""
-    return "\n".join(map(json.dumps, trace_records(trace))) + "\n"

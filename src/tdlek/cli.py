@@ -81,9 +81,9 @@ def cmd_run(args) -> int:
         except OSError as exc:
             _err(f"cannot write trace: {exc}")
             return USAGE_ERROR
-    for lineno, text, value in result.queries:
-        print(f"query {text} = {'true' if value else 'false'}")
-    print(result.state.render_wm())
+    lines = [f"query {text} = {'true' if value else 'false'}" for _, text, value in result.queries]
+    lines.append(result.state.render_wm())
+    print("\n".join(lines))
     bad = [c for c in result.checks if not c.ok]
     for c in bad:
         _err(

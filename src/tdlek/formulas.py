@@ -728,8 +728,33 @@ _MENTAL_OPS = {
 _TOKEN.update((cls, name) for name, (cls, _) in _MENTAL_OPS.items())  # printed name(arg,...)
 
 
+# A whole ground literal in one match: an optional ~, a predicate name, a
+# number start, a number or inf end and constant arguments, with the
+# whitespace the lexer allows around each token.  The groups are the ~,
+# the name, the two bounds and the arguments with their commas.
+_GROUND_LITERAL_RE = re.compile(
+    r"\s*(~?)\s*([a-z][A-Za-z0-9_]*)\s*\(\s*(\d+)\s*,\s*(\d+|inf)\s*"
+    r"((?:,\s*[a-z][A-Za-z0-9_]*\s*)*)\)\s*"
+)
+_ARGUMENT_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
+
+
 def parse(text: str) -> Formula:
-    """Parse a formula; raises FormulaSyntaxError with line and column."""
+    """Parse a formula; raises FormulaSyntaxError with line and column.
+
+    A ground literal that _GROUND_LITERAL_RE matches, with a predicate
+    that is not reserved and a start no later than its end, is built as
+    _Parser.atom builds it; any other text goes through _Parser, the only
+    source of a FormulaSyntaxError."""
+    m = _GROUND_LITERAL_RE.fullmatch(text)
+    if m is not None:
+        neg, pred, start, end, args = m.groups()
+        if pred not in RESERVED:
+            start, end = int(start), INF if end == "inf" else int(end)
+            if start <= end:
+                args = tuple(_ARGUMENT_RE.findall(args))
+                atom = _trusted_ground_atom(pred, _derived(start, end), args)
+                return Not(atom) if neg else atom
     return _Parser(text).formula()
 
 

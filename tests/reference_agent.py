@@ -13,6 +13,11 @@ and trace types; it keeps its own state record and memory helpers.
 the rule's plan: it rebuilds every premise and the conclusion as renamed,
 validated ``Atom``s and ``TimeExpr``s.
 
+``trace_records`` and ``trace_json_lines`` are the trace writer as it was
+before it wrote each line straight from its event: one dict per record,
+keys inserted in sorted order, each dumped by ``json.dumps`` with its
+default settings.
+
 ``to_model`` is the bridge to the semantic layer as it was before it
 trusted the beliefs: every atom goes through the validating ``Atom``
 constructor, the world through ``World``'s groundness test, and
@@ -22,12 +27,15 @@ constructor, the world through ``World``'s groundness test, and
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 from typing import Iterable
 
 from tdlek.agent import (
+    TRACE_SCHEMA_VERSION,
     BeliefLit,
     BudgetExhausted,
+    Conjoined,
     Fired,
     Perceived,
     Restructured,
@@ -142,6 +150,48 @@ def replay(rules: tuple[Rule, ...], trace) -> State:
         elif isinstance(ev, Restructured):
             wm = (wm - {ev.removed}) | frozenset(ev.parts)
     return State(rules, wm, clock, tuple(trace))
+
+
+def _json_time(t):
+    return "inf" if t == INF else t
+
+
+def trace_records(trace) -> list[dict]:
+    """A schema header then one record per event, keys in sorted order."""
+    records: list[dict] = [{"schema_version": TRACE_SCHEMA_VERSION}]
+    for ev in trace:
+        if isinstance(ev, Perceived):
+            records.append(
+                {"at": _json_time(ev.at), "event": "perceived", "literal": str(ev.literal)}
+            )
+        elif isinstance(ev, Fired):
+            records.append(
+                {
+                    "binding": {k: _json_time(v) if is_time_point(v) else v for k, v in ev.binding},
+                    "conclusion": str(ev.conclusion),
+                    "event": "fired",
+                    "rule": ev.rule,
+                    "rule_index": ev.rule_index,
+                }
+            )
+        elif isinstance(ev, Restructured):
+            records.append(
+                {
+                    "event": "restructured",
+                    "parts": [str(p) for p in ev.parts],
+                    "removed": str(ev.removed),
+                }
+            )
+        elif isinstance(ev, Conjoined):
+            records.append({"event": "conjoined", "left": ev.left, "right": ev.right})
+        else:
+            raise TypeError(f"unknown trace event {ev!r}")
+    return records
+
+
+def trace_json_lines(trace) -> str:
+    """One json.dumps line per record of trace_records."""
+    return "\n".join(map(json.dumps, trace_records(trace))) + "\n"
 
 
 def _canonical_rule_key(rule: Rule) -> tuple:

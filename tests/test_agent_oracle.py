@@ -27,7 +27,9 @@ the same ``BeliefLit`` object, after a restructure or a merge took it out
 of the store.
 """
 
+import importlib.util
 import random
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -37,7 +39,9 @@ import reference_agent as ref
 from tdlek.agent import (
     BeliefLit,
     BudgetExhausted,
+    Conjoined,
     Fired,
+    Perceived,
     Restructured,
     ScenarioError,
     infer_fixpoint,
@@ -49,8 +53,10 @@ from tdlek.agent import (
     rule_from_formula,
     run_scenario,
     trace_json_lines,
+    trace_records,
 )
 from tdlek.formulas import Not, parse
+from tdlek.intervals import INF
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -189,7 +195,7 @@ class SameStates:
         assert got.wm == want.wm
         k = len(self.got)
         assert got.trace[:k] == self.got and want.trace[:k] == self.want
-        assert trace_json_lines(got.trace[k:]) == trace_json_lines(want.trace[k:])
+        assert trace_json_lines(got.trace[k:]) == ref.trace_json_lines(want.trace[k:])
         assert got.fired == want.fired
         assert (got.rules, got.clock) == (want.rules, want.clock)
         self.got, self.want = got.trace, want.trace
@@ -425,11 +431,68 @@ def test_runner_matches_step_by_step_calls_on_random_scripts():
     assert exhausted > 0 and queries > 500
 
 
-@pytest.mark.parametrize(
-    "path", sorted(SCENARIO_DIR.glob("*.scn")) + sorted(GOLDEN_DIR.glob("*.scn")), ids=lambda p: p.name
-)
+SCENARIO_FILES = sorted(SCENARIO_DIR.glob("*.scn")) + sorted(GOLDEN_DIR.glob("*.scn"))
+
+
+@pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.name)
 def test_runner_matches_step_by_step_calls_on_scenario_files(path):
     text = path.read_text(encoding="utf-8")
     assert not assert_runner_matches_steps(text, budget=10_000)
     assert assert_runner_matches_steps(text, budget=0)
     assert_runner_matches_steps(text, budget=2)
+
+
+# ---------------------------------------------------------------------------
+# The trace writer against the dict-plus-json.dumps reference
+# ---------------------------------------------------------------------------
+
+
+def _scenario_gen():
+    """perfbench/scenario_gen.py, loaded from its file."""
+    path = SCENARIO_DIR.parent / "perfbench" / "scenario_gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_scenario_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def assert_same_trace_text(trace) -> None:
+    assert trace_json_lines(trace) == ref.trace_json_lines(trace)
+    assert trace_records(trace) == ref.trace_records(trace)
+
+
+def test_trace_lines_match_the_reference_writer_on_scripts():
+    """The scenario files, the golden scripts and generated scripts of 12
+    to 216 perceptions (the benchmark draws 12 to 110)."""
+    texts = [path.read_text(encoding="utf-8") for path in SCENARIO_FILES]
+    make_scenario = _scenario_gen().make_scenario
+    texts += [make_scenario(seed, n).text for seed, n in enumerate((12, 25, 40, 70, 110, 216))]
+    events = set()
+    for text in texts:
+        trace = run_scenario(text).state.trace
+        assert_same_trace_text(trace)
+        events.update(type(ev) for ev in trace)
+    assert events == {Perceived, Fired, Restructured}
+
+
+def test_trace_lines_match_the_reference_writer_on_hand_built_events():
+    """Strings json.dumps escapes, an empty binding, a restructure with no
+    parts, inf in a binding and as a perception time; an unknown event is a
+    TypeError in both writers."""
+    lit = BeliefLit(parse("p(1,inf,a)"))
+    trace = (
+        Perceived(lit, 3),
+        Perceived(BeliefLit(parse("q(0,0)"), False), INF),
+        Conjoined('say "no" \\ here', "na\u00efve \u2603 \x07\x1f \u2028\n\t\U0001f600"),
+        Fired(0, "K(r(T,T) -> p(1,inf,a))", (), lit),
+        Fired(2, 'K("q"(T,U,X))', (("T", 4), ("U", INF), ("X", "b\\c")), lit),
+        Restructured(lit, ()),
+        Restructured(lit, (BeliefLit(parse("p(1,2,a)")), BeliefLit(parse("p(5,inf,a)")))),
+    )
+    assert_same_trace_text(trace)
+    assert_same_trace_text(())
+    for bad in (object(), "perceived", Not(parse("p(1,1)"))):
+        for writer in (trace_json_lines, trace_records, ref.trace_json_lines):
+            with pytest.raises(TypeError, match="unknown trace event"):
+                writer(trace + (bad,))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,6 +75,16 @@ def test_parse_rejects_misordered_ground_bounds():
         parse("p(5,2)")
     with pytest.raises(FormulaSyntaxError):
         parse("p(inf,3)")
+
+
+def test_atom_rejects_bad_names_when_built():
+    one = TimeExpr.lit(1)
+    for pred in ("P", "1p", "", "p-q", "pé", "box", "inf", "true"):
+        with pytest.raises(ValueError, match=re.escape(f"bad predicate name {pred!r}")):
+            Atom(pred, one, one)
+    for arg in ("", "1", "a-b", "é", "_x"):
+        with pytest.raises(ValueError, match=re.escape(f"bad atom argument {arg!r}")):
+            Atom("p", one, one, ("a", arg))
 
 
 def test_box_bounds_validated_at_construction():

@@ -1,6 +1,7 @@
 """Interval algebra: unit cases plus brute-force point-set equivalence."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -227,6 +228,15 @@ def test_eval_time_expr_saturates_at_inf():
 def test_eval_time_expr_underflow():
     with pytest.raises(BadInterval):
         TimeExpr.at("T", -1).eval({"T": 0})
+
+
+def test_time_expr_rejects_bad_variables_and_shifts():
+    for var in ("t", "", "1T", "_T", "éT"):
+        with pytest.raises(ValueError, match=re.escape(f"time variable must start uppercase: {var!r}")):
+            TimeExpr(var, 0)
+    for shift in (1.5, INF, True, "1", None):
+        with pytest.raises(BadInterval, match=re.escape(f"bad shift {shift!r} on variable T")):
+            TimeExpr("T", shift)
 
 
 def test_time_expr_str():

@@ -8,7 +8,10 @@ read the memos a parsed atom comes with) or the same ``FormulaSyntaxError``
 (message, line, column and expected tokens); any other exception must
 match by type and message.  The inputs are the printed output of the
 ``randgen`` formulas and character insertions, deletions and swaps of the
-golden parse inputs, newlines included.  ``load_model`` on random text
+golden parse inputs, newlines included, and texts shaped like a ground
+literal, which ``parse`` reads by one pattern match: for those the memos
+of the literal's nodes must also equal the ones the recursive descent
+seeds.  ``load_model`` on random text
 raises only ``ModelFormatError``, ``run_scenario`` on mutated and
 recombined scenario scripts raises only ``ScenarioError``, ``cli.main``
 on argv built from its subcommands and options exits 0, 1 or 2 without a
@@ -27,9 +30,13 @@ from hypothesis import example, given, settings, strategies as st
 import reference_parser as ref
 from tdlek.agent import ScenarioError, run_scenario
 from tdlek.cli import main
+import tdlek.formulas
 from tdlek.formulas import (
+    _MEMOS,
     Atom,
     FormulaSyntaxError,
+    Not,
+    _Parser,
     ast_dict,
     free_vars,
     parse,
@@ -78,6 +85,13 @@ mutation = st.tuples(
 )
 
 
+def mostly(common, rare):
+    """A strategy drawing from common three times in four, else from rare,
+    so that most inputs get past the first checks.  Rare is the largest
+    integer's, since Hypothesis draws the least one more often."""
+    return st.integers(0, 3).flatmap(lambda k: rare if k == 3 else common)
+
+
 def mutate(text: str, edits) -> str:
     chars = list(text)
     for op, pos, ch in edits:
@@ -124,6 +138,119 @@ def test_error_positions_agree_with_reference():
         "[rev(p(1,1),q(2,2)) ~p(1,1)",
     ):
         assert_same(text)
+
+
+# Ground literals, read by one match, and texts that look like one but
+# that only the recursive descent may accept or reject: Unicode spaces,
+# digits outside ASCII and leading zeros, inf as a start, a start after
+# the end, reserved predicates, variable and reserved arguments.
+LITERAL_TEXTS = (
+    "p(1,2)",
+    " p ( 1 , 2 ) ",
+    "p(1,\n2)",
+    "\tp\u00a0(1,2)\r\n",
+    "p(1,2,\u2003a ,\u3000bC_1)",
+    "p(1,2,a\x1c)",
+    "p(\u0663,5)",
+    "p(1,\u0661\u0662)",
+    "p(007,010)",
+    "p(0,inf)",
+    "p(inf,5)",
+    "p(inf,inf)",
+    "p(5,2)",
+    "~p(5,2)",
+    "p(2,2)",
+    "box(1,2)",
+    "inf(1,2)",
+    "true(1,2)",
+    "and(1,2)",
+    "rev(1,2)",
+    "p(1,2,X)",
+    "p(1,2,inf)",
+    "p(1,2,box)",
+    "p(1,2,1)",
+    "~ p(1,2)",
+    "~\np(1,2,a)",
+    "~~p(1,2)",
+    "B p(1,2)",
+    "p(1,2) & q(1,2)",
+    "p(1,2",
+    "p(1,2))",
+    "p(1,,2)",
+    "p(1,2,)",
+    "p(1 2,3)",
+    "p(1,infx)",
+    "pé(1,2)",
+)
+
+
+def usually(common: tuple, rare: tuple):
+    """One of common three times in four, else one of rare."""
+    return mostly(st.sampled_from(common), st.sampled_from(rare))
+
+
+GAP = usually(("", "", "", " ", "\n"), ("\t", "\u00a0", "\u2003", "\r\n", "\x1c", "$"))
+
+
+@st.composite
+def literal_text(draw) -> str:
+    """A text shaped like a ground literal, mostly one: gaps of whitespace
+    (or a stray character) between its tokens, and, now and then, a bound
+    that is a variable, inf or digits outside ASCII, a reserved name or a
+    variable argument."""
+    name = usually(("p", "q1", "aB_c"), ("box", "inf", "true", "and", "X", "B"))
+    start = usually(("0", "1", "7", "12"), ("007", "\u0663", "inf", "X", "T+1"))
+    end = usually(("7", "12", "inf"), ("0", "\u0661\u0662", "X", "T-1"))
+    arg = usually(("a", "bC", "c_1"), ("X", "inf", "box", "1", "é"))
+    parts = [draw(usually(("", "~"), ("~~", "B ", "~(")))]
+    parts += [draw(name), "(", draw(start), ",", draw(end)]
+    for a in draw(st.lists(arg, max_size=3)):
+        parts += [",", a]
+    parts.append(")")
+    return "".join(draw(GAP) + part for part in parts) + draw(GAP)
+
+
+def literal_memos(f) -> list:
+    """The memo slots of f and, under a ~, of its atom."""
+    nodes = (f, f.body) if isinstance(f, Not) else (f,)
+    return [[getattr(node, name) for name in _MEMOS] for node in nodes]
+
+
+def assert_same_literal(text: str) -> None:
+    """parse against the reference, and the memos its result comes with
+    against those of the recursive descent's result."""
+    try:
+        got, want = parse(text), _Parser(text).formula()
+    except (FormulaSyntaxError, ValueError):
+        pass  # assert_same compares the errors
+    else:
+        assert literal_memos(got) == literal_memos(want), text
+    assert_same(text)
+
+
+def test_literal_texts_agree_with_reference():
+    for text in LITERAL_TEXTS:
+        assert_same_literal(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(literal_text())
+def test_generated_literal_texts_agree_with_reference(text):
+    assert_same_literal(text)
+
+
+def test_ground_literals_are_read_without_the_parser(monkeypatch):
+    made = []
+    monkeypatch.setattr(tdlek.formulas, "_Parser", lambda text: made.append(text) or _Parser(text))
+    for text in ("p(1,2)", " ~ q ( 3 , inf , a ) ", "p(\u0663,5)", "p(1,2,inf)"):
+        parse(text)
+    assert made == []
+    for text in ("p(5,2)", "box(1,2)", "p(inf,5)", "p(1,2,X)", "~~p(1,2)"):
+        try:
+            parse(text)
+        except FormulaSyntaxError:
+            pass
+    assert made == ["p(5,2)", "box(1,2)", "p(inf,5)", "p(1,2,X)", "~~p(1,2)"]
 
 
 MODEL_LINES = (
@@ -223,13 +350,6 @@ def test_run_scenario_raises_only_scenario_error(text, budget):
         run_scenario(text, budget=budget)
     except ScenarioError:
         pass
-
-
-def mostly(common, rare):
-    """A strategy drawing from common three times in four, else from rare,
-    so that most argv get past the usage checks.  Rare is the largest
-    integer's, since Hypothesis draws the least one more often."""
-    return st.integers(0, 3).flatmap(lambda k: rare if k == 3 else common)
 
 
 edits = mostly(st.just([]), st.lists(mutation, min_size=1, max_size=2))

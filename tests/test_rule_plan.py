@@ -582,3 +582,26 @@ def test_k_query_renames_each_held_rule_once(monkeypatch):
     keyed.clear()
     assert not query(st, f)
     assert [rule.text for rule in keyed] == [print_formula(f)]
+
+
+def test_k_query_keys_only_rules_with_the_asked_conclusion(monkeypatch):
+    """The K-query key holds the conclusion's predicate and polarity, so a
+    first K query keys the asked rule and only the held rules that share
+    both: of gen110's 8 rules, one concludes u1b, and one concludes m0m,
+    another ~m0m."""
+    st = run_scenario_file(ROOT / "tests/golden/gen110.scn").state
+    assert len(st.rules) == 8
+    keyed = []
+    monkeypatch.setattr(tdlek.agent, "_canonical_rule_key",
+                        lambda rule: keyed.append(rule) or _canonical_rule_key(rule))
+    for r in st.rules:
+        r.__dict__.pop("key", None)  # the run's own K queries keyed some
+    f = parse("K(u1a(S,E,Y) -> u1b(S,E,Y))")
+    assert query(st, f)
+    assert [rule.text for rule in keyed] == [print_formula(f), "K(u1a(T1,T2,X) -> u1b(T1,T2,X))"]
+    keyed.clear()
+    assert not query(st, parse("K(m0v(T,inf,X) -> m0m(T,inf,X))"))
+    assert [rule.text for rule in keyed] == [
+        "K(m0v(T,inf,X) -> m0m(T,inf,X))",
+        "K(m0a(T,T,X) -> m0m(T+1,inf,X))",
+    ]
