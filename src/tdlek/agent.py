@@ -293,8 +293,8 @@ class Rule:
 
     @cached_property
     def joins(self) -> tuple:
-        """Per premise, the join of _candidate_bindings for a seed at that
-        premise, compiled from the plan on first use (_compile_join)."""
+        """Per premise, the join for a seed at that premise, compiled from
+        the plan on first use (_compile_join)."""
         return tuple(_compile_join(self.plan, at) for at in range(len(self.premises)))
 
     def __reduce__(self):
@@ -480,36 +480,28 @@ class WorkingMemory:
     Each group is a tuple of pairwise disjoint, non-adjacent beliefs sorted
     by start, and therefore also by end, so a lookup by time bisects.  A
     store is never edited once a state holds it: an operation edits a
-    copy() and puts the copy in the new state.  Copies share the groups
-    that neither edited, so comparing groups by identity finds what an
-    edit changed.
-
-    A store also knows its lineage: the snapshot it descends from, a new
-    store or the last rebase() of it or of a store it was copied from,
-    and the predicates edited since then.  Two stores of one lineage
-    differ only in the predicates either of them edited.
+    copy() and puts the copy in the new state.  Stores share by copy on
+    write: a copy shares each predicate's groups dict with its source,
+    and a store copies that dict before its first edit of the predicate
+    (_own: the predicates whose dict it made and no other store holds).
+    So a groups dict two stores hold is never edited, and comparing dicts
+    and groups by identity finds what an edit changed.
     """
 
-    __slots__ = ("preds", "_lineage", "_edited")
+    __slots__ = ("preds", "_own")
 
     def __init__(self):
         self.preds: dict[str, dict[tuple, tuple[BeliefLit, ...]]] = {}
-        self._lineage = object()  # the snapshot's token
-        self._edited: set[str] = set()
+        self._own: set[str] = set()
 
     def copy(self) -> WorkingMemory:
-        """A store to edit: both dict levels are copied, the groups shared,
-        and the lineage kept."""
+        """A store to edit: the predicate dict is copied and its groups
+        dicts shared, so neither store edits one of them in place."""
         new = _new(WorkingMemory)
-        new.preds = {pred: dict(groups) for pred, groups in self.preds.items()}
-        new._lineage = self._lineage
-        new._edited = set(self._edited)
+        new.preds = dict(self.preds)
+        new._own = set()
+        self._own.clear()
         return new
-
-    def rebase(self) -> None:
-        """Start a new lineage at this store as it stands."""
-        self._lineage = object()
-        self._edited = set()
 
     def beliefs(self) -> frozenset[BeliefLit]:
         return frozenset(
@@ -557,8 +549,11 @@ class WorkingMemory:
     def _put(self, lit: BeliefLit, group: tuple[BeliefLit, ...]) -> None:
         """Make group the beliefs of lit's group."""
         pred = lit.atom.pred
-        self._edited.add(pred)
-        groups = self.preds.setdefault(pred, {})
+        groups = self.preds.get(pred, {})
+        if pred not in self._own:  # still shared: edit a copy
+            groups = dict(groups)
+            self._own.add(pred)
+        self.preds[pred] = groups
         key = (lit.atom.args, lit.positive)
         if group:
             groups[key] = group
@@ -605,16 +600,13 @@ class WorkingMemory:
         return event
 
     def added_since(self, old: WorkingMemory) -> Iterator[BeliefLit]:
-        """The positive beliefs held here but not in old, an earlier
-        version of this store; only the groups not shared are compared,
-        and between two stores of one lineage, only the groups of the
-        predicates either edited."""
-        preds = self.preds.items()
-        if self._lineage is old._lineage:
-            edited = self._edited | old._edited
-            preds = [(pred, groups) for pred, groups in preds if pred in edited]
-        for pred, groups in preds:
+        """The positive beliefs held here but not in old, any other store.
+        A predicate whose groups dict old shares is passed over, and of
+        the rest only the groups not shared are compared."""
+        for pred, groups in self.preds.items():
             before = old.preds.get(pred, {})
+            if groups is before:
+                continue
             for key, group in groups.items():
                 if key[1] and group is not (prior := before.get(key)):
                     held = set(map(id, prior or ()))
@@ -625,20 +617,20 @@ class WorkingMemory:
 class _Chaining:
     """What infer_fixpoint leaves for the next call on the state it
     returns: the rules and fired set it ran with, which (rule, premise)
-    pairs read each predicate, the store it ended on, which starts a new
-    lineage, and its dormant instances, as agenda entries keyed by the group
-    (pred, args) of their conclusion.  At the fixpoint every other
-    candidate binding is fired, or its conclusion cannot be instantiated,
-    so the next call need only join the beliefs added since.  A call with
-    no record it can use joins from the empty store, WorkingMemory(), with
-    none dormant.  The next call edits a copy of dormant, and copies a
-    list before it adds to it."""
+    pairs read each predicate, the store it ended on, and its dormant
+    instances, as tuples of agenda entries keyed by the group (pred, args)
+    of their conclusion.  At the fixpoint every other candidate binding is
+    fired, or its conclusion cannot be instantiated, so the next call need
+    only join the beliefs added since, which the stores' sharing shows.  A
+    call with no record it can use joins from the empty store,
+    WorkingMemory(), with none dormant.  The next call edits a copy of
+    dormant, whose tuples it replaces and never edits."""
 
     rules: tuple[Rule, ...]
     reads: dict[str, list[tuple[int, int]]]
     fired: frozenset
     memory: WorkingMemory
-    dormant: dict[tuple, list[tuple]]
+    dormant: dict[tuple, tuple[tuple, ...]]
 
 
 @dataclass(frozen=True)
@@ -704,46 +696,22 @@ def _perceive(
     events.append(Perceived(belief, at))
 
 
-def _candidate_bindings(memory: WorkingMemory, rule: Rule, seed: BeliefLit, at: int) -> list[tuple]:
-    """The complete premise bindings that the held positive belief seed
-    supports at premise position at, each as (key, items, supports,
-    instance): its values in the order of the rule's plan.variables (time
-    values first, then object values), which order the agenda; its
-    (variable, value) pairs sorted by variable; the beliefs that support
-    its premises; and the conclusion's instance under it (_instance),
-    None where that is no atom.
-
-    The seed's match at that premise binds its variables, or, for a
-    premise tested by coverage, its argument variables, before the join
-    starts.  The other variables bind by syntactic match against the
-    positive beliefs of the premise's predicate; a premise whose variables
-    the earlier premises all bind only needs a covering belief, which
-    supports it.  Box constraints are checked once the binding is
-    complete.  The union of these joins over every held positive belief
-    and every premise of its predicate is every complete binding.
-
-    The join is the rule's, compiled for that premise on first use
-    (Rule.joins).  A premise's bounds are evaluated under the binding, and
-    a premise that this makes no atom ends the branch.  A seed tested by
-    coverage supports only the bindings that put that premise's start
-    inside the seed; where the plan says which earlier premise binds that
-    start by its own, its beliefs are narrowed by bisection to those whose
-    start does that.
-    """
-    return rule.joins[at](memory, seed)
-
-
 def _compile_join(plan: RulePlan, at: int):
-    """The join of _candidate_bindings for a seed at premise at, as a
-    function of (memory, seed).  Which variables are bound before each
-    premise is fixed by the plan and at, so each premise's step is built
-    as one kind: none for a seed matched at its own premise; a coverage
-    test, by the seed or through spanning; or a match against the positive
-    beliefs of one lookup: the group of its arguments bisected at its
-    bound start or end, or to the seed's window at the narrowed premise,
-    or the whole group, and while an argument is unbound, every positive
-    belief of its predicate (in the window at the narrowed premise).  The
-    last step checks the boxes and emits each binding."""
+    """The join for a seed at premise at, as a function of (memory, seed)
+    giving the complete premise bindings that the held positive belief
+    seed supports there, each as (key, items, supports, instance): its
+    values in plan.variables order, which orders the agenda; its
+    (variable, value) pairs sorted by variable; the beliefs supporting its
+    premises; and the conclusion's instance (_instance), None where that
+    is no atom.  Which variables are bound before each premise is fixed by
+    the plan and at, so each premise's step is built as one kind: none for
+    a seed matched at its own premise; a coverage test, by the seed or
+    through spanning; or a match against the positive beliefs of one
+    lookup: the group of its arguments bisected at its bound start or end,
+    or to the seed's window at the narrowed premise, or the whole group,
+    and while an argument is unbound, every positive belief of its
+    predicate (in the window at the narrowed premise).  The last step
+    checks the boxes and emits each binding."""
     premises, covering, variables = plan.premises, plan.covering, plan.variables
     order, conclusion, n = sorted(variables), plan.conclusion, len(premises)
     boxes = [p for p in premises if p.box]
@@ -871,9 +839,9 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
     the least one on the heap is the naive scan's next firing.  The state
     returned keeps the dormant instances, so the next call on it joins
     only the beliefs added since, which it looks for in the predicates
-    edited since.  A call with no such record, or with other rules or
-    fired set than its, starts from the empty store: every held belief is
-    added since.
+    whose groups the two stores do not share.  A call with no such record,
+    or with other rules or fired set than its, starts from the empty
+    store: every held belief is added since.
     """
     rules = st.rules
     memory = st.memory.copy()
@@ -889,10 +857,9 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
             for at, p in enumerate(rule.plan.premises):
                 reads.setdefault(p.pred, []).append((ridx, at))
     if kept is not None and kept.rules is rules and kept.fired is fired:
-        since, shared = kept.memory, kept.dormant
+        since, dormant = kept.memory, dict(kept.dormant)
     else:
-        since, shared = WorkingMemory(), {}
-    dormant = dict(shared)  # a list still shared is copied before it grows
+        since, dormant = WorkingMemory(), {}
     agenda: list[tuple] = []
     order = count()  # heap tie-break: the same binding may be queued twice
     firings = 0
@@ -901,7 +868,7 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
         """Queue the bindings a positive belief added to the store supports,
         and the instances dormant on its group."""
         for ridx, at in reads.get(b.atom.pred, ()):
-            for key, items, supports, instance in _candidate_bindings(memory, rules[ridx], b, at):
+            for key, items, supports, instance in rules[ridx].joins[at](memory, b):
                 if instance is not None:
                     heappush(agenda, (ridx, key, next(order), items, supports, instance))
         for ridx, key, items, supports, instance in dormant.pop((b.atom.pred, b.atom.args), ()):
@@ -924,11 +891,9 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
                 continue
         elif target is None:
             group, entry = (conclusion.pred, args), (ridx, key, items, supports, instance)
-            waiting = dormant.get(group)
-            if waiting is None or waiting is shared.get(group):
-                waiting = dormant[group] = list(waiting or ())
+            waiting = dormant.get(group, ())
             if entry not in waiting:  # a cold join can find it twice
-                waiting.append(entry)
+                dormant[group] = waiting + (entry,)
             continue
         firings += 1
         if firings > budget:
@@ -946,7 +911,6 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
         fresh.add(done)
     if fresh:
         fired = fired | fresh
-    memory.rebase()
     return AgentState(
         rules, memory, st.clock, st.trace + tuple(events), fired,
         _Chaining(rules, reads, fired, memory, dormant),

@@ -21,6 +21,7 @@ from .intervals import (
     Interval,
     TimeExpr,
     TimePoint,
+    _VAR_RE,
     _derived,
     difference,
     fmt_time,
@@ -51,12 +52,11 @@ class MalformedOp(ValueError):
 
 RESERVED = {"box", "true", "false", "inf", "and", "rev"}
 
-_NAME_RE = re.compile(r"^[a-z][A-Za-z0-9_]*$")
-_VAR_RE = re.compile(r"^[A-Z][A-Za-z0-9_]*$")
+_NAME_RE = re.compile(r"[a-z][A-Za-z0-9_]*")  # a whole name (fullmatch)
 
 
 def is_var(name: str) -> bool:
-    return bool(_VAR_RE.match(name))
+    return bool(_VAR_RE.fullmatch(name))
 
 
 def _check_bounds(head: str, start: TimeExpr, end: TimeExpr, brackets: str = "()") -> None:
@@ -163,10 +163,10 @@ class Atom(Formula):
     args: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not _NAME_RE.match(self.pred) or self.pred in RESERVED:
+        if not _NAME_RE.fullmatch(self.pred) or self.pred in RESERVED:
             raise ValueError(f"bad predicate name {self.pred!r}")
         for a in self.args:
-            if not (_NAME_RE.match(a) or _VAR_RE.match(a)):
+            if not (_NAME_RE.fullmatch(a) or _VAR_RE.fullmatch(a)):
                 raise ValueError(f"bad atom argument {a!r}")
         _check_bounds(self.pred, self.start, self.end)
 
@@ -736,7 +736,6 @@ _GROUND_LITERAL_RE = re.compile(
     r"\s*(~?)\s*([a-z][A-Za-z0-9_]*)\s*\(\s*(\d+)\s*,\s*(\d+|inf)\s*"
     r"((?:,\s*[a-z][A-Za-z0-9_]*\s*)*)\)\s*"
 )
-_ARGUMENT_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 
 
 def parse(text: str) -> Formula:
@@ -752,7 +751,7 @@ def parse(text: str) -> Formula:
         if pred not in RESERVED:
             start, end = int(start), INF if end == "inf" else int(end)
             if start <= end:
-                args = tuple(_ARGUMENT_RE.findall(args))
+                args = tuple(_NAME_RE.findall(args))
                 atom = _trusted_ground_atom(pred, _derived(start, end), args)
                 return Not(atom) if neg else atom
     return _Parser(text).formula()

@@ -184,6 +184,8 @@ class IntervalSet:
         return "{" + ",".join(str(p) for p in self.parts) + "}"
 
 
+_VAR_RE = re.compile(r"[A-Z][A-Za-z0-9_]*")  # a whole variable name (fullmatch)
+
 # TimeExpr.lit's shared instances, keyed by (type, value) so that True is
 # never taken for the literal 1; filled up to the cap, then left as it is.
 _LITERAL_CAP = 4096
@@ -220,8 +222,10 @@ class TimeExpr:
             if not is_time_point(self.offset):
                 raise BadInterval(f"bad time literal {self.offset!r}")
         else:
-            if not (self.var[:1].isupper()):
+            if not self.var[:1].isupper():
                 raise ValueError(f"time variable must start uppercase: {self.var!r}")
+            if not _VAR_RE.fullmatch(self.var):
+                raise ValueError(f"bad time variable name {self.var!r}")
             if not isinstance(self.offset, int) or isinstance(self.offset, bool):
                 raise BadInterval(f"bad shift {self.offset!r} on variable {self.var}")
 

@@ -4,6 +4,7 @@ import gc
 import itertools
 import json
 import pickle
+import re
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -13,7 +14,7 @@ import pytest
 
 import tdlek.agent
 from tdlek.intervals import INF, TimeExpr
-from tdlek.formulas import Atom, parse
+from tdlek.formulas import Atom, NonGround, parse
 from tdlek.models import check, validate_model
 from tdlek.agent import (
     BudgetExhausted,
@@ -71,6 +72,9 @@ def test_init_builds_rules_and_empty_memory():
     assert st.wm == frozenset()
     assert st.clock == 0
     assert init([]).rules == ()
+    # a rule may also be given parsed, and prints as its text
+    assert init(map(parse, UMBRELLA_RULES)).rules == st.rules
+    assert list(map(str, st.rules)) == UMBRELLA_RULES
 
 
 def test_unsafe_rule_rejected():
@@ -142,6 +146,13 @@ def test_perceive_contradiction_restructures_first():
     assert wm_strings(st) == ["p(0,3)", "p(6,9)", "~p(4,5)"]
 
 
+def test_perceive_rejects_a_literal_with_variables():
+    for text in ("p(T,1)", "~p(1,1,X)"):
+        body = text.lstrip("~")
+        with pytest.raises(NonGround, match=re.escape(f"belief literal {body} is not ground")):
+            perceive(init([]), parse(text), 1)
+
+
 @pytest.mark.parametrize("text", ["p(1,1) & q(1,1)", "~~p(1,1)"])
 def test_perceive_rejects_non_literal(text):
     with pytest.raises(ValueError, match="not a literal"):
@@ -152,6 +163,9 @@ def test_perceive_rejects_time_travel():
     st = perceive(init([]), parse("p(5,5)"), 5)
     with pytest.raises(ValueError):
         perceive(st, parse("q(1,1)"), 1)
+    for at in (INF, -1, 5.5, True, "6"):
+        with pytest.raises(ValueError, match=re.escape(f"perception time must be a finite natural, got {at!r}")):
+            perceive(st, parse("q(6,6)"), at)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +246,7 @@ def test_umbrella_incremental_infer_work_is_independent_of_memory(monkeypatch, n
 
 
 @pytest.mark.parametrize("others", [10, 160])
-def test_incremental_infer_compares_only_the_edited_predicates(others):
+def test_incremental_infer_compares_only_the_edited_predicates(others, monkeypatch):
     # 20 rains perceived after an infer, in a store that also holds two
     # groups of each of the other predicates: the next infer compares the
     # store with its chaining record's by looking up only rain's group,
@@ -245,15 +259,30 @@ def test_incremental_infer_compares_only_the_edited_predicates(others):
     st = infer_fixpoint(perceive(st, atom("rain", 0, 0), 0))
     for i in range(1, k + 1):
         st = perceive(st, atom("rain", 2 * i, 2 * i), 2 * i)
-    looked_up = [0]
+    looked_up, comparing = [0], [False]
 
     class Counting(dict):
         def get(self, *args):
-            looked_up[0] += 1
+            looked_up[0] += comparing[0]
             return super().get(*args)
 
+    # each groups dict is wrapped in place in every store that holds it,
+    # so the two stores still share the dicts they shared
     old = st.chaining.memory
-    old.preds = {pred: Counting(groups) for pred, groups in old.preds.items()}
+    for pred, groups in list(old.preds.items()):
+        old.preds[pred] = Counting(groups)
+        if st.memory.preds.get(pred) is groups:
+            st.memory.preds[pred] = old.preds[pred]
+    compare = WorkingMemory.added_since
+
+    def counted(new, since):
+        # only the comparison's lookups count, not the joins' that follow
+        comparing[0] = True
+        added = list(compare(new, since))
+        comparing[0] = False
+        return iter(added)
+
+    monkeypatch.setattr(WorkingMemory, "added_since", counted)
     out = infer_fixpoint(st)
     assert looked_up[0] == 1
     assert len(out.wm) == len(st.wm) + k
@@ -525,11 +554,12 @@ def test_operations_leave_their_input_state_unchanged():
 def test_infer_leaves_the_chaining_record_it_reads_unchanged():
     # The second infer makes a second dormant instance of the conclusion
     # group d(_, _, a), whose first instance the first state's record
-    # holds: it must add it to its own copy of that group's list, since
-    # a sibling state derived from the first reads the same record.
+    # holds: it must put a new tuple for that group in its own copy of the
+    # dict, since a sibling state derived from the first reads the same
+    # record.
     group = ("d", ("a",))
     first = infer_fixpoint(perceive(init(["K(m(T,T,X) -> ~d(T,T,X))"]), parse("m(2,2,a)"), 2))
-    before = {key: list(entries) for key, entries in first.chaining.dormant.items()}
+    before = dict(first.chaining.dormant)
     assert list(before) == [group] and len(before[group]) == 1
     second = infer_fixpoint(perceive(first, parse("m(5,5,a)"), 5))
     assert len(second.chaining.dormant[group]) == 2
@@ -567,6 +597,7 @@ def test_query_coverage_semantics():
     assert not query(st, parse("B(go(1,2,shops))"))
     assert query(st, parse("B(rain(2,2)) & ~B(rain(1,1))"))
     assert not query(init([]), parse("B(p(1,1))"))
+    assert not query(st, parse("false")) and query(st, parse("false | true"))
 
 
 def test_query_marriage_timeline():
@@ -609,6 +640,9 @@ def test_to_model_empty_memory():
     m = to_model(init([]), horizon=4)
     assert m.n_of("w0") == frozenset()
     assert not check(m, "w0", parse("B(p(1,1))"))
+    for horizon in (INF, -1, 2.5):
+        with pytest.raises(ValueError, match="^horizon must be a finite natural$"):
+            to_model(init([]), horizon)
 
 
 def test_to_model_agreement_on_scenarios():

@@ -1,6 +1,7 @@
 """Mental operations as model transformers, dynamic checking, reduction."""
 
 import random
+import re
 
 import pytest
 
@@ -250,6 +251,9 @@ def test_check_dynamic_learn_then_believe():
     m, raining = covering_model()
     assert check_dynamic(m, "w1", parse("[+raining(2,2)] B raining(2,2)"))
     assert check(m, "w1", parse("[+raining(2,2)] B raining(2,2)"))  # via delegation
+    for text in ("B(raining(2,2))", "~[+raining(2,2)] B(raining(2,2))"):
+        with pytest.raises(TypeError, match=re.escape(f"check_dynamic needs a dynamic formula, got {text}")):
+            check_dynamic(m, "w1", parse(text))
 
 
 def test_check_dynamic_timing_gate():

@@ -32,6 +32,7 @@ from tdlek.formulas import (
     ast_dict,
     free_vars,
     is_ground,
+    is_var,
     match_atom,
     parse,
     print_formula,
@@ -79,12 +80,20 @@ def test_parse_rejects_misordered_ground_bounds():
 
 def test_atom_rejects_bad_names_when_built():
     one = TimeExpr.lit(1)
-    for pred in ("P", "1p", "", "p-q", "pé", "box", "inf", "true"):
+    # a name followed by a newline is not a name: Atom("p\n", ...) printed
+    # as p\n(1,1), which parses as a different atom
+    for pred in ("P", "1p", "", "p-q", "pé", "box", "inf", "true", "p\n"):
         with pytest.raises(ValueError, match=re.escape(f"bad predicate name {pred!r}")):
             Atom(pred, one, one)
-    for arg in ("", "1", "a-b", "é", "_x"):
+    for arg in ("", "1", "a-b", "é", "_x", "a\n", "X\n"):
         with pytest.raises(ValueError, match=re.escape(f"bad atom argument {arg!r}")):
             Atom("p", one, one, ("a", arg))
+
+
+def test_is_var_takes_only_a_whole_variable_name():
+    assert is_var("X") and is_var("T1_a")
+    for name in ("X\n", "x", "", "_X", "X-1", "X Y"):
+        assert not is_var(name), name
 
 
 def test_box_bounds_validated_at_construction():
@@ -191,6 +200,9 @@ def test_print_cases():
         == "[rev(p(1,2),q(0,9))] B(q(0,0))"
     )
     assert print_formula(atom("go", 3, INF, "shops")) == "go(3,inf,shops)"
+    for value in (3, "p(1,1)", None):
+        with pytest.raises(TypeError, match=re.escape(f"unknown formula node {value!r}")):
+            print_formula(value)
 
 
 def test_print_minimal_parens():
@@ -269,6 +281,12 @@ def test_substitute_cases():
     assert substitute(g, {"T1": 2, "T2": 2}) == parse("rain(2,2)")
     with pytest.raises(BadInterval):
         substitute(parse("p(T,T-1)"), {"T": 0})
+    for value in ("a", -1, 1.5):
+        with pytest.raises(BadInterval, match=re.escape(f"time variable T bound to non-time value {value!r}")):
+            substitute(f, {"T": value})
+    for value in (3, None, ("a",)):
+        with pytest.raises(ValueError, match=re.escape(f"object variable X bound to non-constant {value!r}")):
+            substitute(parse("p(1,1,X)"), {"X": value})
 
 
 def test_substitute_partial_and_free_vars_law():

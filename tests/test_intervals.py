@@ -78,6 +78,9 @@ def test_make_interval_rejects_bad_bounds():
         make_interval(INF, INF)
     with pytest.raises(BadInterval):
         Interval(-1, 3)
+    for hi in (-1, 2.5, True, "3", None):
+        with pytest.raises(BadInterval, match=re.escape(f"upper bound must be a natural number or inf, got {hi!r}")):
+            Interval(1, hi)
 
 
 def test_interval_parse_round_trip():
@@ -141,8 +144,10 @@ def test_subset_cases():
 def test_interval_set_merges_overlap_and_adjacency():
     s = IntervalSet.of([Interval(5, 7), Interval(1, 3), Interval(4, 4)])
     assert s == IntervalSet((Interval(1, 7),))
-    s2 = IntervalSet.of([Interval(1, 2), Interval(4, 5)])
-    assert s2.parts == (Interval(1, 2), Interval(4, 5))
+    s2 = IntervalSet.of([Interval(1, 2), Interval(4, INF)])
+    assert s2.parts == (Interval(1, 2), Interval(4, INF))
+    assert str(s2) == "{[1,2],[4,inf)}" and str(IntervalSet(())) == "{}"
+    assert s2 and not IntervalSet(())
 
 
 def test_interval_set_rejects_non_canonical():
@@ -217,6 +222,9 @@ def test_eval_time_expr():
     assert TimeExpr.at("T", 1).eval({"T": 5}) == 6
     with pytest.raises(UnboundVariable):
         TimeExpr.at("T", 1).eval({})
+    for base in ("a", -1, 1.5, None):
+        with pytest.raises(BadInterval, match=re.escape(f"T bound to non-time value {base!r}")):
+            TimeExpr.at("T", 1).eval({"T": base})
 
 
 def test_eval_time_expr_saturates_at_inf():
@@ -233,6 +241,9 @@ def test_eval_time_expr_underflow():
 def test_time_expr_rejects_bad_variables_and_shifts():
     for var in ("t", "", "1T", "_T", "éT"):
         with pytest.raises(ValueError, match=re.escape(f"time variable must start uppercase: {var!r}")):
+            TimeExpr(var, 0)
+    for var in ("X\n", "T-1", "T x", "ÉT"):
+        with pytest.raises(ValueError, match=re.escape(f"bad time variable name {var!r}")):
             TimeExpr(var, 0)
     for shift in (1.5, INF, True, "1", None):
         with pytest.raises(BadInterval, match=re.escape(f"bad shift {shift!r} on variable T")):

@@ -10,6 +10,7 @@ from tdlek.formulas import (
     Atom,
     Belief,
     Knowledge,
+    Learn,
     NonGround,
     parse,
 )
@@ -20,6 +21,7 @@ from tdlek.models import (
     check,
     extension,
     gen_random_model,
+    label,
     load_model,
     save_model,
     valid_in_model,
@@ -29,7 +31,7 @@ from tdlek.models import (
 from tdlek.randgen import gen_static, model_vocab
 
 from reference_checker import normalize_sugar
-from tdlek.suites import lek_axiom_instances, _instantiable
+from tdlek.suites import lek_axiom_instances, property1_suite, _instantiable
 
 
 def atom(pred, lo, hi, *args):
@@ -95,6 +97,28 @@ def test_model_constructor_rejects_bad_structure():
         TLekModel([w], [], {})
     with pytest.raises(ValueError):
         TLekModel([w], [frozenset({"w"})], {"w": [frozenset({"ghost"})]})
+    v = World("v", frozenset())
+    with pytest.raises(ValueError, match="^world w appears in two classes$"):
+        TLekModel([w, v], [frozenset({"w"}), frozenset({"v", "w"})], {})
+    with pytest.raises(ValueError, match="^neighbourhood for unknown world ghost$"):
+        TLekModel([w], [frozenset({"w"})], {"ghost": []})
+    for wid in ("", "w 1", "w{", "w:1", "a,b"):
+        with pytest.raises(ValueError, match=re.escape(f"bad world id {wid!r}")):
+            World(wid, frozenset())
+
+
+def test_model_equality_and_repr():
+    m = single_world_model({atom("p", 1, 1)})
+    assert m == single_world_model({atom("p", 1, 1)}) and m != single_world_model(set())
+    assert m.__eq__("w0") is NotImplemented and m != "w0"
+    assert repr(m) == "<TLekModel 1 worlds, 1 classes>"
+
+
+def test_label_refuses_a_value_that_is_no_formula():
+    m = single_world_model({atom("p", 1, 1)})
+    for value in (Learn(atom("p", 1, 1)), "p(1,1)", None):
+        with pytest.raises(TypeError, match=re.escape(f"unknown formula node {value!r}")):
+            label(m, value)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +307,16 @@ def test_lek_axioms_hold_on_generated_models():
                 assert check(m, wid, inst), f"{inst} failed at {wid}\n{save_model(m)}"
 
 
+def test_suites_fall_back_on_a_model_with_no_atoms():
+    # with an empty vocabulary, revision draws no pair and an axiom
+    # instance is built on p at the class interval's start
+    m = single_world_model(set(), [frozenset({"w0"})])
+    report = property1_suite([m], seed=1)
+    assert report.ok and report.stats["applied_learn"] == 6 and report.stats["applied_revise"] == 0
+    gen = _instantiable(random.Random(1), m, m.classes[0], 10)
+    assert gen(2) == atom("p", 0, 0)
+
+
 # ---------------------------------------------------------------------------
 # File format
 # ---------------------------------------------------------------------------
@@ -306,6 +340,8 @@ def test_load_rejects_malformed_text():
         load_model("worlds:\n  w0:\nclasses:\n  w0\nnbhd:\n  w0: {w0} stray\n")
     with pytest.raises(ModelFormatError):
         load_model("worlds:\n  w0:\nclasses:\n  w0 w1\nnbhd:\n")
+    with pytest.raises(ModelFormatError, match=re.escape("line 3: bad world id 'w{1'")):
+        load_model("worlds:\n  w0: p(1,1)\n  w{1: p(1,1)\n")
 
 
 def test_load_reports_bad_atom_with_line_number():

@@ -31,7 +31,6 @@ from tdlek.agent import (
     WorkingMemory,
     _bounds,
     _canonical_rule_key,
-    _candidate_bindings,
     _instance,
     _match,
     query,
@@ -240,7 +239,7 @@ def _seeded_joins(memory, rule):
         if b.positive:
             for at, p in enumerate(rule.plan.premises):
                 if p.pred == b.atom.pred:
-                    found = _candidate_bindings(memory, rule, b, at)
+                    found = rule.joins[at](memory, b)
                     yield at, {items: (key, supports) for key, items, supports, _ in found}
 
 
@@ -319,7 +318,7 @@ def test_seeded_joins_find_exactly_the_bindings_their_seed_supports():
                         supported = (i_lo, i_hi, i_args) == (lo, hi, args)
                     if supported:
                         want.add(items)
-                found = _candidate_bindings(memory, rule, b, at)
+                found = rule.joins[at](memory, b)
                 assert {items for _, items, _, _ in found} == want, (rule, b, at)
                 narrowed += plan.narrow[at] is not None and bool(want)
     assert narrowed > 40
@@ -339,7 +338,7 @@ def test_joins_emit_each_binding_with_its_key_and_instance():
             for at, p in enumerate(rule.plan.premises):
                 if not b.positive or p.pred != b.atom.pred:
                     continue
-                for key, items, _, instance in _candidate_bindings(memory, rule, b, at):
+                for key, items, _, instance in rule.joins[at](memory, b):
                     binding = dict(items)
                     assert items == tuple(sorted(binding.items()))
                     assert key == tuple(binding[x] for x in rule.plan.variables)

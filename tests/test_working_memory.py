@@ -4,13 +4,14 @@ Each store made in a run is paired with a model: per group (predicate,
 arguments, polarity), the set of time points its beliefs cover over a
 small horizon H, the point H + 1 standing for [H + 1, inf).  A store's
 beliefs must be the maximal runs of its model's points, each group sorted
-by start.  The steps are insert, restructure, swap, copy, rebase and a new
-empty store.  After every step, every store made so far, each earlier
-copy included, must still match its own model, so no edit reaches
-another store through the groups that copies share.  And added_since
-between any two of them must give what a scan of every group by identity
-gives, whatever their lineage, so the predicates a store records as
-edited since its snapshot cover every edit.
+by start.  The steps are insert, restructure, swap, copy and a new empty
+store, and any store may be edited, the source of a copy as much as the
+copy.  After every step, every store made so far, each earlier copy
+included, must still match its own model, so no edit reaches another
+store through the groups dicts and groups that copies share.  And
+added_since between any two of them must give what a scan of every group
+by identity gives, so the groups dicts two stores share hold no edit of
+either.
 """
 
 import pytest
@@ -97,10 +98,6 @@ class StoreMachine(RuleBasedStateMachine):
         self.stores.append(self.stores[i].copy())
         self.models.append({g: set(pts) for g, pts in self.models[i].items()})
 
-    @rule(data=st.data())
-    def rebase(self, data):
-        self.stores[self.pick(data)].rebase()
-
     @rule(data=st.data(), group=groups, span=bounds)
     def insert(self, data, group, span):
         i = self.pick(data)
@@ -171,6 +168,36 @@ class StoreMachine(RuleBasedStateMachine):
                 assert {shape(b) for b in got} >= {
                     shape(b) for b in new.beliefs() if b.positive and shape(b) not in values
                 }
+
+
+def test_copy_shares_each_groups_dict_until_either_store_edits_it():
+    """Right after copy(), the copy holds its source's groups dicts
+    themselves; an edit through either store then copies the dict it
+    edits, and leaves the other store's groups as they were."""
+    source = WorkingMemory()
+    for pred in PREDS:
+        for args in ARGS:
+            source.insert(literal(pred, args, True, 1, 2))
+    copy = source.copy()
+    assert all(copy.preds[pred] is groups for pred, groups in source.preds.items())
+    before = {pred: dict(groups) for pred, groups in source.preds.items()}
+    copy.insert(literal("p", (), True, 5, 6))
+    source.insert(literal("q", ("a",), True, 6, 7))
+    assert copy.preds["p"] is not source.preds["p"] and copy.preds["q"] is not source.preds["q"]
+    assert source.preds["p"] == before["p"] and copy.preds["q"] == before["q"]
+    assert [shape(b) for b in copy.preds["p"][((), True)]] == [("p", (), True, 1, 2), ("p", (), True, 5, 6)]
+    assert list(copy.added_since(source)) == [copy.preds["p"][((), True)][1]]
+
+
+def test_equal_stores_hash_alike_and_print_their_beliefs_in_order():
+    one, other = WorkingMemory(), WorkingMemory()
+    late, early = literal("q", (), True, 5, 6), literal("p", ("a",), False, 1, 2)
+    for lit in (late, early):
+        one.insert(lit)
+    for lit in (early, late):
+        other.insert(lit)
+    assert one == other and hash(one) == hash(other) and one != one.beliefs()
+    assert repr(one) == f"WorkingMemory({[early, late]!r})"
 
 
 def test_insert_keeps_the_literal_it_is_given_when_nothing_merges():
