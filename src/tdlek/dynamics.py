@@ -46,7 +46,7 @@ from .formulas import (
     print_formula,
     rebuild,
 )
-from .models import CLAUSES, TLekModel, check, label, truth_set
+from .models import CLAUSES, TLekModel, _unknown, check, truth_set
 
 
 class UnreducibleShape(ValueError):
@@ -188,8 +188,8 @@ def check_dynamic(m: TLekModel, wid: str, f: Formula) -> bool:
 
 
 def _label_dynamic(m: TLekModel, f: Dynamic):
-    t, body = label(apply(m, f.op).model, f.body)
-    return op_time(f.op), body & m.frame.fit(t)
+    t, body = CLAUSES.get(type(f.body), _unknown)(apply(m, f.op).model, f.body)
+    return op_time(f.op), body & m.frame.fit(t)  # gated by the body's time
 
 
 CLAUSES[Dynamic] = _label_dynamic

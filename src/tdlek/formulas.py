@@ -175,12 +175,14 @@ class Atom(Formula):
         return not (free_vars(self) if vs is None else vs)
 
     def interval(self) -> Interval:
-        """[start, end] of a ground atom; memoised as the atom's time."""
+        """[start, end] of a ground atom; memoised as the atom's time.
+        Groundness is read off the bounds and arguments, and the interval
+        is built unchecked: __post_init__ already checked the bounds."""
         iv = self._memo_time
         if iv is _UNSET:
-            if not self.is_ground():
+            if self.start.var or self.end.var or any(map(is_var, self.args)):
                 raise NonGround(f"atom {self} is not ground")
-            iv = Interval(int(self.start.offset), self.end.offset)
+            iv = _derived(self.start.offset, self.end.offset)
             object.__setattr__(self, "_memo_time", iv)
         return iv
 
@@ -281,12 +283,13 @@ class Always(Formula):
         _check_bounds("box", self.start, self.end, "[]")
 
     def interval(self) -> Interval:
-        """The label [start, end] of a ground box; memoised as its time."""
+        """The label [start, end] of a ground box; memoised as its time,
+        built unchecked as Atom.interval builds an atom's."""
         iv = self._memo_time
         if iv is _UNSET:
-            if not (self.start.is_ground() and self.end.is_ground()):
+            if self.start.var or self.end.var:
                 raise NonGround(f"box bounds [{self.start},{self.end}] are not ground")
-            iv = Interval(int(self.start.offset), self.end.offset)
+            iv = _derived(self.start.offset, self.end.offset)
             object.__setattr__(self, "_memo_time", iv)
         return iv
 

@@ -117,17 +117,18 @@ def difference(a: Interval, b: Interval) -> "IntervalSet":
 
     When b sits strictly inside a the result is the two-sided split
     [a.lo, b.lo-1] and [b.hi+1, a.hi]; degenerate sides are dropped, so
-    the result has at most two parts.
+    the result has at most two parts.  Each part's bounds come from a and
+    b and are ordered by the tests here, so the parts are built unchecked.
     """
     parts = []
     if a.lo < b.lo:
         left_hi = min(a.hi, b.lo - 1)
         if a.lo <= left_hi:
-            parts.append(Interval(a.lo, left_hi))
+            parts.append(_derived(a.lo, left_hi))
     if b.hi < a.hi:
         right_lo = max(a.lo, int(b.hi) + 1)
         if right_lo <= a.hi:
-            parts.append(Interval(right_lo, a.hi))
+            parts.append(_derived(right_lo, a.hi))
     return IntervalSet(tuple(parts))
 
 

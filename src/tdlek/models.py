@@ -36,8 +36,7 @@ from .formulas import (
     Not,
     Or,
     Top,
-    fits,
-    merge_times,
+    _UNSET,
     parse_atom,
     print_formula,
 )
@@ -122,16 +121,17 @@ class TLekModel:
                 if wid in self.class_of:
                     raise ValueError(f"world {wid} appears in two classes")
                 self.class_of[wid] = c
-        if len(self.class_of) != len(self.worlds):
-            missing = sorted(set(self.worlds) - set(self.class_of))
+        known = set(self.worlds)  # built once: the loop below is per world
+        if len(self.class_of) != len(known):
+            missing = sorted(known - set(self.class_of))
             raise ValueError(f"worlds not covered by any class: {missing}")
         self.frame = fr = Frame(self)
         families = [frozenset()] * len(fr.ids)
         for wid, family in nbhd.items():
-            if wid not in self.worlds:
+            if wid not in known:
                 raise ValueError(f"neighbourhood for unknown world {wid}")
             fam = frozenset(frozenset(x) for x in family)
-            unknown = frozenset().union(*fam) - set(self.worlds)
+            unknown = frozenset().union(*fam) - known
             if unknown:
                 raise ValueError(f"neighbourhood of {wid} mentions unknown world {min(unknown)}")
             families[fr.index[wid]] = frozenset(fr.mask(x) for x in fam)
@@ -168,21 +168,22 @@ class TLekModel:
 class Frame:
     """The worlds and the partition of a model as bitmasks, computed once.
 
-    World frame.ids[i] is bit 1 << i of every truth set.  Each world's
-    interval comes from one world_interval call.  The worlds holding an
-    atom, and those fitting a time, are found once per frame, on first use.
+    World frame.ids[i] is bit bits[i] = 1 << i of every truth set.  Each
+    world's interval comes from one world_interval call.  The worlds holding
+    an atom, and those fitting a time, are found once per frame, on first use.
     """
 
     def __init__(self, m: TLekModel):
         self.ids: tuple[str, ...] = tuple(sorted(m.worlds))
         self.index: dict[str, int] = {wid: i for i, wid in enumerate(self.ids)}
+        self.bits: tuple[int, ...] = tuple(1 << i for i in range(len(self.ids)))
         self.all = (1 << len(self.ids)) - 1
         self.valuations = tuple(m.worlds[wid].atoms for wid in self.ids)
         self.intervals = tuple(world_interval(m.worlds[wid]) for wid in self.ids)
         self.classes: tuple[int, ...] = tuple(self.mask(c) for c in m.classes)
         # cls[i]: the mask of world i's R-class
         self.cls: tuple[int, ...] = tuple(self.mask(m.class_of[wid]) for wid in self.ids)
-        self._fits: dict[tuple[int, TimePoint], int] = {}  # fit's memo, by (lo, hi)
+        self._fits = _Fits(self)  # read by the clauses, as fit reads it
         self.holding: dict[Atom, int] = {}  # atom -> worlds holding it, filled by _atom
 
     def mask(self, wids: Iterable[str]) -> int:
@@ -196,16 +197,26 @@ class Frame:
 
     def fit(self, t: Optional[Interval]) -> int:
         """Worlds whose interval contains t; all of them for timeless t."""
-        if t is None:
-            return self.all
-        lo, hi = key = t.lo, t.hi
-        mask = self._fits.get(key)
-        if mask is None:
-            mask = 0
-            for i, iv in enumerate(self.intervals):
-                if iv.lo <= lo and hi <= iv.hi:
-                    mask |= 1 << i
-            self._fits[key] = mask
+        return self._fits[None if t is None else (t.lo, t.hi)]
+
+
+class _Fits(dict):
+    """Frame.fit's memo: (lo, hi) -> the worlds whose interval contains
+    [lo, hi], found on the first lookup; None (timeless) -> every world."""
+
+    __slots__ = ("bits", "intervals")  # the frame's, not the frame: no cycle
+
+    def __init__(self, fr: Frame):
+        super().__init__({None: fr.all})
+        self.bits, self.intervals = fr.bits, fr.intervals
+
+    def __missing__(self, key: tuple[int, TimePoint]) -> int:
+        lo, hi = key
+        mask = 0
+        for bit, iv in zip(self.bits, self.intervals):
+            if iv.lo <= lo and hi <= iv.hi:
+                mask |= bit
+        self[key] = mask
         return mask
 
 
@@ -237,15 +248,20 @@ def validate_model(m: TLekModel) -> list[str]:
 def label(m: TLekModel, f: Formula) -> tuple[Optional[Interval], int]:
     """Time and truth set of a ground formula, labelled bottom-up.
 
-    Each clause builds its node's interval from its children's and ANDs
-    its truth set with the worlds whose interval fits that time.  A
-    variable raises NonGround where labelling meets it: at the atom or box
-    that holds it, or in apply's check of a dynamic prefix's operation.
+    The one entry to the clauses, which label their children through
+    CLAUSES directly: a value of no formula class raises TypeError at any
+    depth.  Each clause ANDs its truth set with the worlds whose interval
+    fits its node's time.  A connective's time is the hull of its
+    children's: the child's own interval where it covers the other's, a
+    new one only where neither does.  A variable raises NonGround where
+    labelling meets it: at the atom or box that holds it, or in apply's
+    check of a dynamic prefix's operation.
     """
-    clause = CLAUSES.get(type(f))
-    if clause is None:
-        raise TypeError(f"unknown formula node {f!r}")
-    return clause(m, f)
+    return CLAUSES.get(type(f), _unknown)(m, f)
+
+
+def _unknown(m: TLekModel, f) -> tuple[Optional[Interval], int]:
+    raise TypeError(f"unknown formula node {f!r}")
 
 
 def truth_set(m: TLekModel, f: Formula) -> int:
@@ -275,41 +291,49 @@ def check(m: TLekModel, wid: str, f: Formula) -> bool:
 
 
 def _atom(m: TLekModel, f: Atom):
-    t = f.interval()  # raises NonGround on a variable; a held atom fits I(w)
+    t = f._memo_time
+    if t is _UNSET:
+        t = f.interval()  # raises NonGround on a variable; a held atom fits I(w)
     fr = m.frame
     mask = fr.holding.get(f)
     if mask is None:
         mask = 0
-        for i, atoms in enumerate(fr.valuations):
+        for bit, atoms in zip(fr.bits, fr.valuations):
             if f in atoms:
-                mask |= 1 << i
+                mask |= bit
         fr.holding[f] = mask
     return t, mask
 
 
 def _not(m: TLekModel, f: Not):
-    t, body = label(m, f.body)
-    return t, ~body & m.frame.fit(t)
+    t, body = CLAUSES.get(type(f.body), _unknown)(m, f.body)
+    return t, ~body & m.frame._fits[None if t is None else (t.lo, t.hi)]
 
 
 def _connective(combine):
     def clause(m: TLekModel, f):
-        tl, left = label(m, f.left)
-        tr, right = label(m, f.right)
-        t = merge_times(tl, tr)
-        return t, combine(left, right) & m.frame.fit(t)
+        l, r = f.left, f.right
+        tl, left = CLAUSES.get(type(l), _unknown)(m, l)
+        tr, right = CLAUSES.get(type(r), _unknown)(m, r)
+        if tr is None or tl is not None and tl.lo <= tr.lo and tr.hi <= tl.hi:
+            t = tl
+        elif tl is None or tr.lo <= tl.lo and tl.hi <= tr.hi:
+            t = tr
+        else:
+            t = _derived(min(tl.lo, tr.lo), max(tl.hi, tr.hi))
+        return t, combine(left, right) & m.frame._fits[None if t is None else (t.lo, t.hi)]
 
     return clause
 
 
 def _belief(m: TLekModel, f: Belief):
-    t, body = label(m, f.body)
+    t, body = CLAUSES.get(type(f.body), _unknown)(m, f.body)
     fr = m.frame
     mask = 0
-    for i, (cls, family) in enumerate(zip(fr.cls, m.nbhd)):
+    for bit, cls, family in zip(fr.bits, fr.cls, m.nbhd):
         if body & cls in family:
-            mask |= 1 << i
-    return t, mask & fr.fit(t)
+            mask |= bit
+    return t, mask & fr._fits[None if t is None else (t.lo, t.hi)]
 
 
 def _everywhere(fr: "Frame", body: int) -> int:
@@ -322,16 +346,17 @@ def _everywhere(fr: "Frame", body: int) -> int:
 
 
 def _knowledge(m: TLekModel, f: Knowledge):
-    t, body = label(m, f.body)
-    return t, _everywhere(m.frame, body) & m.frame.fit(t)
+    t, body = CLAUSES.get(type(f.body), _unknown)(m, f.body)
+    fr = m.frame
+    return t, _everywhere(fr, body) & fr._fits[None if t is None else (t.lo, t.hi)]
 
 
 def _always(m: TLekModel, f: Always):
     span = f.interval()  # raises NonGround on a variable bound
-    t, body = label(m, f.body)
-    if not fits(t, span):
+    t, body = CLAUSES.get(type(f.body), _unknown)(m, f.body)
+    if t is not None and not (span.lo <= t.lo and t.hi <= span.hi):
         return span, 0
-    return span, _everywhere(m.frame, body) & m.frame.fit(span)
+    return span, _everywhere(m.frame, body) & m.frame._fits[span.lo, span.hi]
 
 
 # One clause per node type; dynamics adds the Dynamic clause, which has to

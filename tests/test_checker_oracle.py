@@ -6,8 +6,10 @@ many seeds, then on random static and dynamic formulas over random models with
 and without full-span world intervals.  An update is compared by its
 delta, its model, each world's neighbourhood against the reference's
 world-id families, and the saved model text.  Count guards check that
-the update path builds no world-id set, and that axioms-lek and
-reduction-oracle label each formula they check once per model.
+the update path builds no world-id set, that axioms-lek and
+reduction-oracle label each formula they check once per model, and that
+labelling builds a new interval only for a connective whose children's
+times do not nest.
 """
 
 import random
@@ -16,8 +18,11 @@ from collections import Counter
 import pytest
 
 import reference_checker as ref
-from tdlek import dynamics, models, suites
-from tdlek.formulas import Revise
+from tdlek import dynamics, intervals, models, suites
+from tdlek.formulas import (
+    Always, And, Atom, Belief, Iff, Implies, Knowledge, Not, Or, Revise, Top, children,
+)
+from tdlek.intervals import TimeExpr
 from tdlek.randgen import gen_dynamic_formula, gen_mental_op, gen_static, model_vocab
 
 SEEDS = range(50)
@@ -190,3 +195,54 @@ def test_validate_model_agrees_with_reference():
             assert got == ref.validate_model(model), seed
             broken += bool(got)
     assert broken > 30
+
+
+CONNECTIVES = (And, Or, Implies, Iff)
+
+
+def _connectives_and_hulls(f):
+    """(connective nodes of f, those of them whose children's times do not
+    nest and so need a new hull), counted with repeats; times by the
+    reference's fresh walk."""
+    own = hull = 0
+    if isinstance(f, CONNECTIVES):
+        tl, tr = ref.time_of_ref(f.left), ref.time_of_ref(f.right)
+        own = 1
+        hull = not (tl is None or tr is None or intervals.subset(tl, tr) or intervals.subset(tr, tl))
+    counts = [_connectives_and_hulls(c) for c in children(f)]
+    return own + sum(c for c, _ in counts), hull + sum(h for _, h in counts)
+
+
+def test_labelling_builds_an_interval_only_where_child_times_do_not_nest(monkeypatch):
+    """Atoms and boxes time themselves without the Interval checks, and a
+    connective reuses the interval of whichever child's time covers the
+    other's: a ground static formula whose children's times nest is
+    labelled without building any Interval.  Over the static formulas the
+    suites draw, models builds exactly one hull per connective whose
+    children's times do not nest, and the truth sets equal the reference."""
+    at = lambda p, lo, hi: Atom(p, TimeExpr.lit(lo), TimeExpr.lit(hi))  # no time memo yet
+    nested = Implies(  # (p(0,20) & (q(2,5) | ~B r(3,4))) -> K box[0,30] (s(1,2) <-> true)
+        And(at("p", 0, 20), Or(at("q", 2, 5), Not(Belief(at("r", 3, 4))))),
+        Knowledge(Always(TimeExpr.lit(0), TimeExpr.lit(30), Iff(at("s", 1, 2), Top()))),
+    )
+    cases = [(models.gen_random_model(3), nested)]
+    for seed in range(30):
+        m = models.gen_random_model(seed)
+        rng = random.Random(seed)
+        cases += [(m, gen_static(rng, model_vocab(m), 10, 3)) for _ in range(8)]
+    built, hulls, got = [], [], []
+    post_init, derived = intervals.Interval.__post_init__, models._derived
+    monkeypatch.setattr(intervals.Interval, "__post_init__", lambda iv: built.append(iv) or post_init(iv))
+    monkeypatch.setattr(models, "_derived", lambda lo, hi: hulls.append((lo, hi)) or derived(lo, hi))
+    for m, f in cases:
+        before = len(hulls)
+        got.append((models.truth_set(m, f), len(hulls) - before))
+    monkeypatch.undo()
+    assert built == []
+    needed = [_connectives_and_hulls(f) for _, f in cases]
+    assert got[0][1] == needed[0][1] == 0
+    assert [n for _, n in got] == [h for _, h in needed]
+    for (m, f), (mask, _) in zip(cases, got):
+        assert m.frame.worlds_of(mask) == {w for w in m.worlds if ref.check(m, w, f)}, str(f)
+    assert sum(h for _, h in needed) > 20
+    assert sum(h < c for c, h in needed) > 50  # some connective reuses a child's time

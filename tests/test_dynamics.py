@@ -5,8 +5,9 @@ import re
 
 import pytest
 
-from tdlek.intervals import INF, TimeExpr
+from tdlek.intervals import INF, TimeExpr, subset
 from tdlek.formulas import (
+    Always,
     And,
     Atom,
     Belief,
@@ -20,11 +21,13 @@ from tdlek.formulas import (
     Not,
     Or,
     Revise,
+    children,
+    merge_times,
     parse,
     print_formula,
     time_of,
 )
-from tdlek.models import TLekModel, World, check, extension, gen_random_model, validate_model
+from tdlek.models import TLekModel, World, check, extension, gen_random_model, truth_set, validate_model
 from tdlek.dynamics import (
     MalformedOp,
     UnreducibleShape,
@@ -33,7 +36,7 @@ from tdlek.dynamics import (
     reduce_formula,
     wider_belief_exists,
 )
-from tdlek.randgen import gen_mental_op, model_vocab
+from tdlek.randgen import gen_dynamic_formula, gen_mental_op, model_vocab
 from tdlek.suites import _revise_fixture
 
 
@@ -339,8 +342,6 @@ def test_reduce_unreducible_shapes():
 
 
 def test_reduce_oracle_equivalence_on_full_span_models():
-    from tdlek.randgen import gen_dynamic_formula
-
     rng = random.Random(13)
     for i in range(250):
         m = gen_random_model(seed=5000 + i, full_span=True)
@@ -400,3 +401,46 @@ def test_reduction_is_gate_sensitive_outside_full_span():
     assert reduced == parse("~q(2,2)")
     assert check(m, "w", f) is True
     assert check(m, "w", reduced) is False
+
+
+def _span(f):
+    """Hull of the intervals of every atom and box label in f, those of
+    its mental operations included; None where f has neither."""
+    t = f.interval() if isinstance(f, (Atom, Always)) else None
+    for c in children(f):
+        t = merge_times(t, _span(c))
+    return t
+
+
+def test_reduction_agrees_where_the_world_interval_holds_the_formulas_span():
+    """reduce is exact at every world whose I(w) holds the hull of the
+    formula's atom and box intervals, on general-interval models too (the
+    reduction-oracle suite's stream, without full_span).  Elsewhere the
+    timing gates can tell the two apart, because a dynamic prefix is
+    gated by its body's time but reports its operation's, which a
+    rewrite moves; those disagreements are printed, not asserted on."""
+    seed = 9173  # not used while the test was written (it was seed 0)
+    rng = random.Random(seed)
+    reduced_count = inside = outside = differ_outside = 0
+    i = 0
+    while reduced_count < 500:
+        m = gen_random_model(seed * 104_729 + i, full_span=False)
+        i += 1
+        f = gen_dynamic_formula(rng, model_vocab(m), 10, dyn_depth=2)
+        try:
+            reduced = reduce_formula(f)
+        except UnreducibleShape:
+            continue
+        reduced_count += 1
+        span = _span(f)
+        differ = truth_set(m, f) ^ truth_set(m, reduced)
+        for bit, wid, iv in zip(m.frame.bits, m.frame.ids, m.frame.intervals):
+            if span is None or subset(span, iv):
+                inside += 1
+                assert not differ & bit, (wid, print_formula(f), print_formula(reduced))
+            else:
+                outside += 1
+                differ_outside += bool(differ & bit)
+    print(f"{reduced_count} reduced of {i} formulas; {inside} world verdicts inside the span "
+          f"agree; {differ_outside} of {outside} outside it disagree")
+    assert inside > 300 and outside > 300

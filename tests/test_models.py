@@ -7,11 +7,16 @@ import pytest
 
 from tdlek.intervals import INF, Interval, TimeExpr
 from tdlek.formulas import (
+    Always,
+    And,
     Atom,
     Belief,
+    Dynamic,
+    Iff,
     Knowledge,
     Learn,
     NonGround,
+    Not,
     parse,
 )
 from tdlek.models import (
@@ -23,6 +28,7 @@ from tdlek.models import (
     gen_random_model,
     label,
     load_model,
+    truth_set,
     save_model,
     valid_in_model,
     validate_model,
@@ -119,6 +125,28 @@ def test_label_refuses_a_value_that_is_no_formula():
     for value in (Learn(atom("p", 1, 1)), "p(1,1)", None):
         with pytest.raises(TypeError, match=re.escape(f"unknown formula node {value!r}")):
             label(m, value)
+
+
+def test_label_refuses_a_value_that_is_no_formula_at_any_depth():
+    """The clauses label their children through the clause table, not
+    through label, and still raise label's TypeError, never KeyError."""
+    p = atom("p", 1, 1)
+    m = single_world_model({p})
+    box = lambda body: Always(TimeExpr.lit(0), TimeExpr.lit(INF), body)
+    cases = [
+        (Not(None), None),
+        (And(p, "p"), "p"),
+        (Iff(Learn(p), p), Learn(p)),
+        (Belief(1), 1),
+        (Knowledge(Not(Belief(None))), None),
+        (box(2.5), 2.5),
+        (Dynamic(Learn(p), None), None),
+        (Not(Dynamic(Learn(p), And(p, "q"))), "q"),
+    ]
+    for f, value in cases:
+        for entry in (label, truth_set):
+            with pytest.raises(TypeError, match=re.escape(f"unknown formula node {value!r}")):
+                entry(m, f)
 
 
 # ---------------------------------------------------------------------------
