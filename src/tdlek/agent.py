@@ -50,6 +50,7 @@ from .formulas import (
     is_var,
     literal_parts,
     parse,
+    print_atom,
     print_formula,
     _trusted_atom,
     _trusted_ground_atom,
@@ -104,7 +105,7 @@ class BeliefLit:
         return (self.atom.pred, self.atom.args, not self.positive, self.atom.start.offset, self.atom.end.offset)
 
     def __str__(self) -> str:
-        text = print_formula(self.atom)
+        text = print_atom(self.atom)
         return text if self.positive else "~" + text
 
 
@@ -202,15 +203,6 @@ def _bounds(p: Pattern, binding: dict) -> Optional[tuple]:
     if lo is not None and (lo < 0 or lo == INF or (hi is not None and lo > hi)):
         return None
     return lo, hi
-
-
-def _instance(c: Pattern, binding: dict) -> Optional[tuple[int, TimePoint, tuple[str, ...]]]:
-    """(start, end, args) of the ground atom c gives under a binding of all
-    its variables; None where that is no atom."""
-    bounds = _bounds(c, binding)
-    if bounds is None:
-        return None
-    return (*bounds, tuple(binding[x] if v else x for x, v in zip(c.args, c.is_var)))
 
 
 def _match(p: Pattern, lo, hi, binding: dict, atom: Atom) -> Optional[dict]:
@@ -407,10 +399,7 @@ class Conjoined:
 TraceEvent = Perceived | Fired | Restructured | Conjoined
 
 TRACE_SCHEMA_VERSION = 1
-
-
-def _json_time(t: TimePoint) -> str:
-    return '"inf"' if t == INF else str(t)
+_JSON_INF = '"inf"'  # a time point inf, as JSON
 
 
 def trace_json_lines(trace: Sequence[TraceEvent]) -> str:
@@ -420,18 +409,18 @@ def trace_json_lines(trace: Sequence[TraceEvent]) -> str:
     firing's binding in its pairs' order, sorted by variable), with the
     separators, string quoting (json.encoder.encode_basestring_ascii) and
     numbers json.dumps gives with its default settings; a time point inf
-    is the string "inf"."""
+    is the string "inf", and a binding's value not an int or inf a string."""
     lines = [f'{{"schema_version": {TRACE_SCHEMA_VERSION}}}']
     append = lines.append
     for ev in trace:
         if isinstance(ev, Perceived):
             append(
-                f'{{"at": {_json_time(ev.at)}, "event": "perceived", '
+                f'{{"at": {_JSON_INF if ev.at == INF else ev.at}, "event": "perceived", '
                 f'"literal": {_quote(str(ev.literal))}}}'
             )
         elif isinstance(ev, Fired):
             binding = ", ".join(
-                f"{_quote(k)}: {_json_time(v) if is_time_point(v) else _quote(v)}"
+                f"{_quote(k)}: {v if v.__class__ is int else _JSON_INF if v == INF else _quote(v)}"
                 for k, v in ev.binding
             )
             append(
@@ -540,11 +529,16 @@ class WorkingMemory:
     def covered(self, atom: Atom, positive: bool) -> bool:
         return self.target(atom, positive) is not None
 
-    def holds(self, b: BeliefLit) -> bool:
-        """b itself, not merely an equal belief, is held."""
-        group = self.group(b.atom, b.positive)
-        i = bisect_left(group, _lo(b), key=_lo)
-        return i < len(group) and group[i] is b
+    def holds(self, *beliefs: BeliefLit) -> bool:
+        """Each of beliefs itself, not merely an equal belief, is held."""
+        preds = self.preds
+        for b in beliefs:
+            a = b.atom
+            group = preds.get(a.pred, {}).get((a.args, b.positive), ())
+            i = bisect_left(group, a.start.offset, key=_lo)
+            if i == len(group) or group[i] is not b:
+                return False
+        return True
 
     def _put(self, lit: BeliefLit, group: tuple[BeliefLit, ...]) -> None:
         """Make group the beliefs of lit's group."""
@@ -647,11 +641,13 @@ class AgentState:
         """The beliefs held: a read-only view of the store."""
         return self.memory.beliefs()
 
-    def wm_sorted(self) -> list[BeliefLit]:
-        return sorted(self.wm, key=BeliefLit.key)
-
     def render_wm(self) -> str:
-        return ", ".join(str(b) for b in self.wm_sorted())
+        """The beliefs held in BeliefLit.key order, read off the store's
+        sorted predicates, their groups and each group's own order."""
+        preds = self.memory.preds
+        return ", ".join([str(b) for pred in sorted(preds)
+                          for args, neg in sorted([(args, not pos) for args, pos in preds[pred]])
+                          for b in preds[pred][args, not neg]])
 
 
 def init(rules: Iterable[Union[Rule, Formula, str]]) -> AgentState:
@@ -702,16 +698,17 @@ def _compile_join(plan: RulePlan, at: int):
     seed supports there, each as (key, items, supports, instance): its
     values in plan.variables order, which orders the agenda; its
     (variable, value) pairs sorted by variable; the beliefs supporting its
-    premises; and the conclusion's instance (_instance), None where that
-    is no atom.  Which variables are bound before each premise is fixed by
-    the plan and at, so each premise's step is built as one kind: none for
-    a seed matched at its own premise; a coverage test, by the seed or
-    through spanning; or a match against the positive beliefs of one
-    lookup: the group of its arguments bisected at its bound start or end,
-    or to the seed's window at the narrowed premise, or the whole group,
-    and while an argument is unbound, every positive belief of its
-    predicate (in the window at the narrowed premise).  The last step
-    checks the boxes and emits each binding."""
+    premises; and the conclusion's instance, (start, end, args), None
+    where that is no atom (a start below 0, of inf or after the end, where
+    substitute raises BadInterval).  Which variables are bound before each
+    premise is fixed by the plan and at, so each premise's step is built
+    as one kind: none for a seed matched at its own premise; a coverage
+    test, by the seed or through spanning; or a match against the positive
+    beliefs of one lookup: the group of its arguments bisected at its bound
+    start or end, or to the seed's window at the narrowed premise, or the
+    whole group, and while an argument is unbound, every positive belief
+    of its predicate (in the window at the narrowed premise).  The last
+    step checks the boxes and emits each binding with its instance."""
     premises, covering, variables = plan.premises, plan.covering, plan.variables
     order, conclusion, n = sorted(variables), plan.conclusion, len(premises)
     boxes = [p for p in premises if p.box]
@@ -769,14 +766,19 @@ def _compile_join(plan: RulePlan, at: int):
                         nxt(memory, {**binding, **m}, supports, out)
         return step
 
+    (start_var, start_shift), (end_var, end_shift), args = conclusion.start, conclusion.end, conclusion.args
+
     def emit(memory, binding, supports, out):
         for p in boxes:
             lo, hi = _value(p.box[0], binding), _value(p.box[1], binding)
             if not (0 <= lo <= _value(p.start, binding) and _value(p.end, binding) <= hi):
                 return
         get = binding.__getitem__
+        lo = start_shift if start_var is None else binding[start_var] + start_shift
+        hi = end_shift if end_var is None else binding[end_var] + end_shift
+        instance = None if lo < 0 or lo == INF or lo > hi else (lo, hi, tuple(map(binding.get, args, args)))
         out.append((tuple(map(get, variables)), tuple(zip(order, map(get, order))),
-                    tuple(supports), _instance(conclusion, binding)))
+                    tuple(supports), instance))
 
     seed_p = premises[at]
     bound = {None, *compress(seed_p.args, seed_p.is_var)}
@@ -879,7 +881,7 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
     while agenda:
         ridx, key, _, items, supports, instance = heappop(agenda)
         done = (ridx, items)
-        if done in fired or done in fresh or not all(map(memory.holds, supports)):
+        if done in fired or done in fresh or not memory.holds(*supports):
             continue
         rule = rules[ridx]
         conclusion = rule.plan.conclusion
@@ -1099,7 +1101,7 @@ def run_scenario(text: str, budget: int = 10_000) -> ScenarioResult:
                 if not sep:
                     raise ScenarioError("perceive needs 'literal @ time'", lineno)
                 at_text = at_text.strip()
-                if not at_text.isdigit():
+                if not at_text.isdecimal():
                     raise ScenarioError(f"bad perception time {at_text!r}", lineno)
                 _perceive(memory, events, clock, parse(lit_text.strip()), int(at_text))
                 clock = int(at_text)

@@ -208,9 +208,13 @@ def _trusted_atom(pred: str, start: TimeExpr, end: TimeExpr, args: tuple[str, ..
 
 
 def _trusted_ground_atom(pred: str, iv: Interval, args: tuple[str, ...]) -> Atom:
-    """_trusted_atom over iv's bounds, with the variables (none) and time
-    (iv) memos seeded too."""
-    atom = _trusted_atom(pred, TimeExpr.lit(iv.lo), TimeExpr.lit(iv.hi), args)
+    """pred(iv.lo, iv.hi, args) on the shared literals, built as _trusted_atom
+    builds an atom but with its variables and time memos seeded, not its hash."""
+    atom = _new(Atom)
+    _set(atom, "pred", pred)
+    _set(atom, "start", TimeExpr.lit(iv.lo))
+    _set(atom, "end", TimeExpr.lit(iv.hi))
+    _set(atom, "args", args)
     _set(atom, "_memo_free", _NO_VARS)
     _set(atom, "_memo_time", iv)
     return atom
@@ -731,36 +735,46 @@ _MENTAL_OPS = {
 _TOKEN.update((cls, name) for name, (cls, _) in _MENTAL_OPS.items())  # printed name(arg,...)
 
 
-# A whole ground literal in one match: an optional ~, a predicate name, a
-# number start, a number or inf end and constant arguments, with the
-# whitespace the lexer allows around each token.  The groups are the ~,
-# the name, the two bounds and the arguments with their commas.
+# A whole ground literal in one match, alone or in B(...): an optional B(,
+# an optional ~, a predicate name, a number start, a number or inf end and
+# constant arguments, with the whitespace the lexer allows around each
+# token, and a ) where B( opened.  The groups are the B(, the ~, the name,
+# the two bounds and the arguments with their commas.
 _GROUND_LITERAL_RE = re.compile(
-    r"\s*(~?)\s*([a-z][A-Za-z0-9_]*)\s*\(\s*(\d+)\s*,\s*(\d+|inf)\s*"
-    r"((?:,\s*[a-z][A-Za-z0-9_]*\s*)*)\)\s*"
+    r"\s*(B\s*\(\s*)?(~?)\s*([a-z][A-Za-z0-9_]*)\s*\(\s*(\d+)\s*,\s*(\d+|inf)\s*"
+    r"((?:,\s*[a-z][A-Za-z0-9_]*\s*)*)\)\s*(?(1)\)\s*)"
 )
+
+
+def _ground_literal(text: str) -> Optional[Formula]:
+    """The whole of text as _GROUND_LITERAL_RE matches it, with a predicate
+    not reserved and a start no later than its end, built as _Parser
+    builds it; None for any other text."""
+    m = _GROUND_LITERAL_RE.fullmatch(text)
+    if m is None or m[3] in RESERVED:
+        return None
+    belief, neg, pred, start, end, args = m.groups()
+    start, end = int(start), INF if end == "inf" else int(end)
+    if start > end:
+        return None
+    f = _trusted_ground_atom(pred, _derived(start, end), tuple(_NAME_RE.findall(args)))
+    f = Not(f) if neg else f
+    return Belief(f) if belief else f
 
 
 def parse(text: str) -> Formula:
     """Parse a formula; raises FormulaSyntaxError with line and column.
 
-    A ground literal that _GROUND_LITERAL_RE matches, with a predicate
-    that is not reserved and a start no later than its end, is built as
-    _Parser.atom builds it; any other text goes through _Parser, the only
-    source of a FormulaSyntaxError."""
-    m = _GROUND_LITERAL_RE.fullmatch(text)
-    if m is not None:
-        neg, pred, start, end, args = m.groups()
-        if pred not in RESERVED:
-            start, end = int(start), INF if end == "inf" else int(end)
-            if start <= end:
-                args = tuple(_NAME_RE.findall(args))
-                atom = _trusted_ground_atom(pred, _derived(start, end), args)
-                return Not(atom) if neg else atom
-    return _Parser(text).formula()
+    A ground literal, or B of one, is read by one match (_ground_literal),
+    any other text by _Parser, the only source of a FormulaSyntaxError."""
+    f = _ground_literal(text)
+    return _Parser(text).formula() if f is None else f
 
 
 def parse_atom(text: str) -> Atom:
+    a = _ground_literal(text)
+    if type(a) is Atom:
+        return a
     p = _Parser(text)
     a = p.atom()
     if p.kinds[p.i] != "EOF":
@@ -778,10 +792,17 @@ def _interval_suffix(lo: TimeExpr, hi: TimeExpr) -> str:
     return f"[{lo},{hi}{closer}"
 
 
+def print_atom(a: Atom) -> str:
+    """An atom's one text, its ground bounds written from their offsets."""
+    s, e = a.start, a.end
+    lo = s.offset if s.var is None else s
+    hi = e.offset if e.var is None else e
+    return f"{a.pred}({','.join((f'{lo}', f'{hi}', *a.args))})"
+
+
 def _pf(f: Node, required: int) -> str:
     if isinstance(f, Atom):
-        parts = [str(f.start), str(f.end), *f.args]
-        return f"{f.pred}({','.join(parts)})"
+        return print_atom(f)
     binary = _BINARY_BY_CLASS.get(type(f))
     if binary is not None:
         tok, level, right = binary

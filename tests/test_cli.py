@@ -271,6 +271,18 @@ def test_run_bad_directive_exits_2(capsys, tmp_path, script, message):
     assert (code, out, err) == (2, "", f"scenario error: {message}\n")
 
 
+def test_run_perception_time_is_read_as_decimal_digits(capsys, tmp_path):
+    """A perception time is taken as int() and the lexer's \\d take it:
+    decimal digits, ASCII or not; a superscript digit is refused with
+    the scenario's own message, not int()'s."""
+    scn = tmp_path / "times.scn"
+    scn.write_text("perceive p(1,1) @ \u0663\nquery B(p(1,1))\nexpect true\n", encoding="utf-8")
+    assert run(capsys, "run", str(scn)) == (0, "query B(p(1,1)) = true\np(1,1)\n", "")
+    scn.write_text("perceive p(1,1) @ \u00b2\n", encoding="utf-8")
+    code, out, err = run(capsys, "run", str(scn))
+    assert (code, out, err) == (2, "", "scenario error: line 1: bad perception time '\u00b2'\n")
+
+
 def test_run_scenario_not_utf8_exits_2(capsys, tmp_path):
     scn = tmp_path / "latin1.scn"
     scn.write_bytes("perceive caf\u00e9(1,1) @ 1\n".encode("latin-1"))

@@ -5,6 +5,8 @@ rescan-everything forward chainer, the hand-written formula walkers and
 the one-method-per-level parser, so they pin byte-identical output,
 traces and the suites' random streams across rewrites of the model
 checker, the dynamics, the agent, the formula traversals and the parser.
+Two count guards on gen110.scn pin the short paths its ground literals
+take: the literal match reads them, and print_atom writes them.
 """
 
 import json
@@ -13,8 +15,12 @@ from pathlib import Path
 
 import pytest
 
+import reference_parser as ref
+import tdlek.agent
+import tdlek.formulas
+from tdlek.agent import run_scenario, trace_json_lines
 from tdlek.cli import main
-from tdlek.formulas import Formula, children, print_formula
+from tdlek.formulas import Atom, Belief, Formula, Not, children, parse, print_formula
 from tdlek.models import gen_random_model
 from tdlek.randgen import gen_dynamic_formula, gen_free_formula, model_vocab
 
@@ -250,3 +256,56 @@ def test_recorded_cli_runs_are_golden(capsys, name):
         if (code, out, err) != (r["code"], r["stdout"], r["stderr"]):
             mismatches.append(r["argv"])
     assert not mismatches, f"{len(mismatches)} of {len(records)} differ; first: {mismatches[0]}"
+
+
+# ---------------------------------------------------------------------------
+# The ground literals of a run take the short paths
+# ---------------------------------------------------------------------------
+
+GEN110 = GOLDEN_DIR / "gen110.scn"
+
+
+def _is_literal_query(text: str) -> bool:
+    """B of one literal, as the reference parser reads text."""
+    f = ref.parse(text)
+    return isinstance(f, Belief) and isinstance(f.body.body if isinstance(f.body, Not) else f.body, Atom)
+
+
+def test_run_builds_the_parser_only_for_rules_k_and_compound_queries(monkeypatch):
+    """The recursive descent is built for gen110.scn's rule lines, its K
+    queries and its queries that join B-literals by |, in file order, and
+    for no perception and no query of B of one literal."""
+    made = []
+    parser = tdlek.formulas._Parser
+    monkeypatch.setattr(tdlek.formulas, "_Parser", lambda text: made.append(text) or parser(text))
+    text = GEN110.read_text()
+    assert run_scenario(text).ok
+    lines = [line.partition(" ")[::2] for line in text.splitlines()]
+    want = [rest for word, rest in lines
+            if word == "rule" or (word == "query" and not _is_literal_query(rest))]
+    assert made == want
+    words = [word for word, _ in lines]
+    assert (words.count("rule"), words.count("query"), words.count("perceive")) == (8, 30, 110)
+    queries = want[words.count("rule"):]  # the rules come first
+    assert len(queries) == 9 and sum(q.startswith("K(") for q in queries) == 6
+
+
+def test_run_writes_trace_and_memory_without_the_formula_printer(monkeypatch):
+    """trace_json_lines and render_wm write gen110.scn's golden trace and
+    final memory with the atom formatter alone: print_formula and _pf are
+    not called."""
+    state = run_scenario(GEN110.read_text()).state
+    calls = []
+
+    def counted(name, original):
+        return lambda *args: calls.append(name) or original(*args)
+
+    for module, name in ((tdlek.formulas, "_pf"), (tdlek.formulas, "print_formula"),
+                         (tdlek.agent, "print_formula")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    trace, memory = trace_json_lines(state.trace), state.render_wm()
+    assert calls == []
+    assert trace == (GOLDEN_DIR / "gen110.jsonl").read_text()
+    assert memory == (GOLDEN_DIR / "gen110.stdout").read_text().splitlines()[-1]
+    tdlek.agent.print_formula(parse("p(1,1)"))
+    assert calls == ["print_formula", "_pf"]  # the counters do count

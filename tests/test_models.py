@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import tdlek.formulas
 from tdlek.intervals import INF, Interval, TimeExpr
 from tdlek.formulas import (
     Always,
@@ -376,6 +377,31 @@ def test_load_reports_bad_atom_with_line_number():
     for bad in ("p(5,2)", "p(1,1", "box(1,1)"):
         with pytest.raises(ModelFormatError, match=f"^line 3: bad atom {re.escape(repr(bad))}"):
             load_model(f"worlds:\n  w0: q(0,9)\n  w1: {bad}\n")
+
+
+def test_load_reads_atoms_by_the_literal_match(monkeypatch):
+    """Saved random models of a few hundred worlds load to equal models
+    without building the recursive-descent parser; a chunk the ground-
+    literal match refuses (a ~, a start after the end, a reserved name, a
+    variable) goes to the descent, which gives the same messages."""
+    made = []
+    parser = tdlek.formulas._Parser
+    monkeypatch.setattr(tdlek.formulas, "_Parser", lambda text: made.append(text) or parser(text))
+    for seed in (0, 5, 6):
+        m = gen_random_model(seed, max_worlds=400)
+        assert len(m.worlds) > 150
+        assert load_model(save_model(m)) == m
+    assert made == []
+    for bad, message in (
+        ("~q(1,1)", "bad atom '~q(1,1)': 1:1: unexpected '~' (expected one of: predicate name)"),
+        ("p(2,1)", "bad atom 'p(2,1)': 1:1: p(2,1): start exceeds end"),
+        ("box(1,2)", "bad atom 'box(1,2)': 1:1: unexpected 'box' (expected one of: predicate name)"),
+        ("B(p(1,2))", "bad atom 'B(p(1,2))': 1:1: unexpected 'B' (expected one of: predicate name)"),
+        ("p(1,X)", "world w0: atom p(1,X) is not ground"),
+    ):
+        with pytest.raises(ModelFormatError, match=f"^line 2: {re.escape(message)}$"):
+            load_model(f"worlds:\n  w0: {bad}\n")
+    assert made == ["~q(1,1)", "p(2,1)", "box(1,2)", "B(p(1,2))", "p(1,X)"]
 
 
 def test_load_rejects_second_nbhd_line_for_a_world():

@@ -9,9 +9,11 @@ read the memos a parsed atom comes with) or the same ``FormulaSyntaxError``
 match by type and message.  The inputs are the printed output of the
 ``randgen`` formulas and character insertions, deletions and swaps of the
 golden parse inputs, newlines included, and texts shaped like a ground
-literal, which ``parse`` reads by one pattern match: for those the memos
-of the literal's nodes must also equal the ones the recursive descent
-seeds.  ``load_model`` on random text
+literal or ``B`` of one, which ``parse`` reads by one pattern match: for
+those the memos of the literal's nodes must also equal the ones the
+recursive descent seeds.  The atom formatter's text of random atoms and
+literals must parse back, through the reference, to the same node.
+``load_model`` on random text
 raises only ``ModelFormatError``, ``run_scenario`` on mutated and
 recombined scenario scripts raises only ``ScenarioError``, ``cli.main``
 on argv built from its subcommands and options exits 0, 1 or 2 without a
@@ -31,9 +33,11 @@ import reference_parser as ref
 from tdlek.agent import ScenarioError, run_scenario
 from tdlek.cli import main
 import tdlek.formulas
+from tdlek.agent import BeliefLit
 from tdlek.formulas import (
     _MEMOS,
     Atom,
+    Belief,
     FormulaSyntaxError,
     Not,
     _Parser,
@@ -41,10 +45,11 @@ from tdlek.formulas import (
     free_vars,
     parse,
     parse_atom,
+    print_atom,
     print_formula,
     time_of,
 )
-from tdlek.intervals import TimeExpr
+from tdlek.intervals import INF, TimeExpr
 from tdlek.models import ModelFormatError, gen_random_model, load_model, save_model
 from tdlek.randgen import gen_dynamic_formula, gen_free_formula, gen_static, model_vocab
 from tdlek.suites import SUITES
@@ -181,6 +186,37 @@ LITERAL_TEXTS = (
     "p(1 2,3)",
     "p(1,infx)",
     "pé(1,2)",
+    # B of a literal, read by the same match, and texts only the descent reads
+    "B(p(1,2))",
+    " B ( p ( 1 , 2 ) ) ",
+    "B(~p(1,2))",
+    "B( ~ q(3,inf,a) )",
+    "B\n(\np(1,2)\n)\n",
+    "B\u00a0(p(1,2,\u2003a))",
+    "B(p(\u0663,5))",
+    "B(p(007,010))",
+    "B(p(5,2))",
+    "B(~p(5,2))",
+    "B(box(1,2))",
+    "B(inf(1,2))",
+    "B(true(1,2))",
+    "B(p(inf,5))",
+    "B(p(1,2,X))",
+    "B(p(1,2,inf))",
+    "B(p(1,2)",
+    "B(p(1,2)))",
+    "B((p(1,2)))",
+    "B p(1,2)",
+    "B ~p(1,2)",
+    "B(~~p(1,2))",
+    "B(B(p(1,2)))",
+    "~B(p(1,2))",
+    "K(p(1,2))",
+    "b(p(1,2))",
+    "B()",
+    "B(p(1,2),)",
+    "B(p(1,2)) & q(1,2)",
+    "B(p(1,2) & q(1,2))",
 )
 
 
@@ -194,25 +230,30 @@ GAP = usually(("", "", "", " ", "\n"), ("\t", "\u00a0", "\u2003", "\r\n", "\x1c"
 
 @st.composite
 def literal_text(draw) -> str:
-    """A text shaped like a ground literal, mostly one: gaps of whitespace
-    (or a stray character) between its tokens, and, now and then, a bound
-    that is a variable, inf or digits outside ASCII, a reserved name or a
-    variable argument."""
+    """A text shaped like a ground literal or B of one, mostly one: gaps of
+    whitespace (or a stray character) between its tokens, and, now and
+    then, a bound that is a variable, inf or digits outside ASCII, a
+    reserved name, a variable argument, another prefix or parentheses that
+    do not balance."""
     name = usually(("p", "q1", "aB_c"), ("box", "inf", "true", "and", "X", "B"))
     start = usually(("0", "1", "7", "12"), ("007", "\u0663", "inf", "X", "T+1"))
     end = usually(("7", "12", "inf"), ("0", "\u0661\u0662", "X", "T-1"))
     arg = usually(("a", "bC", "c_1"), ("X", "inf", "box", "1", "é"))
-    parts = [draw(usually(("", "~"), ("~~", "B ", "~(")))]
+    outer = draw(usually(((), (), ("B", "(")), (("B",), ("B", "(", "("), ("~", "B", "("), ("K", "("))))
+    closers = outer.count("(") if draw(st.integers(0, 7)) else draw(st.integers(0, 2))
+    parts = [*outer, draw(usually(("", "~"), ("~~", "B ", "~(")))]
     parts += [draw(name), "(", draw(start), ",", draw(end)]
     for a in draw(st.lists(arg, max_size=3)):
         parts += [",", a]
-    parts.append(")")
+    parts += [")"] * (1 + closers)
     return "".join(draw(GAP) + part for part in parts) + draw(GAP)
 
 
 def literal_memos(f) -> list:
-    """The memo slots of f and, under a ~, of its atom."""
-    nodes = (f, f.body) if isinstance(f, Not) else (f,)
+    """The memo slots of f and, under each ~ or B, of the node below."""
+    nodes = [f]
+    while isinstance(nodes[-1], (Not, Belief)):
+        nodes.append(nodes[-1].body)
     return [[getattr(node, name) for name in _MEMOS] for node in nodes]
 
 
@@ -242,15 +283,58 @@ def test_generated_literal_texts_agree_with_reference(text):
 def test_ground_literals_are_read_without_the_parser(monkeypatch):
     made = []
     monkeypatch.setattr(tdlek.formulas, "_Parser", lambda text: made.append(text) or _Parser(text))
-    for text in ("p(1,2)", " ~ q ( 3 , inf , a ) ", "p(\u0663,5)", "p(1,2,inf)"):
+    read = ("p(1,2)", " ~ q ( 3 , inf , a ) ", "p(\u0663,5)", "p(1,2,inf)", "B(p(1,2))",
+            " B ( ~ q ( 3 , inf , a ) ) ")
+    for text in read:
         parse(text)
     assert made == []
-    for text in ("p(5,2)", "box(1,2)", "p(inf,5)", "p(1,2,X)", "~~p(1,2)"):
+    descended = ("p(5,2)", "box(1,2)", "p(inf,5)", "p(1,2,X)", "~~p(1,2)", "B(p(5,2))",
+                 "B(p(1,2)", "B p(1,2)", "B((p(1,2)))")
+    for text in descended:
         try:
             parse(text)
         except FormulaSyntaxError:
             pass
-    assert made == ["p(5,2)", "box(1,2)", "p(inf,5)", "p(1,2,X)", "~~p(1,2)"]
+    assert made == list(descended)
+
+
+def _random_atom(rng) -> Atom:
+    """An atom with literal, variable and shifted bounds, inf ends and
+    constant and variable arguments; bounds are drawn until they fit."""
+    def bound():
+        roll = rng.random()
+        if roll < 0.5:
+            return TimeExpr.lit(rng.choice((0, 1, 7, 12, 4096, INF)))
+        return TimeExpr.at(rng.choice(("T", "U1", "Start_2")), rng.choice((0, 0, 1, -1, 12, -30)))
+
+    while True:
+        start, end = bound(), bound()
+        names = ("a", "bC", "c_1", "inf", "box", "X", "Y_2")
+        args = tuple(rng.choice(names) for _ in range(rng.randint(0, 3)))
+        try:
+            return Atom(rng.choice(("p", "q1", "aB_c")), start, end, args)
+        except ValueError:
+            continue
+
+
+def test_atom_text_parses_back_to_the_same_node():
+    """print_atom, the one text of an atom, which the printer and the
+    belief literals share, gives for random atoms and literals a text
+    that the reference parser reads back as the same node, and the text
+    the printer built from TimeExpr.__str__ before; a ground literal's
+    text is its BeliefLit's."""
+    rng = random.Random(26)
+    ground = 0
+    for _ in range(3_000):
+        atom = _random_atom(rng)
+        text = print_atom(atom)
+        assert text == f"{atom.pred}({','.join([str(atom.start), str(atom.end), *atom.args])})"
+        assert ref.parse(text) == atom == ref.parse_atom(text)
+        assert print_formula(Not(atom)) == "~" + text and ref.parse("~" + text) == Not(atom)
+        if atom.is_ground():
+            assert str(BeliefLit(atom)) == text and str(BeliefLit(atom, False)) == "~" + text
+            ground += 1
+    assert ground > 250
 
 
 MODEL_LINES = (

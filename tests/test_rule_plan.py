@@ -31,7 +31,6 @@ from tdlek.agent import (
     WorkingMemory,
     _bounds,
     _canonical_rule_key,
-    _instance,
     _match,
     query,
     run_scenario_file,
@@ -131,26 +130,51 @@ def test_plan_match_agrees_with_substitute_and_match_atom():
     assert min(outcomes.values()) > 1_000, outcomes
 
 
+def _substituted(atom: Atom, binding: dict):
+    """(start, end, args) of substitute(atom, binding), None where that
+    raises BadInterval."""
+    try:
+        a = substitute(atom, binding)
+    except BadInterval:
+        return None
+    return a.start.offset, a.end.offset, a.args
+
+
+def _atom_under(p: Pattern, binding: dict):
+    """(start, end, args) of the pattern under a binding of all its
+    variables, None where that is no atom (_bounds)."""
+    bounds = _bounds(p, binding)
+    return None if bounds is None else (*bounds, tuple(binding.get(x, x) for x in p.args))
+
+
 def test_plan_conclusion_agrees_with_substitute():
+    """A join emits its conclusion's instance as substitute builds it, or
+    None where substitute raises BadInterval.  Each random pattern is the
+    conclusion of a rule whose premises bind T and U by their ends and X
+    and Y by their arguments; the join is seeded at the first premise of
+    a store that holds the premises under one random binding."""
     rng = random.Random(14)
     skipped = 0
-    for _ in range(20_000):
+    for _ in range(2_000):
         pat = _pattern(rng)
-        binding = _binding(rng)
-        for var in TIME_VARS:
-            binding.setdefault(var, rng.choice((0, 1, INF)))
-        for var in OBJ_VARS:
-            binding.setdefault(var, rng.choice(OBJECTS))
-        try:
-            want = substitute(pat, binding)
-        except BadInterval:
-            want = None
-        got = _instance(Pattern.of(pat), binding)
-        if want is None:
-            assert got is None, (pat, binding)
-            skipped += 1
-        else:
-            assert got == (want.start.offset, want.end.offset, want.args), (pat, binding)
+        rule = rule_from_formula(parse(f"K(t(0,T) & u(0,U) & o(0,0,X,Y) -> {print_formula(pat)})"))
+        for _ in range(10):
+            binding = _binding(rng)
+            for var in TIME_VARS:
+                binding.setdefault(var, rng.choice((0, 1, INF)))
+            for var in OBJ_VARS:
+                binding.setdefault(var, rng.choice(OBJECTS))
+            zero = TimeExpr.lit(0)
+            seed = BeliefLit(Atom("t", zero, TimeExpr.lit(binding["T"])))
+            memory = WorkingMemory()
+            for b in (seed, BeliefLit(Atom("u", zero, TimeExpr.lit(binding["U"]))),
+                      BeliefLit(Atom("o", zero, zero, (binding["X"], binding["Y"])))):
+                memory.insert(b)
+            [(_, items, _, got)] = rule.joins[0](memory, seed)
+            assert dict(items) == binding
+            want = _substituted(pat, binding)
+            assert got == want, (pat, binding)
+            skipped += want is None
     assert skipped > 1_000
 
 
@@ -214,7 +238,7 @@ def _spread_memory(rng, rule, bindings: int = 4) -> WorkingMemory:
         for _ in range(10):
             binding = {var: rng.choice(SPREAD_TIMES) for var in TIME_VARS}
             binding.update((var, rng.choice(OBJECTS)) for var in OBJ_VARS)
-            instances = [_instance(p, binding) for p in rule.plan.premises]
+            instances = [_atom_under(p, binding) for p in rule.plan.premises]
             if None not in instances:
                 for p, (lo, hi, args) in zip(rule.plan.premises, instances):
                     memory.insert(BeliefLit(Atom(p.pred, TimeExpr.lit(lo), TimeExpr.lit(hi), args)))
@@ -267,9 +291,9 @@ def test_candidate_bindings_agree_with_reference_join():
                 narrowed[shape] += plan.narrow[at] is not None and bool(found)
             assert set(seeded) == want, rule
             for items, (_, supports) in seeded.items():
-                assert all(map(memory.holds, supports))
+                assert memory.holds(*supports)
                 for p, covers, b in zip(plan.premises, plan.covering, supports):
-                    lo, hi, args = _instance(p, dict(items))
+                    lo, hi, args = _atom_under(p, dict(items))
                     assert b.positive and (b.atom.pred, b.atom.args) == (p.pred, args), rule
                     b_lo, b_hi = b.atom.start.offset, b.atom.end.offset
                     assert (b_lo <= lo and hi <= b_hi) if covers else (b_lo, b_hi) == (lo, hi)
@@ -311,7 +335,7 @@ def test_seeded_joins_find_exactly_the_bindings_their_seed_supports():
                     continue
                 want = set()
                 for items in full:
-                    i_lo, i_hi, i_args = _instance(p, dict(items))
+                    i_lo, i_hi, i_args = _atom_under(p, dict(items))
                     if plan.covering[at]:
                         supported = i_args == args and lo <= i_lo and i_hi <= hi
                     else:
@@ -327,8 +351,8 @@ def test_seeded_joins_find_exactly_the_bindings_their_seed_supports():
 def test_joins_emit_each_binding_with_its_key_and_instance():
     """Each binding a join emits comes with its agenda key, its values in
     the plan's variable order, and its conclusion's instance, None where
-    the conclusion makes no atom: what the chainer would otherwise build
-    from the binding's pairs when it pops the binding."""
+    the conclusion makes no atom: what substitute builds from the rule's
+    conclusion under the binding, or None where it raises BadInterval."""
     rng = random.Random(18)
     emitted = {"instance": 0, "no atom": 0}
     for _ in range(1_000):
@@ -342,7 +366,7 @@ def test_joins_emit_each_binding_with_its_key_and_instance():
                     binding = dict(items)
                     assert items == tuple(sorted(binding.items()))
                     assert key == tuple(binding[x] for x in rule.plan.variables)
-                    assert instance == _instance(rule.plan.conclusion, binding)
+                    assert instance == _substituted(rule.conclusion, binding)
                     emitted["no atom" if instance is None else "instance"] += 1
     assert min(emitted.values()) > 300, emitted
 

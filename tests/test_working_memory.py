@@ -218,5 +218,36 @@ def test_insert_keeps_the_literal_it_is_given_when_nothing_merges():
     assert store.insert(literal("p", (), True, 3, 3)) is None
 
 
+def test_holds_bisects_a_large_group():
+    """holds finds each belief of a group by bisecting it at the belief's
+    start: on a group of 1,024 beliefs, one probe reads at most 12 of them
+    (11 to bisect, one to compare), and an equal belief that is not the
+    one held is refused."""
+    store, n = WorkingMemory(), 1024
+    held = [literal("p", ("a",), True, 2 * t, 2 * t) for t in range(n)]
+    for lit in held:
+        store.insert(lit)
+    reads = []
+
+    class Counted(tuple):  # the group, counting the beliefs read from it
+        def __getitem__(self, i):
+            reads.append(i)
+            return super().__getitem__(i)
+
+        def __iter__(self):
+            for i in range(len(self)):
+                yield self[i]
+
+    groups = store.preds["p"]
+    groups[("a",), True] = Counted(groups[("a",), True])
+    for lit in held[:: n // 16]:
+        reads.clear()
+        assert store.holds(lit) and len(reads) <= 12
+    reads.clear()
+    assert store.holds(*held) and len(reads) <= 12 * n
+    assert not store.holds(held[0], literal("p", ("a",), True, 2, 2))
+    assert not store.holds(literal("p", ("a",), True, 1, 1)) and not store.holds(literal("p", ("b",), True, 0, 0))
+
+
 StoreMachine.TestCase.settings = settings(max_examples=40, stateful_step_count=25, deadline=None)
 test_working_memory_against_point_sets = StoreMachine.TestCase
