@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .intervals import TimeExpr, difference, intersect, subset
+from .intervals import difference, intersect, subset
 from .formulas import (
     Always,
     And,
@@ -40,6 +40,7 @@ from .formulas import (
     Not,
     Or,
     Revise,
+    _trusted_ground_atom,
     children,
     is_ground,
     op_time,
@@ -86,6 +87,7 @@ def _validate_op(op: MentalOp) -> None:
 def wider_belief_exists(m: TLekModel, wid: str, op: Revise) -> bool:
     """True if some other target-predicate atom, believed at wid, covers a
     strictly larger interval than the trigger."""
+    i = m.frame.index[wid]  # a world m lacks raises before any labelling
     trigger_iv = op.trigger.interval()
     candidates = {
         a
@@ -95,23 +97,15 @@ def wider_belief_exists(m: TLekModel, wid: str, op: Revise) -> bool:
     }
     for cand in sorted(candidates, key=lambda a: (a.start.offset, a.end.offset)):
         j = cand.interval()
-        if subset(trigger_iv, j) and j != trigger_iv and check(m, wid, Belief(cand)):
+        if subset(trigger_iv, j) and j != trigger_iv and truth_set(m, Belief(cand)) >> i & 1:
             return True
     return False
 
 
 def residual_atoms(op: Revise) -> list[Atom]:
-    """The target's atoms over the sub-intervals that the trigger leaves."""
+    """The target's atoms over the sub-intervals the trigger leaves, unchecked."""
     parts = difference(op.target.interval(), op.trigger.interval())
-    return [
-        Atom(
-            op.target.pred,
-            TimeExpr.lit(p.lo),
-            TimeExpr.lit(p.hi),
-            op.target.args,
-        )
-        for p in parts
-    ]
+    return [_trusted_ground_atom(op.target.pred, p, op.target.args) for p in parts]
 
 
 def apply(m: TLekModel, op: MentalOp) -> OpOutcome:
@@ -149,7 +143,7 @@ def _effect(op: MentalOp) -> tuple[Optional[Formula], list[Formula], list[Formul
             return Bot(), [], []
         cut = overlap.parts[0]
         guard = And(Belief(trigger), And(Belief(target), Knowledge(Implies(trigger, Not(target)))))
-        lost = Atom(target.pred, TimeExpr.lit(cut.lo), TimeExpr.lit(cut.hi), target.args)
+        lost = _trusted_ground_atom(target.pred, cut, target.args)
         return guard, residual_atoms(op), [lost]
     guard = And(Belief(op.premise), Knowledge(Implies(op.premise, op.conclusion)))
     return guard, [op.conclusion], []
@@ -171,8 +165,9 @@ def _update(m: TLekModel, op: MentalOp) -> tuple[TLekModel, bool]:
         return m, False
     add_masks = [truth_set(m, f) for f in gained]
     remove_masks = [truth_set(m, f) for f in lost]
-    nbhd = tuple(
-        family.difference([x & cls for x in remove_masks]).union([x & cls for x in add_masks])
+    nbhd = tuple(  # only a revision loses anything
+        (family.difference([x & cls for x in remove_masks]) if remove_masks else family)
+        .union([x & cls for x in add_masks])
         if fired >> i & 1 else family
         for i, (cls, family) in enumerate(zip(fr.cls, m.nbhd))
     )

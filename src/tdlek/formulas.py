@@ -386,7 +386,11 @@ def literal_parts(f: Formula) -> Optional[tuple[Atom, bool]]:
 
 def children(f: Node) -> list[Node]:
     """The node's sub-formulas and mental operations, in _parts order."""
-    return [getattr(f, name) for name in f._parts]
+    try:
+        names = f._parts
+    except AttributeError:  # not a node
+        raise TypeError(f"unknown formula node {f!r}") from None
+    return [getattr(f, name) for name in names]
 
 
 def rebuild(f: Node, parts: Sequence[Node]) -> Node:
@@ -836,16 +840,23 @@ def print_formula(f: Node) -> str:
 
 
 def free_vars(f: Node) -> frozenset[str]:
-    """The node's variables; computed once per node and memoised on it."""
-    vs = f._memo_free
+    """The node's variables, memoised on it.  A ground atom takes the shared
+    _NO_VARS directly, and a compound node unions only nonempty part sets."""
+    try:
+        vs = f._memo_free
+    except AttributeError:  # not a node
+        raise TypeError(f"unknown formula node {f!r}") from None
     if vs is None:
         if isinstance(f, Atom):
-            vs = f.start.vars() | f.end.vars() | frozenset(a for a in f.args if is_var(a))
+            vs = _NO_VARS
+            if f.start.var or f.end.var or any(map(is_var, f.args)):
+                vs = f.start.vars() | f.end.vars() | frozenset(filter(is_var, f.args))
         else:
             vs = f.start.vars() | f.end.vars() if isinstance(f, Always) else _NO_VARS
             for name in f._parts:
-                vs |= free_vars(getattr(f, name))
-        vs = vs or _NO_VARS  # ground nodes share one empty set
+                sub = free_vars(getattr(f, name))
+                vs = vs | sub if vs and sub else vs or sub
+            vs = vs or _NO_VARS  # a ground box's bounds give an empty set
         object.__setattr__(f, "_memo_free", vs)
     return vs
 
@@ -974,8 +985,11 @@ def op_time(op: MentalOp) -> Optional[Interval]:
 
 
 def _time(f: Node) -> Optional[Interval]:
-    """time_of without the groundness test; memoised on f."""
-    t = f._memo_time
+    """time_of without the groundness test; memoised; hulls only later parts."""
+    try:
+        t = f._memo_time
+    except AttributeError:  # not a node
+        raise TypeError(f"unknown formula node {f!r}") from None
     if t is _UNSET:
         if isinstance(f, (Atom, Always)):
             return f.interval()
@@ -985,8 +999,9 @@ def _time(f: Node) -> Optional[Interval]:
             if t is None:
                 t = target
         else:
-            t = None
-            for name in f._timed or f._parts:
+            names = f._timed or f._parts
+            t = _time(getattr(f, names[0])) if names else None
+            for name in names[1:]:
                 t = merge_times(t, _time(getattr(f, name)))
         object.__setattr__(f, "_memo_time", t)
     return t

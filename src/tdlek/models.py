@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .intervals import INF, Interval, TimeExpr, TimePoint, _derived
+from .intervals import INF, Interval, TimePoint, _derived
 from .formulas import (
     Always,
     And,
@@ -37,6 +37,7 @@ from .formulas import (
     Or,
     Top,
     _UNSET,
+    _trusted_ground_atom,
     parse_atom,
     print_formula,
 )
@@ -175,7 +176,7 @@ class Frame:
 
     def __init__(self, m: TLekModel):
         self.ids: tuple[str, ...] = tuple(sorted(m.worlds))
-        self.index: dict[str, int] = {wid: i for i, wid in enumerate(self.ids)}
+        self.index: dict[str, int] = _WorldIndex({wid: i for i, wid in enumerate(self.ids)})
         self.bits: tuple[int, ...] = tuple(1 << i for i in range(len(self.ids)))
         self.all = (1 << len(self.ids)) - 1
         self.valuations = tuple(m.worlds[wid].atoms for wid in self.ids)
@@ -198,6 +199,13 @@ class Frame:
     def fit(self, t: Optional[Interval]) -> int:
         """Worlds whose interval contains t; all of them for timeless t."""
         return self._fits[None if t is None else (t.lo, t.hi)]
+
+
+class _WorldIndex(dict):
+    """Frame.index; a world id the model lacks raises ValueError naming it."""
+
+    def __missing__(self, wid: str) -> int:
+        raise ValueError(f"no world {wid!r} in the model")
 
 
 class _Fits(dict):
@@ -280,14 +288,16 @@ def truth_set(m: TLekModel, f: Formula) -> int:
 def extension(m: TLekModel, wid: str, f: Formula) -> frozenset[str]:
     """Worlds in R(w) where f holds."""
     fr = m.frame
-    return fr.worlds_of(truth_set(m, f) & fr.cls[fr.index[wid]])
+    cls = fr.cls[fr.index[wid]]  # a world m lacks raises before any labelling
+    return fr.worlds_of(truth_set(m, f) & cls)
 
 
 def check(m: TLekModel, wid: str, f: Formula) -> bool:
     """Truth at a world; every clause carries its timing side condition.
     Each call labels f at every world: to ask about one formula at many
     worlds, call truth_set, extension or valid_in_model once instead."""
-    return bool(truth_set(m, f) >> m.frame.index[wid] & 1)
+    i = m.frame.index[wid]  # a world m lacks raises before any labelling
+    return bool(truth_set(m, f) >> i & 1)
 
 
 def _atom(m: TLekModel, f: Atom):
@@ -403,6 +413,8 @@ def gen_random_model(
     families mix random id subsets with extensions of vocabulary atoms and
     are shared across each class.  With full_span=True every class interval
     is [0,inf), so no timing side condition can fail within the horizon.
+    Each world is built unchecked at its class interval [lo, hi], which is
+    I(w): the spanning atom is [lo, hi] and every other atom lies inside it.
     """
     rng = random.Random(seed)
     n = rng.randint(1, max(1, max_worlds))
@@ -424,6 +436,7 @@ def gen_random_model(
         else:
             lo = rng.randint(0, max(0, horizon // 2))
             hi = INF if rng.random() < 0.3 else rng.randint(lo, horizon)
+        span = _derived(lo, hi)
         for wid in cls:
             atoms = {_random_atom(rng.choice(preds), lo, hi)}
             for _ in range(rng.randint(0, 2)):
@@ -433,7 +446,7 @@ def gen_random_model(
                 else:
                     b = rng.randint(a, horizon if hi == INF else int(hi))
                 atoms.add(_random_atom(rng.choice(preds), a, b))
-            worlds.append(World(wid, frozenset(atoms)))
+            worlds.append(_trusted_world(wid, frozenset(atoms), span))
 
     base = TLekModel(worlds, [frozenset(c) for c in classes], {})
     fr = base.frame
@@ -455,8 +468,9 @@ def gen_random_model(
     return base.with_nbhd(tuple(nbhd))
 
 
-def _random_atom(pred: str, lo: TimePoint, hi: TimePoint) -> Atom:
-    return Atom(pred, TimeExpr.lit(int(lo)), TimeExpr.lit(hi))
+def _random_atom(pred: str, lo: int, hi: TimePoint) -> Atom:
+    """pred(lo, hi), 0 <= lo <= hi, by _trusted_ground_atom: no Atom checks."""
+    return _trusted_ground_atom(pred, _derived(lo, hi), ())
 
 
 # ---------------------------------------------------------------------------

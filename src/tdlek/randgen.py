@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 
-from .intervals import INF, TimeExpr
+from .intervals import INF, TimeExpr, _derived
 from .formulas import (
     Always,
     And,
@@ -28,6 +28,7 @@ from .formulas import (
     Not,
     Or,
     Revise,
+    _trusted_ground_atom,
 )
 from .models import TLekModel
 
@@ -63,13 +64,14 @@ def model_vocab(m: TLekModel) -> list[Atom]:
 
 
 def gen_vocab_atom(rng: random.Random, vocab: Vocab, horizon: int) -> Atom:
-    """Mostly an existing atom, sometimes a fresh one over the same predicates."""
+    """Mostly an existing atom, sometimes a fresh one over the same predicates
+    (valid name, ordered bounds), built unchecked; vocab is read in place."""
     if vocab and rng.random() < 0.75:
-        return rng.choice(list(vocab))
-    pred = rng.choice([a.pred for a in vocab] if vocab else ["p", "q"])
+        return rng.choice(vocab)
+    pred = rng.choice(vocab).pred if vocab else rng.choice(("p", "q"))
     lo = rng.randint(0, horizon)
     hi = INF if rng.random() < 0.15 else rng.randint(lo, horizon)
-    return Atom(pred, TimeExpr.lit(lo), TimeExpr.lit(hi))
+    return _trusted_ground_atom(pred, _derived(lo, hi), ())
 
 
 def gen_literal(rng: random.Random, vocab: Vocab, horizon: int) -> Formula:
@@ -102,13 +104,10 @@ def gen_mental_op(rng: random.Random, vocab: Vocab, horizon: int) -> MentalOp:
         return Infer(gen_static(rng, vocab, horizon, 1), gen_vocab_atom(rng, vocab, horizon))
     target = gen_vocab_atom(rng, vocab, horizon)
     t_iv = target.interval()
-    lo = rng.randint(t_iv.lo, int(t_iv.hi) if t_iv.finite else horizon)
-    if t_iv.finite:
-        hi: object = rng.randint(lo, int(t_iv.hi))
-    else:
-        hi = INF if rng.random() < 0.5 else rng.randint(lo, horizon)
-    trigger = Atom("x" + target.pred, TimeExpr.lit(lo), TimeExpr.lit(hi))
-    return Revise(trigger, target)
+    top = int(t_iv.hi) if t_iv.finite else horizon
+    lo = rng.randint(t_iv.lo, top)
+    hi = rng.randint(lo, top) if t_iv.finite or rng.random() >= 0.5 else INF
+    return Revise(_trusted_ground_atom("x" + target.pred, _derived(lo, hi), ()), target)
 
 
 def gen_dynamic_body(rng: random.Random, vocab: Vocab, horizon: int, dyn_depth: int) -> Formula:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .intervals import INF, Interval, TimeExpr
+from .intervals import INF, Interval, TimeExpr, _derived
 from .formulas import (
     And,
     Atom,
@@ -28,6 +28,7 @@ from .formulas import (
     Conj,
     Not,
     Revise,
+    _trusted_ground_atom,
     fits,
     print_formula,
     time_of,
@@ -283,21 +284,17 @@ def _check_residuals(report: SuiteReport, m: TLekModel, wid: str, op: Revise) ->
 
 
 def _revise_pair(rng: random.Random, vocab) -> tuple[Atom, Atom] | None:
-    """Trigger strictly inside (or equal to) a target drawn from the vocabulary."""
-    atoms = [a for a in vocab]
-    if not atoms:
+    """Trigger strictly inside (or equal to) a target drawn from the vocabulary
+    in place; built unchecked, as its name and ordered bounds are valid."""
+    if not vocab:
         return None
-    target = rng.choice(atoms)
+    target = rng.choice(vocab)
     t_iv = target.interval()
     span = int(t_iv.hi) if t_iv.finite else t_iv.lo + 4
     lo = rng.randint(t_iv.lo, span)
-    if t_iv.finite:
-        hi: object = rng.randint(lo, int(t_iv.hi))
-    else:
-        hi = INF if rng.random() < 0.5 else rng.randint(lo, span)
-    candidates = sorted({a.pred for a in atoms} | {"zz"})
-    trigger = Atom(rng.choice(candidates), TimeExpr.lit(lo), TimeExpr.lit(hi))
-    return trigger, target
+    hi = rng.randint(lo, span) if t_iv.finite or rng.random() >= 0.5 else INF
+    candidates = sorted({a.pred for a in vocab} | {"zz"})
+    return _trusted_ground_atom(rng.choice(candidates), _derived(lo, hi), ()), target
 
 
 def property1_models(count: int, seed: int,

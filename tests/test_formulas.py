@@ -30,15 +30,18 @@ from tdlek.formulas import (
     Revise,
     Top,
     ast_dict,
+    children,
     free_vars,
     is_ground,
     is_var,
     match_atom,
+    op_time,
     parse,
     print_formula,
     substitute,
     time_of,
 )
+from tdlek.dynamics import reduce_formula
 from tdlek.models import gen_random_model
 from tdlek.randgen import gen_free_formula, gen_mental_op, model_vocab
 
@@ -254,6 +257,32 @@ def test_time_of_constants_are_timeless():
 def test_time_of_requires_ground():
     with pytest.raises(NonGround):
         time_of(parse("p(T,T)"))
+
+
+NOT_NODES = ["p(1,1)", None, 3, TimeExpr.lit(1)]
+NODE_ENTRIES = {
+    "free_vars": free_vars,
+    "is_ground": is_ground,
+    "time_of": time_of,
+    "op_time": op_time,
+    "children": children,
+    "substitute": lambda f: substitute(f, {"T": 1}),
+    "reduce_formula": reduce_formula,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NODE_ENTRIES))
+def test_node_entry_points_refuse_a_value_that_is_no_node(entry):
+    """A value that is not a node raises print_formula's TypeError, at the
+    top and, where the entry point walks the tree, below a connective."""
+    call = NODE_ENTRIES[entry]
+    for value in NOT_NODES:
+        wrapped = [value] if entry == "children" else [value, And(atom("p", 1, 1), value)]
+        for f in wrapped:
+            with pytest.raises(TypeError, match=re.escape(f"unknown formula node {value!r}")):
+                call(f)
+        with pytest.raises(TypeError, match=re.escape(f"unknown formula node {value!r}")):
+            print_formula(value)
 
 
 def test_time_of_matches_brute_force_on_desugared_form():

@@ -18,8 +18,10 @@ from tdlek.formulas import (
     Learn,
     NonGround,
     Not,
+    Revise,
     parse,
 )
+from tdlek.dynamics import check_dynamic, wider_belief_exists
 from tdlek.models import (
     ModelFormatError,
     TLekModel,
@@ -148,6 +150,28 @@ def test_label_refuses_a_value_that_is_no_formula_at_any_depth():
         for entry in (label, truth_set):
             with pytest.raises(TypeError, match=re.escape(f"unknown formula node {value!r}")):
                 entry(m, f)
+
+
+@pytest.mark.parametrize("entry", ["check", "extension", "check_dynamic", "wider_belief_exists"])
+def test_a_world_the_model_lacks_raises_value_error_naming_it(entry):
+    """The world is looked up before any labelling: the formula here would
+    raise TypeError if it were labelled."""
+    p = atom("p", 1, 1)
+    m = single_world_model({p})
+    unlabelled = Dynamic(Learn(p), And(p, "x"))
+    calls = {
+        "check": lambda wid: check(m, wid, unlabelled),
+        "extension": lambda wid: extension(m, wid, unlabelled),
+        "check_dynamic": lambda wid: check_dynamic(m, wid, unlabelled),
+        "wider_belief_exists": lambda wid: wider_belief_exists(m, wid, Revise(p, atom("p", 0, 3))),
+    }
+    with pytest.raises(ValueError, match=re.escape("no world 'nope' in the model")):
+        calls[entry]("nope")
+    if entry == "wider_belief_exists":
+        assert calls[entry]("w0") is False
+    else:
+        with pytest.raises(TypeError, match=re.escape("unknown formula node 'x'")):
+            calls[entry]("w0")
 
 
 # ---------------------------------------------------------------------------
