@@ -52,7 +52,8 @@ from .formulas import (
     parse,
     print_atom,
     print_formula,
-    _trusted_atom,
+    _new,
+    _set,
     _trusted_ground_atom,
 )
 from .models import TLekModel, _trusted_world
@@ -991,7 +992,10 @@ def to_model(st: AgentState, horizon: int) -> TLekModel:
     The beliefs are ground and were validated when they were made, so
     their atoms and the world are built without validating them again,
     and the world carries I(w): the lowest start and the highest
-    truncated end of the beliefs that start by the horizon.
+    truncated end of the beliefs that start by the horizon.  Each atom
+    p(a, z, args) is built inline with its hash memo seeded: a literal
+    TimeExpr hashes as its (var, offset), so hash((pred, (None, a), (None,
+    z), args)) is Node.__hash__'s value, with no TimeExpr.__hash__ call.
     """
     if horizon == INF or not is_time_point(horizon):
         raise ValueError("horizon must be a finite natural")
@@ -1000,21 +1004,24 @@ def to_model(st: AgentState, horizon: int) -> TLekModel:
         lo = b.atom.start.offset
         if b.positive and lo <= horizon:
             spans.append((b.atom, lo, min(b.atom.end.offset, horizon)))
-    atoms = frozenset(_closure(spans))
+    closure = []  # p(a, z, args) with lo <= a <= z <= hi of each span
+    for held, lo, hi in spans:
+        pred, args = held.pred, held.args
+        points = [(TimeExpr.lit(t), (None, t)) for t in range(lo, hi + 1)]
+        for i, (start, a) in enumerate(points):
+            for end, z in points[i:]:
+                atom = _new(Atom)
+                _set(atom, "pred", pred)
+                _set(atom, "start", start)
+                _set(atom, "end", end)
+                _set(atom, "args", args)
+                _set(atom, "_memo_hash", hash((pred, a, z, args)))
+                closure.append(atom)
+    atoms = frozenset(closure)
     iv = Interval(min(s[1] for s in spans), max(s[2] for s in spans)) if spans else None
     world = _trusted_world("w0", atoms, iv)
     nbhd = {"w0": [frozenset({"w0"})]} if atoms else {"w0": []}
     return TLekModel([world], [frozenset({"w0"})], nbhd)
-
-
-def _closure(spans) -> Iterator[Atom]:
-    """The atoms p(a, z, args) with lo <= a <= z <= hi of each span."""
-    for atom, lo, hi in spans:
-        pred, args = atom.pred, atom.args
-        times = [TimeExpr.lit(t) for t in range(lo, hi + 1)]
-        for i, start in enumerate(times):
-            for end in times[i:]:
-                yield _trusted_atom(pred, start, end, args)
 
 
 def replay(rules: Iterable[Union[Rule, Formula, str]], trace: Sequence[TraceEvent]) -> AgentState:

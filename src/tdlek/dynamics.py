@@ -117,10 +117,10 @@ def apply(m: TLekModel, op: MentalOp) -> OpOutcome:
     what it gains: Learn gains the literal's extension, Conj and Infer
     their conclusion's, and Revise, where no wider target belief exists
     either, loses the target restricted to the trigger's span and gains
-    the residual sub-interval beliefs.  Worlds where the guard fails keep
-    their neighbourhood unchanged.  Each guard is labelled once for all
-    worlds on every call; nothing is memoised, so a repeated update
-    labels its guards again.
+    the residual sub-interval beliefs.  Only fired worlds' families are
+    rebuilt, and every family left equal stays the same object.  Each
+    guard is labelled once for all worlds on every call; nothing is
+    memoised, so a repeated update labels its guards again.
     """
     _validate_op(op)
     return OpOutcome(*_update(m, op), m)
@@ -150,8 +150,10 @@ def _effect(op: MentalOp) -> tuple[Optional[Formula], list[Formula], list[Formul
 
 
 def _update(m: TLekModel, op: MentalOp) -> tuple[TLekModel, bool]:
-    """(updated model, applied); the model is m itself when no
-    neighbourhood changed."""
+    """(updated model, applied).  Each fired world's family loses each lost
+    extension it holds, then gains each gained one it lacks, masked to its
+    class; an equal family stays the same object, and m itself is returned
+    when no family changed."""
     fr = m.frame
     fired = fr.fit(op_time(op))
     guard, gained, lost = _effect(op)
@@ -165,13 +167,19 @@ def _update(m: TLekModel, op: MentalOp) -> tuple[TLekModel, bool]:
         return m, False
     add_masks = [truth_set(m, f) for f in gained]
     remove_masks = [truth_set(m, f) for f in lost]
-    nbhd = tuple(  # only a revision loses anything
-        (family.difference([x & cls for x in remove_masks]) if remove_masks else family)
-        .union([x & cls for x in add_masks])
-        if fired >> i & 1 else family
-        for i, (cls, family) in enumerate(zip(fr.cls, m.nbhd))
-    )
-    return (m if nbhd == m.nbhd else m.with_nbhd(nbhd)), True
+    nbhd, changed = list(m.nbhd), False
+    for i, cls in enumerate(fr.cls):
+        if fired >> i & 1:
+            family = before = nbhd[i]
+            for x in remove_masks:  # only a revision loses anything
+                if x & cls in family:
+                    family = family - {x & cls}
+            for x in add_masks:
+                if x & cls not in family:
+                    family = family | {x & cls}
+            if family is not before and family != before:
+                nbhd[i], changed = family, True
+    return (m.with_nbhd(tuple(nbhd)) if changed else m), True
 
 
 def check_dynamic(m: TLekModel, wid: str, f: Formula) -> bool:

@@ -202,6 +202,7 @@ def property1_suite(models: list[TLekModel], seed: int = 0, per_model: int = 6) 
     applied = {"learn": 0, "conj": 0, "infer": 0, "revise": 0}
     for m in models:
         vocab = model_vocab(m)
+        candidates = sorted({a.pred for a in vocab} | {"zz"})  # revision triggers' names
         horizon = max(
             [int(a.end.offset) for a in vocab if a.end.offset != INF] + [4]
         )
@@ -245,7 +246,7 @@ def property1_suite(models: list[TLekModel], seed: int = 0, per_model: int = 6) 
                 elif check(m, wid, And(Knowledge(Implies(a, c)), Belief(a))):
                     applied["infer"] += 1
             for _ in range(per_model):
-                pair = _revise_pair(rng, vocab)
+                pair = _revise_pair(rng, vocab, candidates)
                 if pair is None:
                     continue
                 trigger, target = pair
@@ -283,9 +284,9 @@ def _check_residuals(report: SuiteReport, m: TLekModel, wid: str, op: Revise) ->
     return held
 
 
-def _revise_pair(rng: random.Random, vocab) -> tuple[Atom, Atom] | None:
-    """Trigger strictly inside (or equal to) a target drawn from the vocabulary
-    in place; built unchecked, as its name and ordered bounds are valid."""
+def _revise_pair(rng: random.Random, vocab, candidates: list[str]) -> tuple[Atom, Atom] | None:
+    """Trigger named from candidates, strictly inside (or equal to) a target
+    drawn from the vocabulary; built unchecked, as its parts are valid."""
     if not vocab:
         return None
     target = rng.choice(vocab)
@@ -293,7 +294,6 @@ def _revise_pair(rng: random.Random, vocab) -> tuple[Atom, Atom] | None:
     span = int(t_iv.hi) if t_iv.finite else t_iv.lo + 4
     lo = rng.randint(t_iv.lo, span)
     hi = rng.randint(lo, span) if t_iv.finite or rng.random() >= 0.5 else INF
-    candidates = sorted({a.pred for a in vocab} | {"zz"})
     return _trusted_ground_atom(rng.choice(candidates), _derived(lo, hi), ()), target
 
 

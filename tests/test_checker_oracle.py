@@ -5,13 +5,15 @@ of its model: first on everything the four property suites generate over
 many seeds, then on random static and dynamic formulas over random models with
 and without full-span world intervals.  An update is compared by its
 delta, its model, each world's neighbourhood against the reference's
-world-id families, and the saved model text.  Count guards check that
+world-id families, and the saved model text; every family an update
+leaves equal must be the same object in its result.  Count guards check that
 the update path builds no world-id set, that axioms-lek and
 reduction-oracle label each formula they check once per model, and that
 labelling builds a new interval only for a connective whose children's
 times do not nest.
 """
 
+import operator
 import random
 from collections import Counter
 
@@ -20,7 +22,7 @@ import pytest
 import reference_checker as ref
 from tdlek import dynamics, intervals, models, suites
 from tdlek.formulas import (
-    Always, And, Atom, Belief, Iff, Implies, Knowledge, Not, Or, Revise, Top, children,
+    Always, And, Atom, Belief, Iff, Implies, Knowledge, Learn, Not, Or, Revise, Top, children, parse,
 )
 from tdlek.intervals import TimeExpr
 from tdlek.randgen import gen_dynamic_formula, gen_mental_op, gen_static, model_vocab
@@ -176,6 +178,41 @@ def test_update_path_derives_no_world_sets(monkeypatch):
     changed = sum(dynamics.apply(m, op).model is not m for m, op in cases)
     assert calls == []
     assert changed > 30
+
+
+def test_update_keeps_every_family_it_leaves_equal():
+    """An update rebuilds only the families it changes: every family equal
+    before and after is the same object in the result, and an update that
+    changes no family returns the model itself.  Covered: the fixture
+    revision, whose gained extension every fired world already holds, the
+    same revision after learning the atom it cuts, generated operations,
+    and each applied Learn again on its result."""
+    fixture, trigger, target = suites._revise_fixture()
+    learned = dynamics.apply(fixture, Learn(parse("married(9,inf)"))).model  # holds the cut
+    cases = [(fixture, Revise(trigger, target)), (learned, Revise(trigger, target))]
+    for seed in SEEDS:
+        m = models.gen_random_model(seed, max_worlds=5)
+        rng = random.Random(seed)
+        cases += [(m, gen_mental_op(rng, model_vocab(m), 10)) for _ in range(6)]
+    kept = cut = relearned = 0
+    for m, op in cases:
+        assert_same_update(m, op)
+        outcome = dynamics.apply(m, op)
+        for before, after in zip(m.nbhd, outcome.model.nbhd):
+            assert (after is before) == (after == before), str(op)
+        if outcome.model.nbhd == m.nbhd:
+            assert outcome.model is m, str(op)
+        else:
+            kept += any(map(operator.is_, m.nbhd, outcome.model.nbhd))
+            cut += any(d["removed"] for d in outcome.delta.values())
+        if isinstance(op, Learn) and outcome.applied:
+            again = dynamics.apply(outcome.model, op)
+            assert again.applied and again.model is outcome.model, str(op)
+            assert_same_update(outcome.model, op)
+            relearned += 1
+    revised = dynamics.apply(*cases[0])  # married(6,8)'s extension is already held
+    assert revised.applied and revised.model is fixture
+    assert kept > 10 and cut > 0 and relearned > 20, (kept, cut, relearned)
 
 
 def test_validate_model_agrees_with_reference():

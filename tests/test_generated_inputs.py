@@ -150,12 +150,13 @@ def test_generators_run_no_atom_or_world_checks(monkeypatch):
     for seed in range(40):
         vocab = model_vocab(gen_random_model(seed, 6))
         gen_random_model(seed, 6, full_span=True)
+        candidates = sorted({a.pred for a in vocab} | {"zz"})
         rng = random.Random(seed)
         for _ in range(20):
             gen_vocab_atom(rng, vocab, 10)
             gen_vocab_atom(rng, [], 10)
             gen_literal(rng, vocab, 10)
-            suites._revise_pair(rng, vocab)
+            suites._revise_pair(rng, vocab, candidates)
     assert not seen, f"{len(seen)} checked constructions, e.g. {seen[:EXAMPLES]}"
 
 

@@ -6,7 +6,8 @@ keeps the bridge that validates every atom and scans the atoms for I(w).
 Both run on perceive-only states built like the bridge benchmark's
 (halves that working memory merges, a negative cut, ``inf`` ends), on the
 two scenarios after ``infer``, on empty memory and on memory holding
-beliefs that start after the horizon.
+beliefs that start after the horizon.  Count guards check that the
+bridge validates no atom and hashes no time expression per atom.
 """
 
 import random
@@ -17,7 +18,7 @@ import pytest
 import reference_agent as ref
 from tdlek.agent import init, perceive, run_scenario_file, to_model
 from tdlek.formulas import Atom, parse
-from tdlek.intervals import INF, Interval
+from tdlek.intervals import INF, Interval, TimeExpr
 from tdlek.models import World, check, extension, save_model, world_interval
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -126,25 +127,42 @@ def test_belief_after_horizon_adds_nothing():
         _assert_same(st, horizon, _queries(random.Random(1), [("p", None), ("q", None)], horizon))
 
 
+def counting(monkeypatch, calls, cls, name):
+    """Wrap cls.name so that each call counts under "Class.name" in calls."""
+    original = getattr(cls, name)
+    calls[f"{cls.__name__}.{name}"] = 0
+
+    def wrapper(self, *args):
+        calls[f"{cls.__name__}.{name}"] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, name, wrapper)
+
+
 def test_to_model_validates_no_atom(monkeypatch):
     """One p(0,inf) belief at horizon 200 gives 20,301 atoms, and none of
     them, nor the world, goes through a validation or groundness test."""
     st = perceive(init([]), parse("p(0,inf)"), 0)
-    calls = {"Atom.__post_init__": 0, "Atom.is_ground": 0, "World.__post_init__": 0}
-
-    def counting(cls, name):
-        original = getattr(cls, name)
-
-        def wrapper(self, *args):
-            calls[f"{cls.__name__}.{name}"] += 1
-            return original(self, *args)
-
-        monkeypatch.setattr(cls, name, wrapper)
-
-    counting(Atom, "__post_init__")
-    counting(Atom, "is_ground")
-    counting(World, "__post_init__")
+    calls = {}
+    counting(monkeypatch, calls, Atom, "__post_init__")
+    counting(monkeypatch, calls, Atom, "is_ground")
+    counting(monkeypatch, calls, World, "__post_init__")
     m = to_model(st, 200)
     assert len(m.worlds["w0"].atoms) == 20_301
     assert world_interval(m.worlds["w0"]) == Interval(0, 200)
     assert calls == {"Atom.__post_init__": 0, "Atom.is_ground": 0, "World.__post_init__": 0}
+
+
+def test_to_model_seeds_atom_hashes_without_hashing_time_expressions(monkeypatch):
+    """The same 20,301 atoms get their hashes from plain (var, offset)
+    pairs: at most the belief's own atom hashes its two bounds (seeding
+    each atom's memo through its bounds makes 40,604 calls), and the
+    atoms, hashes included, still equal the reference valuation."""
+    st = perceive(init([]), parse("p(0,inf)"), 0)
+    calls = {}
+    counting(monkeypatch, calls, TimeExpr, "__hash__")
+    m = to_model(st, 200)
+    monkeypatch.undo()
+    assert len(m.worlds["w0"].atoms) == 20_301
+    assert calls["TimeExpr.__hash__"] <= 2
+    _assert_same(st, 200, _queries(random.Random(0), [("p", None)], 200))
