@@ -119,10 +119,6 @@ def _as_literal(lit: Union[Formula, BeliefLit]) -> BeliefLit:
     return BeliefLit(*parts)
 
 
-_new = object.__new__
-_set = object.__setattr__
-
-
 def _make_lit(pred: str, args: tuple[str, ...], positive: bool, iv: Interval) -> BeliefLit:
     """The belief pred(iv, args) of this polarity, from a held or derived
     belief's pred and args and a valid interval: its atom is trusted, as
@@ -368,81 +364,100 @@ def _canonical_rule_key(rule: Rule) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+TRACE_SCHEMA_VERSION = 1
+_JSON_INF = '"inf"'  # a time point inf, as JSON
+
+
+class TraceEvent:
+    """A recorded step of a run.  Each kind writes its own schema-1 JSON line,
+    line(), the bytes json.dumps gives for its record ("inf" for inf), and
+    redoes its own replay step, redo(memory, clock), giving the clock after."""
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True)
-class Perceived:
+class Perceived(TraceEvent):
+    """A literal perceived: replayed, it is inserted and the clock moves to at."""
+
     literal: BeliefLit
     at: TimePoint
 
+    def line(self) -> str:
+        at = _JSON_INF if self.at == INF else self.at
+        return f'{{"at": {at}, "event": "perceived", "literal": {_quote(str(self.literal))}}}'
+
+    def redo(self, memory: WorkingMemory, clock: TimePoint) -> TimePoint:
+        memory.insert(self.literal)
+        return self.at
+
 
 @dataclass(frozen=True)
-class Fired:
+class Fired(TraceEvent):
+    """A rule firing: replayed, a positive conclusion is inserted."""
+
     rule_index: int
     rule: str
     binding: tuple[tuple[str, Union[TimePoint, str]], ...]  # sorted by variable
     conclusion: BeliefLit
 
+    def line(self) -> str:
+        binding = ", ".join(
+            f"{_quote(k)}: {v if v.__class__ is int else _JSON_INF if v == INF else _quote(v)}"
+            for k, v in self.binding
+        )
+        return (
+            f'{{"binding": {{{binding}}}, "conclusion": {_quote(str(self.conclusion))}, '
+            f'"event": "fired", "rule": {_quote(self.rule)}, "rule_index": {self.rule_index}}}'
+        )
+
+    def redo(self, memory: WorkingMemory, clock: TimePoint) -> TimePoint:
+        if self.conclusion.positive:
+            memory.insert(self.conclusion)
+        return clock
+
 
 @dataclass(frozen=True)
-class Restructured:
+class Restructured(TraceEvent):
+    """A held belief replaced by its parts: replayed, the store swaps them."""
+
     removed: BeliefLit
     parts: tuple[BeliefLit, ...]
 
+    def line(self) -> str:
+        parts = ", ".join(_quote(str(p)) for p in self.parts)
+        return f'{{"event": "restructured", "parts": [{parts}], "removed": {_quote(str(self.removed))}}}'
+
+    def redo(self, memory: WorkingMemory, clock: TimePoint) -> TimePoint:
+        memory.swap(self.removed, self.parts)
+        return clock
+
 
 @dataclass(frozen=True)
-class Conjoined:
+class Conjoined(TraceEvent):
+    """A conjunction made by conjoin: replayed, it changes nothing."""
+
     left: str
     right: str
 
+    def line(self) -> str:
+        return f'{{"event": "conjoined", "left": {_quote(self.left)}, "right": {_quote(self.right)}}}'
 
-# Written with |, not typing.Union: typing caches its subscriptions for the
-# life of the process, so a Union of these classes would keep this copy of
-# the package alive after a re-import.
-TraceEvent = Perceived | Fired | Restructured | Conjoined
+    def redo(self, memory: WorkingMemory, clock: TimePoint) -> TimePoint:
+        return clock
 
-TRACE_SCHEMA_VERSION = 1
-_JSON_INF = '"inf"'  # a time point inf, as JSON
+
+def _events(trace: Iterable) -> Iterator[TraceEvent]:
+    """The values of trace, each checked to be a TraceEvent."""
+    for ev in trace:
+        if not isinstance(ev, TraceEvent):
+            raise TypeError(f"unknown trace event {ev!r}")
+        yield ev
 
 
 def trace_json_lines(trace: Sequence[TraceEvent]) -> str:
-    """The trace as JSON lines: a schema header, then one line per event.
-
-    Each line is written straight from its event, keys in sorted order (a
-    firing's binding in its pairs' order, sorted by variable), with the
-    separators, string quoting (json.encoder.encode_basestring_ascii) and
-    numbers json.dumps gives with its default settings; a time point inf
-    is the string "inf", and a binding's value not an int or inf a string."""
-    lines = [f'{{"schema_version": {TRACE_SCHEMA_VERSION}}}']
-    append = lines.append
-    for ev in trace:
-        if isinstance(ev, Perceived):
-            append(
-                f'{{"at": {_JSON_INF if ev.at == INF else ev.at}, "event": "perceived", '
-                f'"literal": {_quote(str(ev.literal))}}}'
-            )
-        elif isinstance(ev, Fired):
-            binding = ", ".join(
-                f"{_quote(k)}: {v if v.__class__ is int else _JSON_INF if v == INF else _quote(v)}"
-                for k, v in ev.binding
-            )
-            append(
-                f'{{"binding": {{{binding}}}, "conclusion": {_quote(str(ev.conclusion))}, '
-                f'"event": "fired", "rule": {_quote(ev.rule)}, "rule_index": {ev.rule_index}}}'
-            )
-        elif isinstance(ev, Restructured):
-            parts = ", ".join(_quote(str(p)) for p in ev.parts)
-            append(
-                f'{{"event": "restructured", "parts": [{parts}], '
-                f'"removed": {_quote(str(ev.removed))}}}'
-            )
-        elif isinstance(ev, Conjoined):
-            append(
-                f'{{"event": "conjoined", "left": {_quote(ev.left)}, '
-                f'"right": {_quote(ev.right)}}}'
-            )
-        else:
-            raise TypeError(f"unknown trace event {ev!r}")
-    append("")
-    return "\n".join(lines)
+    """The trace as JSON lines: a schema header, then each event's line()."""
+    return "\n".join([f'{{"schema_version": {TRACE_SCHEMA_VERSION}}}', *(ev.line() for ev in _events(trace)), ""])
 
 
 def trace_records(trace: Sequence[TraceEvent]) -> list[dict]:
@@ -584,15 +599,10 @@ class WorkingMemory:
 
     def restructure(self, target: BeliefLit, denied: Interval) -> Restructured:
         """Replace target by its parts outside the denied span."""
-        event = Restructured(
-            target,
-            tuple(
-                _make_lit(target.atom.pred, target.atom.args, target.positive, p)
-                for p in difference(target.interval(), denied)
-            ),
-        )
-        self.swap(target, event.parts)
-        return event
+        pred, args, positive = target.atom.pred, target.atom.args, target.positive
+        parts = tuple(_make_lit(pred, args, positive, p) for p in difference(target.interval(), denied))
+        self.swap(target, parts)
+        return Restructured(target, parts)
 
     def added_since(self, old: WorkingMemory) -> Iterator[BeliefLit]:
         """The positive beliefs held here but not in old, any other store.
@@ -1025,23 +1035,12 @@ def to_model(st: AgentState, horizon: int) -> TLekModel:
 
 
 def replay(rules: Iterable[Union[Rule, Formula, str]], trace: Sequence[TraceEvent]) -> AgentState:
-    """Rebuild the final state mechanically from a recorded trace."""
+    """Rebuild the final state from a recorded trace: each event redoes its step."""
     state = init(rules)
     memory = WorkingMemory()
     clock: TimePoint = state.clock
-    for ev in trace:
-        if isinstance(ev, Perceived):
-            memory.insert(ev.literal)
-            clock = ev.at
-        elif isinstance(ev, Fired):
-            if ev.conclusion.positive:
-                memory.insert(ev.conclusion)
-        elif isinstance(ev, Restructured):
-            memory.swap(ev.removed, ev.parts)
-        elif isinstance(ev, Conjoined):
-            pass
-        else:
-            raise TypeError(f"unknown trace event {ev!r}")
+    for ev in _events(trace):
+        clock = ev.redo(memory, clock)
     return replace(state, memory=memory, clock=clock, trace=tuple(trace))
 
 

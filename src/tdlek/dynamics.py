@@ -78,12 +78,6 @@ class OpOutcome:
         }
 
 
-def _validate_op(op: MentalOp) -> None:
-    """Shapes are checked when an operation is built; apply needs it ground."""
-    if not is_ground(op):
-        raise NonGround(f"mental operation is not ground: {print_formula(op)}")
-
-
 def wider_belief_exists(m: TLekModel, wid: str, op: Revise) -> bool:
     """True if some other target-predicate atom, believed at wid, covers a
     strictly larger interval than the trigger."""
@@ -122,7 +116,8 @@ def apply(m: TLekModel, op: MentalOp) -> OpOutcome:
     guard is labelled once for all worlds on every call; nothing is
     memoised, so a repeated update labels its guards again.
     """
-    _validate_op(op)
+    if not is_ground(op):  # shapes are checked when an operation is built
+        raise NonGround(f"mental operation is not ground: {print_formula(op)}")
     return OpOutcome(*_update(m, op), m)
 
 

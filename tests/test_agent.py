@@ -9,6 +9,7 @@ import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -689,7 +690,9 @@ def test_replay_passes_over_conjoined_and_rejects_unknown_events():
     assert isinstance(st.trace[-1], Conjoined)
     rebuilt = replay(UMBRELLA_RULES, st.trace)
     assert rebuilt.wm == st.wm and rebuilt.trace == st.trace
-    for bad in (object(), "perceived"):
+    # a value with an event's methods is still not an event
+    impostor = SimpleNamespace(line=lambda: '{"event": "conjoined"}', redo=lambda memory, clock: clock)
+    for bad in (object(), "perceived", impostor):
         with pytest.raises(TypeError):
             replay(UMBRELLA_RULES, st.trace + (bad,))
         with pytest.raises(TypeError):

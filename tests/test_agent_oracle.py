@@ -32,6 +32,7 @@ import random
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -497,8 +498,9 @@ def test_trace_lines_match_the_reference_writer_on_scripts():
 
 def test_trace_lines_match_the_reference_writer_on_hand_built_events():
     """Strings json.dumps escapes, an empty binding, a restructure with no
-    parts, inf in a binding and as a perception time; an unknown event is a
-    TypeError in both writers."""
+    parts, inf in a binding and as a perception time; an unknown event, even
+    one with an event's line and redo methods, is a TypeError in both
+    writers."""
     lit = BeliefLit(parse("p(1,inf,a)"))
     trace = (
         Perceived(lit, 3),
@@ -511,7 +513,8 @@ def test_trace_lines_match_the_reference_writer_on_hand_built_events():
     )
     assert_same_trace_text(trace)
     assert_same_trace_text(())
-    for bad in (object(), "perceived", Not(parse("p(1,1)"))):
+    impostor = SimpleNamespace(line=lambda: '{"event": "conjoined"}', redo=lambda memory, clock: clock)
+    for bad in (object(), "perceived", Not(parse("p(1,1)")), impostor):
         for writer in (trace_json_lines, trace_records, ref.trace_json_lines):
             with pytest.raises(TypeError, match="unknown trace event"):
                 writer(trace + (bad,))

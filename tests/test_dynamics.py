@@ -98,7 +98,7 @@ def test_learn_rejects_non_literal():
         apply(m, Learn(And(raining, raining)))
     with pytest.raises(MalformedOp):
         apply(m, Learn(Not(Not(raining))))
-    with pytest.raises(NonGround):
+    with pytest.raises(NonGround, match="mental operation is not ground"):
         apply(m, Learn(parse("p(T,T)")))
 
 
