@@ -26,6 +26,8 @@ from .intervals import (
     TimeExpr,
     TimePoint,
     _derived,
+    _new,
+    _set,
     difference,
     fmt_time,
     hull,
@@ -52,8 +54,6 @@ from .formulas import (
     parse,
     print_atom,
     print_formula,
-    _new,
-    _set,
     _trusted_ground_atom,
 )
 from .models import TLekModel, _trusted_world
@@ -862,17 +862,13 @@ def infer_fixpoint(st: AgentState, budget: int = 10_000) -> AgentState:
     fresh: set = set()  # instances done in this call
     events: list[TraceEvent] = []
     kept = st.chaining
-    if kept is not None and kept.rules is rules:
-        reads = kept.reads
+    if kept is not None and kept.rules is rules and kept.fired is fired:
+        reads, since, dormant = kept.reads, kept.memory, dict(kept.dormant)
     else:
-        reads = {}  # predicate -> (rule, premise) pairs
+        reads, since, dormant = {}, WorkingMemory(), {}  # reads: predicate -> (rule, premise) pairs
         for ridx, rule in enumerate(rules):
             for at, p in enumerate(rule.plan.premises):
                 reads.setdefault(p.pred, []).append((ridx, at))
-    if kept is not None and kept.rules is rules and kept.fired is fired:
-        since, dormant = kept.memory, dict(kept.dormant)
-    else:
-        since, dormant = WorkingMemory(), {}
     agenda: list[tuple] = []
     order = count()  # heap tie-break: the same binding may be queued twice
     firings = 0
@@ -1081,16 +1077,12 @@ def run_scenario(text: str, budget: int = 10_000) -> ScenarioResult:
 
     The result is what the calls perceive, infer_fixpoint and query give
     line by line, at what each line changes: perceptions edit one live
-    store and gather their events, query lines read that store, and each
-    infer line builds one state, calls infer_fixpoint on it and carries
-    on from a copy of the store it returns.
+    store and append their events to one log, query lines read that store,
+    and each infer line hands infer_fixpoint a state with an empty trace,
+    appends the events it returns and carries on from a copy of its store.
     """
-    state = init([])  # the last state built: its trace, fired set and chaining record
-    rules, memory, clock, events = state.rules, WorkingMemory(), state.clock, []
-
-    def current() -> AgentState:
-        return AgentState(rules, memory, clock, state.trace + tuple(events), state.fired, state.chaining)
-
+    state = init([])  # the last infer's state: its fired set and chaining record
+    rules, memory, clock, log = state.rules, WorkingMemory(), state.clock, []
     result = ScenarioResult(state)
     last_query: Optional[tuple[int, str, bool]] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -1109,13 +1101,16 @@ def run_scenario(text: str, budget: int = 10_000) -> ScenarioResult:
                 at_text = at_text.strip()
                 if not at_text.isdecimal():
                     raise ScenarioError(f"bad perception time {at_text!r}", lineno)
-                _perceive(memory, events, clock, parse(lit_text.strip()), int(at_text))
+                _perceive(memory, log, clock, parse(lit_text.strip()), int(at_text))
                 clock = int(at_text)
             elif word == "infer":
                 if rest:
                     raise ScenarioError("infer takes no argument", lineno)
-                state = infer_fixpoint(current(), budget=budget)
-                memory, events = state.memory.copy(), []
+                state = infer_fixpoint(
+                    AgentState(rules, memory, clock, (), state.fired, state.chaining), budget=budget
+                )
+                log += state.trace
+                memory = state.memory.copy()
             elif word == "query":
                 value = _query(memory, rules, parse(rest))
                 last_query = (lineno, rest, value)
@@ -1134,7 +1129,7 @@ def run_scenario(text: str, budget: int = 10_000) -> ScenarioResult:
             raise
         except (FormulaSyntaxError, MalformedRule, ValueError, RuntimeError) as exc:
             raise ScenarioError(str(exc), lineno) from exc
-    result.state = current()
+    result.state = AgentState(rules, memory, clock, tuple(log), state.fired, state.chaining)
     return result
 
 

@@ -23,6 +23,8 @@ from .intervals import (
     TimePoint,
     _VAR_RE,
     _derived,
+    _new,
+    _set,
     difference,
     fmt_time,
     hull,
@@ -185,10 +187,6 @@ class Atom(Formula):
             iv = _derived(self.start.offset, self.end.offset)
             object.__setattr__(self, "_memo_time", iv)
         return iv
-
-
-_new = object.__new__
-_set = object.__setattr__
 
 
 def _trusted_atom(pred: str, start: TimeExpr, end: TimeExpr, args: tuple[str, ...]) -> Atom:

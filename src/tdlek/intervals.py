@@ -82,7 +82,7 @@ def make_interval(lo: TimePoint, hi: TimePoint) -> Interval:
     """Build [lo, hi]; lo must be finite and lo <= hi."""
     if lo == INF:
         raise BadInterval("lower bound may not be inf")
-    return Interval(int(lo), hi)
+    return Interval(lo, hi)
 
 
 _INTERVAL_RE = re.compile(r"^\[\s*(\d+)\s*,\s*(?:(\d+)\s*\]|inf\s*[\)\]])$")

@@ -37,6 +37,7 @@ from tdlek.agent import (
     run_scenario,
     run_scenario_file,
     to_model,
+    trace_json_lines,
     trace_records,
 )
 
@@ -338,6 +339,23 @@ def test_firings_keep_the_literal_they_make(monkeypatch):
     monkeypatch.setattr(tdlek.agent, "_make_lit", counted)
     assert run_scenario_file(GEN110).ok
     assert 0 < calls[0] <= 160
+
+
+def test_scenario_infers_are_handed_no_history(monkeypatch):
+    # The runner keeps one event log: each infer line hands infer_fixpoint
+    # a state with an empty trace and appends the events it returns, so no
+    # line copies the events before it, and the whole log is still written.
+    handed = []
+    original = tdlek.agent.infer_fixpoint
+
+    def counted(st, budget=10_000):
+        handed.append(len(st.trace))
+        return original(st, budget)
+
+    monkeypatch.setattr(tdlek.agent, "infer_fixpoint", counted)
+    state = run_scenario_file(GEN110).state
+    assert len(handed) > 1 and set(handed) == {0}
+    assert trace_json_lines(state.trace) == GEN110.with_suffix(".jsonl").read_text()
 
 
 def test_each_rule_compiles_each_premise_join_once(monkeypatch):

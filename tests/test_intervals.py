@@ -78,6 +78,9 @@ def test_make_interval_rejects_bad_bounds():
         make_interval(INF, INF)
     with pytest.raises(BadInterval):
         Interval(-1, 3)
+    for lo in (-0.5, 2.5, True):
+        with pytest.raises(BadInterval, match=re.escape(f"lower bound must be a natural number, got {lo!r}")):
+            make_interval(lo, 3)
     for hi in (-1, 2.5, True, "3", None):
         with pytest.raises(BadInterval, match=re.escape(f"upper bound must be a natural number or inf, got {hi!r}")):
             Interval(1, hi)
