@@ -121,8 +121,8 @@ def _as_literal(lit: Union[Formula, BeliefLit]) -> BeliefLit:
 
 def _make_lit(pred: str, args: tuple[str, ...], positive: bool, iv: Interval) -> BeliefLit:
     """The belief pred(iv, args) of this polarity, from a held or derived
-    belief's pred and args and a valid interval: its atom is trusted, as
-    to_model's are, with its variables and time memos seeded, and the
+    belief's pred and args and a valid interval: its atom is built by
+    _trusted_ground_atom, with its variables and time memos seeded, and the
     literal skips the groundness test such an atom always passes."""
     lit = _new(BeliefLit)
     _set(lit, "atom", _trusted_ground_atom(pred, iv, args))
@@ -1000,8 +1000,8 @@ def to_model(st: AgentState, horizon: int) -> TLekModel:
     and the world carries I(w): the lowest start and the highest
     truncated end of the beliefs that start by the horizon.  Each atom
     p(a, z, args) is built inline with its hash memo seeded: a literal
-    TimeExpr hashes as its (var, offset), so hash((pred, (None, a), (None,
-    z), args)) is Node.__hash__'s value, with no TimeExpr.__hash__ call.
+    TimeExpr hashes as its point, so hash((pred, a, z, args)) is
+    Node.__hash__'s value, with no TimeExpr.__hash__ call.
     """
     if horizon == INF or not is_time_point(horizon):
         raise ValueError("horizon must be a finite natural")
@@ -1013,7 +1013,7 @@ def to_model(st: AgentState, horizon: int) -> TLekModel:
     closure = []  # p(a, z, args) with lo <= a <= z <= hi of each span
     for held, lo, hi in spans:
         pred, args = held.pred, held.args
-        points = [(TimeExpr.lit(t), (None, t)) for t in range(lo, hi + 1)]
+        points = [(TimeExpr.lit(t), t) for t in range(lo, hi + 1)]
         for i, (start, a) in enumerate(points):
             for end, z in points[i:]:
                 atom = _new(Atom)

@@ -190,29 +190,23 @@ class Atom(Formula):
 
 
 def _trusted_atom(pred: str, start: TimeExpr, end: TimeExpr, args: tuple[str, ...]) -> Atom:
-    """pred(start, end, args) from a valid ground atom's pred and args and
-    literal bounds, start finite and no later than end: built without
-    __post_init__, whose checks such parts always pass.  The fields are
-    set in declaration order, as __init__ sets them, and the hash memo is
-    seeded with the value Node.__hash__ would compute, since such atoms
-    are built to go into a set."""
+    """pred(start, end, args) from parts that the parser or a valid atom
+    has already checked: built without __post_init__, whose checks such
+    parts always pass.  The fields are set in declaration order, as
+    __init__ sets them, and no memo is seeded."""
     atom = _new(Atom)
     _set(atom, "pred", pred)
     _set(atom, "start", start)
     _set(atom, "end", end)
     _set(atom, "args", args)
-    _set(atom, "_memo_hash", hash((pred, start, end, args)))
     return atom
 
 
 def _trusted_ground_atom(pred: str, iv: Interval, args: tuple[str, ...]) -> Atom:
-    """pred(iv.lo, iv.hi, args) on the shared literals, built as _trusted_atom
-    builds an atom but with its variables and time memos seeded, not its hash."""
-    atom = _new(Atom)
-    _set(atom, "pred", pred)
-    _set(atom, "start", TimeExpr.lit(iv.lo))
-    _set(atom, "end", TimeExpr.lit(iv.hi))
-    _set(atom, "args", args)
+    """pred(iv.lo, iv.hi, args) on the shared literals, built by _trusted_atom
+    with its variables and time memos seeded.  Its hash is left to first
+    use: a scenario run hashes none of the atoms it builds here."""
+    atom = _trusted_atom(pred, TimeExpr.lit(iv.lo), TimeExpr.lit(iv.hi), args)
     _set(atom, "_memo_free", _NO_VARS)
     _set(atom, "_memo_time", iv)
     return atom

@@ -5,7 +5,8 @@ that never end.  [lo, hi] is closed on both ends, [lo, INF] prints as
 "[lo,inf)" because no point sits at infinity itself.  All values here are
 immutable and all operations are pure.  Intervals derived from valid ones
 (hulls, intersections) are built without re-validation, and time literals
-are shared: TimeExpr.lit returns one instance per value.
+are shared: TimeExpr.lit returns one instance per value, which hashes as
+its point.
 """
 
 from __future__ import annotations
@@ -198,25 +199,16 @@ class TimeExpr:
     """A time position: a literal point, a variable, or variable +/- constant.
 
     Literal form has var=None and the point in offset.  Variable form keeps
-    the (possibly negative) shift in offset.  The hash, the generated
-    dataclass hash of (var, offset), is computed once and kept.
+    the (possibly negative) shift in offset.  A literal hashes as its point
+    and a variable form as (var, offset), so a literal's hash is the same
+    in every process, whatever the hash seed.
     """
 
     var: Optional[str]
     offset: TimePoint = 0
-    _memo_hash = None  # not a field
 
     def __hash__(self) -> int:
-        h = self._memo_hash
-        if h is None:
-            h = hash((self.var, self.offset))
-            _set(self, "_memo_hash", h)
-        return h
-
-    def __reduce__(self):
-        # Rebuilt through the constructor, so the memo does not leave the
-        # process: hash(None), and so a literal's hash, differs between them.
-        return TimeExpr, (self.var, self.offset)
+        return hash(self.offset if self.var is None else (self.var, self.offset))
 
     def __post_init__(self):
         if self.var is None:

@@ -5,17 +5,23 @@ and gen_random_model builds its worlds with models._trusted_world, so
 neither runs the Atom or World checks.  These tests rebuild every
 generated atom, world and model through the public constructors and
 require the same values, the same text and the same seeded facts as the
-uncached walkers in reference_checker compute.  Count guards check that
-the generators really skip the constructors' checks, and that free_vars
-builds no set for a ground atom.
+uncached walkers in reference_checker compute.  The other atoms built
+unchecked get the same test: the parser's variable atoms, the agent's
+beliefs, the dynamics' residual and cut atoms and to_model's closure.
+Count guards check that the generators really skip the constructors'
+checks, and that free_vars builds no set for a ground atom.
 """
 
 import random
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from tdlek import suites
-from tdlek.formulas import Atom, Revise, children, free_vars
+from tdlek import agent, suites
+from tdlek.agent import init, perceive, run_scenario_file, to_model
+from tdlek.dynamics import _effect, residual_atoms
+from tdlek.formulas import Atom, Revise, children, free_vars, parse
 from tdlek.intervals import INF, TimeExpr
 from tdlek.models import (
     TLekModel,
@@ -31,6 +37,8 @@ from reference_checker import free_vars_ref, hash_ref, time_of_ref, world_interv
 
 # A guard's failure shows at most this many of the offending values.
 EXAMPLES = 3
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ATOM_FIELDS = [f.name for f in fields(Atom)]
 
 
 def atoms_of(f):
@@ -45,17 +53,18 @@ def atoms_of(f):
 
 
 def rebuilt_atom(a: Atom) -> Atom:
-    return Atom(a.pred, TimeExpr.lit(a.start.offset), TimeExpr.lit(a.end.offset), a.args)
+    return Atom(a.pred, TimeExpr(a.start.var, a.start.offset), TimeExpr(a.end.var, a.end.offset), a.args)
 
 
 def assert_atom_matches_its_rebuild(a: Atom) -> None:
-    """a equals its checked rebuild, and every fact seeded on it is the
-    reference walkers' value."""
+    """a equals its checked rebuild, has its fields set in declaration
+    order, and every fact seeded on it is the reference walkers' value."""
     b = rebuilt_atom(a)
     assert a == b and hash(a) == hash(b) == hash_ref(a)
     seeded = vars(a)
+    assert list(seeded)[:len(ATOM_FIELDS)] == ATOM_FIELDS
     if "_memo_free" in seeded:
-        assert seeded["_memo_free"] == free_vars_ref(a) == frozenset()
+        assert seeded["_memo_free"] == free_vars_ref(a)
     if "_memo_time" in seeded:
         assert seeded["_memo_time"] == time_of_ref(a) == b.interval()
     if "_memo_hash" in seeded:
@@ -125,6 +134,64 @@ def test_mental_op_and_vocab_draws_equal_their_checked_rebuilds(seed):
         for a in atoms_of(op) + [gen_vocab_atom(rng, vocab, 10), gen_vocab_atom(rng, [], 10)]:
             assert_atom_matches_its_rebuild(a)
     assert revisions > 0
+
+
+# ---------------------------------------------------------------------------
+# The other unchecked atoms: parser, agent, dynamics and to_model
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("text", [
+    "p(T,T+1,X)", "q(T-2,inf)", "r(0,T,a,Y)", "K(s(T1,T2) & t(3,4) -> u(T1+1,inf,b))",
+])
+def test_parsed_atoms_equal_their_checked_rebuilds(text):
+    atoms = atoms_of(parse(text))
+    variable = [a for a in atoms if free_vars_ref(a)]
+    assert variable
+    for a in variable:
+        assert "_memo_hash" not in vars(a)  # no hash is seeded: it is computed on first use
+    for a in atoms:
+        assert_atom_matches_its_rebuild(a)
+
+
+def test_agent_beliefs_equal_their_checked_rebuilds(monkeypatch):
+    made = []
+    recording(monkeypatch, agent, "_make_lit", made)
+    result = run_scenario_file(SCENARIO_DIR / "umbrella.scn")
+    assert result.ok
+    derived = {str(lit) for lit in made}
+    assert {"take(2,2,umbrella)", "go(3,inf,shops)"} <= derived
+    for a in [lit.atom for lit in made] + [b.atom for b in result.state.wm]:
+        assert vars(a).keys() >= {"_memo_free", "_memo_time"}  # seeded
+        assert_atom_matches_its_rebuild(a)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_residual_and_cut_atoms_equal_their_checked_rebuilds(seed):
+    rng = random.Random(seed)
+    vocab = model_vocab(gen_random_model(seed))
+    ops = [Revise(parse("p(3,5,a)"), parse("p(0,inf,a)")), Revise(parse("q(0,2)"), parse("q(1,9)"))]
+    ops += [op for op in (gen_mental_op(rng, vocab, 10) for _ in range(40)) if isinstance(op, Revise)]
+    built = 0
+    for op in ops:
+        _, gained, lost = _effect(op)
+        assert gained == residual_atoms(op)
+        for a in gained + lost:
+            assert vars(a).keys() >= {"_memo_free", "_memo_time"}  # seeded
+            assert_atom_matches_its_rebuild(a)
+            built += 1
+    assert built >= 4
+
+
+def test_to_model_atoms_equal_their_checked_rebuilds():
+    st = perceive(init([]), parse("p(0,inf,a)"), 0)
+    st = perceive(st, parse("~p(2,3,a)"), 1)
+    st = perceive(st, parse("q(1,4)"), 2)
+    atoms = to_model(st, 6).worlds["w0"].atoms
+    assert len(atoms) == 3 + 6 + 10  # p(0,1,a), p(4,6,a) and q(1,4)
+    for a in atoms:
+        assert "_memo_hash" in vars(a) and "_memo_free" not in vars(a)  # only the hash is seeded
+        assert_atom_matches_its_rebuild(a)
 
 
 # ---------------------------------------------------------------------------

@@ -154,10 +154,11 @@ def test_to_model_validates_no_atom(monkeypatch):
 
 
 def test_to_model_seeds_atom_hashes_without_hashing_time_expressions(monkeypatch):
-    """The same 20,301 atoms get their hashes from plain (var, offset)
-    pairs: at most the belief's own atom hashes its two bounds (seeding
-    each atom's memo through its bounds makes 40,604 calls), and the
-    atoms, hashes included, still equal the reference valuation."""
+    """The same 20,301 atoms get their hashes from plain points, as a
+    literal hashes as its point: at most the belief's own atom hashes its
+    two bounds (seeding each atom's memo through its bounds makes 40,604
+    calls), and the atoms, hashes included, still equal the reference
+    valuation."""
     st = perceive(init([]), parse("p(0,inf)"), 0)
     calls = {}
     counting(monkeypatch, calls, TimeExpr, "__hash__")
